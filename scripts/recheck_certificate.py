@@ -6,6 +6,10 @@ recorded in the certificate, and confirms that (a) the vector annihilates
 every constraint row exactly, (b) its entries match the certified nonzero
 pattern, and (c) the recorded rank/kernel accounting is consistent.
 
+Exit codes: 0 every certificate passes, 1 a check failed, 2 a certificate
+could not be read (bad JSON, ``n``, kernel label or value, or a missing
+rank/kernel_dim/unknowns field).
+
 Example:
     python3 scripts/recheck_certificate.py certificates/certificate_n3.json
 """
@@ -17,23 +21,54 @@ import json
 import sys
 from pathlib import Path
 
-from gaussgeom.algebra import BasisIndex, basis_indices
+from gaussgeom.algebra import basis_indices
 from gaussgeom.exact import ZERO, QSqrt2
 from gaussgeom.solver import assemble, expected_pattern
 from gaussgeom.tensors import basis_dimension, symmetric_triples, triple_positions
 
 
-def recheck(payload: dict) -> bool:
-    n = payload["n"]
+def kernel_vector(payload: dict) -> list[QSqrt2]:
+    """The certificate's kernel as a vector over the canonical triples.
+
+    Raises ValueError on a bad ``n``, kernel label or kernel value.
+    """
+    n = payload.get("n")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
     dim = basis_dimension(n)
-    triples = symmetric_triples(dim)
     positions = triple_positions(dim)
     label_position = {idx.label(): p for p, idx in enumerate(basis_indices(n))}
 
-    vector = [ZERO] * len(triples)
-    for label, text in payload["kernel"].items():
-        key = tuple(sorted(label_position[part] for part in label.split("|")))
+    kernel = payload.get("kernel")
+    if not isinstance(kernel, dict):
+        raise ValueError("kernel must be an object of label -> value")
+    vector = [ZERO] * len(positions)
+    for label, text in kernel.items():
+        parts = label.split("|")
+        if len(parts) != 3 or any(part not in label_position for part in parts):
+            raise ValueError(f"not a kernel label for n={n}: {label!r}")
+        if not isinstance(text, str):
+            raise ValueError(f"kernel value of {label} is not a string: {text!r}")
+        key = tuple(sorted(label_position[part] for part in parts))
         vector[positions[key]] = QSqrt2.parse(text)
+    return vector
+
+
+def validate(payload: object) -> None:
+    """Raise ValueError unless ``payload`` is a certificate that can be
+    rechecked."""
+    if not isinstance(payload, dict):
+        raise ValueError("not a certificate object")
+    for key in ("rank", "kernel_dim", "unknowns"):
+        if not isinstance(payload.get(key), int):
+            raise ValueError(f"{key} must be an integer, got {payload.get(key)!r}")
+    kernel_vector(payload)
+
+
+def recheck(payload: dict) -> bool:
+    vector = kernel_vector(payload)
+    n = payload["n"]
+    triples = symmetric_triples(basis_dimension(n))
 
     ok = True
 
@@ -45,8 +80,10 @@ def recheck(payload: dict) -> bool:
 
     system = assemble(n)
     residuals = system.residuals(vector)
-    bad = sum(1 for r in residuals if r)
-    report("rows_annihilated", bad == 0, f"{len(residuals)} rows, {bad} nonzero")
+    # counted over every emitted constraint, as each distinct row stands for
+    # ``multiplicity`` of them
+    bad = sum(m for r, m in zip(residuals, system.multiplicities) if r)
+    report("rows_annihilated", bad == 0, f"{system.row_count} rows, {bad} nonzero")
 
     pattern = expected_pattern(n)
     mismatched = [
@@ -71,8 +108,14 @@ def main() -> int:
 
     all_ok = True
     for path in args.certificates:
-        blob = json.loads(path.read_text(encoding="utf-8"))
-        entries = blob if isinstance(blob, list) else [blob]
+        try:
+            blob = json.loads(path.read_text(encoding="utf-8"))
+            entries = blob if isinstance(blob, list) else [blob]
+            for payload in entries:
+                validate(payload)
+        except (OSError, ValueError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            return 2
         for payload in entries:
             print(f"{path} (n={payload['n']}):")
             all_ok = recheck(payload) and all_ok

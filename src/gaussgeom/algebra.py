@@ -27,7 +27,7 @@ from .exact import (
     QSqrt2,
     SparseEchelon,
 )
-from .tensors import ConnCoeffs, basis_dimension
+from .tensors import ConnCoeffs
 
 _LABEL_RE = re.compile(r"^(Mean|Cov)\((\d+)(?:,(\d+))?\)$")
 
@@ -281,13 +281,6 @@ class LieAlgebra:
                 out.setdefault((a, b), []).append((g, v))
         return out
 
-    def levi_civita_sparse(self) -> dict[tuple[int, int], list[tuple[int, QSqrt2]]]:
-        out: dict[tuple[int, int], list[tuple[int, QSqrt2]]] = {}
-        for (a, b, g), v in self.levi_civita.iter_items():
-            if v:
-                out.setdefault((a, b), []).append((g, v))
-        return out
-
 
 @lru_cache(maxsize=None)
 def lie_algebra(n: int) -> LieAlgebra:
@@ -389,6 +382,3 @@ def derived_series_dims(n: int) -> list[int]:
             return dims
     raise RuntimeError("derived series did not terminate")
 
-
-def basis_dim(n: int) -> int:
-    return basis_dimension(n)

@@ -170,15 +170,29 @@ def as_qsqrt2(value: QSqrt2 | Rational) -> QSqrt2:
 # Sparse reduced row echelon form and nullspace extraction.
 # ---------------------------------------------------------------------------
 
-SparseRow = dict[int, QSqrt2]
+Scalar = QSqrt2 | Rational
+SparseRow = dict[int, Scalar]
+
+
+def _bit_size(v: Scalar) -> int:
+    if isinstance(v, QSqrt2):
+        return v.bit_size()
+    return v.numerator.bit_length() + v.denominator.bit_length()
+
+
+def _inverse(v: Scalar) -> Scalar:
+    return v.inverse() if isinstance(v, QSqrt2) else Fraction(1, v)
 
 
 class SparseEchelon:
     """Incrementally maintained reduced row echelon form over Q(sqrt2).
 
-    Rows are sparse column->scalar maps.  Stored pivot rows are normalized to
-    pivot coefficient 1 and contain no other pivot column, so reducing an
-    incoming row is a single pass over its support.
+    Rows are sparse column->scalar maps whose scalars are ``QSqrt2`` or
+    rationals (``int``/``Fraction``); rows with only rational entries are
+    eliminated in rational arithmetic, as Q is closed under the row
+    operations.  Stored pivot rows are normalized to pivot coefficient 1 and
+    contain no other pivot column, so reducing an incoming row is a single
+    pass over its support.
     """
 
     def __init__(self, cols: int) -> None:
@@ -201,7 +215,7 @@ class SparseEchelon:
             for c, v in self._pivot_rows[col].items():
                 if c == col:
                     continue
-                acc = out.get(c, ZERO) - factor * v
+                acc = out.get(c, 0) - factor * v
                 if acc:
                     out[c] = acc
                 else:
@@ -213,8 +227,8 @@ class SparseEchelon:
         reduced = self.reduce(row)
         if not reduced:
             return False
-        pivot = min(reduced, key=lambda c: (reduced[c].bit_size(), c))
-        inv = reduced[pivot].inverse()
+        pivot = min(reduced, key=lambda c: (_bit_size(reduced[c]), c))
+        inv = _inverse(reduced[pivot])
         normalized = {c: v * inv for c, v in reduced.items()}
         # eliminate the new pivot column from every stored row containing it
         for holder in list(self._occurrences.get(pivot, ())):
@@ -224,7 +238,7 @@ class SparseEchelon:
             for c, v in normalized.items():
                 if c == pivot:
                     continue
-                acc = stored.get(c, ZERO) - factor * v
+                acc = stored.get(c, 0) - factor * v
                 if acc:
                     if c not in stored:
                         self._occurrences.setdefault(c, set()).add(holder)
@@ -239,7 +253,7 @@ class SparseEchelon:
         return True
 
     def kernel_basis(self) -> list[list[QSqrt2]]:
-        """Exact nullspace basis, one vector per free column.
+        """Exact nullspace basis over Q(sqrt2), one vector per free column.
 
         Each vector is rescaled so its first nonzero coordinate (in column
         order) equals 1, which makes the output deterministic.
@@ -247,15 +261,15 @@ class SparseEchelon:
         free = [c for c in range(self.cols) if c not in self._pivot_rows]
         basis = []
         for f in free:
-            vec = [ZERO] * self.cols
-            vec[f] = ONE
+            vec: list[Scalar] = [0] * self.cols
+            vec[f] = 1
             for pivot, stored in self._pivot_rows.items():
                 coeff = stored.get(f)
                 if coeff:
                     vec[pivot] = -coeff
             lead = next(v for v in vec if v)
-            inv = lead.inverse()
-            basis.append([v * inv if v else ZERO for v in vec])
+            inv = _inverse(lead)
+            basis.append([as_qsqrt2(v * inv) if v else ZERO for v in vec])
         return basis
 
 

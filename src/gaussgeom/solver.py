@@ -7,11 +7,21 @@ of the Levi-Civita covariant derivative of K, which is a linear condition on
 the entries of K.  This module assembles that linear system exactly, computes
 its kernel, and certifies that the kernel is one-dimensional with the expected
 coefficient pattern: the line spanned by the Amari-Chentsov difference tensor.
+
+The system is assembled over the integers.  Each basis direction has a
+sqrt2-degree, 1 for Cov(i,i) and 0 otherwise, and every Levi-Civita
+coefficient is sqrt2 to the parity of its three degrees times a rational.
+In the graded unknowns y_t = K_t / sqrt2^{deg t} of the triples t, every
+constraint is therefore sqrt2^k times a rational row; the system keeps each
+distinct row once, as a primitive integer row.  Elimination runs over Q, and
+sqrt2 enters only at the certificate boundary, where the kernel is lifted
+back to K_t = sqrt2^{deg t} y_t and written as ``a/b + c/d*sqrt2``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,10 +31,9 @@ from .connections import (
     alpha_connection,
     curvature,
     from_difference,
-    is_conjugate_symmetric,
     predicate_suite,
 )
-from .exact import HALF_SQRT2, ONE, ZERO, QSqrt2, SparseEchelon, SparseRow
+from .exact import HALF_SQRT2, ONE, SQRT2, ZERO, QSqrt2, SparseEchelon
 from .tensors import SymTensor3, basis_dimension, symmetric_triples, triple_positions
 
 SCHEMA_VERSION = "1"
@@ -41,36 +50,71 @@ VERIFY_ALPHAS: tuple[Fraction, ...] = (
     Fraction(1, 3),
 )
 
+#: sqrt2^k and sqrt2^-k for the degrees 0..3 of an unknown triple
+_SQRT2_POWERS = (ONE, SQRT2, QSqrt2(2), QSqrt2(0, 2))
+_INVERSE_SQRT2_POWERS = (
+    ONE,
+    HALF_SQRT2,
+    QSqrt2(Fraction(1, 2)),
+    QSqrt2(0, Fraction(1, 4)),
+)
+
+IntegerRow = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """Sparse exact linear system over the unknown symmetric tensor entries.
+    """Sparse integer linear system over the graded unknowns.
 
-    Unknowns are indexed by unordered basis triples in canonical order; one
-    row is emitted per (a < b, g, d) stating that the two covariant
-    derivatives (D_a K)(b, g) and (D_b K)(a, g) share their e_d component.
+    Unknowns are indexed by unordered basis triples t in canonical order and
+    enter as y_t = K_t / sqrt2^{degrees[t]}.  One constraint is emitted per
+    (a < b, g, d), stating that the covariant derivatives (D_a K)(b, g) and
+    (D_b K)(a, g) share their e_d component; it is symmetric in (g, d), so
+    only g <= d is assembled.  ``rows`` holds each distinct constraint once as
+    a primitive integer row (sorted (column, coefficient) pairs, first
+    coefficient positive), ``labels`` the first (a, b, g, d) that emitted it,
+    and ``multiplicities`` how many of the nonzero (a, b, g, d) with any order
+    of (g, d) emit it.
     """
 
     n: int
     unknown_triples: tuple[tuple[int, int, int], ...]
-    rows: tuple[tuple[tuple[int, QSqrt2], ...], ...]
+    degrees: tuple[int, ...]
+    rows: tuple[IntegerRow, ...]
     labels: tuple[tuple[int, int, int, int], ...]
+    multiplicities: tuple[int, ...]
 
     @property
     def unknowns(self) -> int:
         return len(self.unknown_triples)
 
-    def sparse_rows(self) -> list[SparseRow]:
-        return [dict(row) for row in self.rows]
+    @property
+    def row_count(self) -> int:
+        """Number of nonzero constraints over every (a < b, g, d)."""
+        return sum(self.multiplicities)
 
     def residuals(self, vector: Sequence[QSqrt2]) -> list[QSqrt2]:
+        """Each distinct row applied to the graded coordinates of ``vector``.
+
+        Writing K_t / sqrt2^{deg t} = u_t + v_t*sqrt2 with rational u, v,
+        the residual of an integer row r is r.u + (r.v)*sqrt2, which vanishes
+        exactly when r annihilates both rational parts.
+        """
+        if len(vector) != self.unknowns:
+            raise ValueError(f"expected {self.unknowns} entries, got {len(vector)}")
+        graded = [
+            k * _INVERSE_SQRT2_POWERS[deg] for k, deg in zip(vector, self.degrees)
+        ]
+        den = math.lcm(*(y.a.denominator for y in graded), *(y.b.denominator for y in graded))
+        u = [y.a.numerator * (den // y.a.denominator) for y in graded]
+        v = [y.b.numerator * (den // y.b.denominator) for y in graded]
         out = []
         for row in self.rows:
-            total = ZERO
-            for col, coeff in row:
-                if vector[col]:
-                    total = total + coeff * vector[col]
-            out.append(total)
+            ru = sum(c * u[t] for t, c in row)
+            rv = sum(c * v[t] for t, c in row)
+            out.append(
+                QSqrt2(Fraction(ru, den), Fraction(rv, den)) if ru or rv else ZERO
+            )
         return out
 
     def satisfied_by(self, vector: Sequence[QSqrt2]) -> bool:
@@ -83,53 +127,86 @@ def statistical_space_dim(n: int) -> int:
     return len(symmetric_triples(basis_dimension(n)))
 
 
+def _graded_levi_civita(
+    n: int, degree: Sequence[int]
+) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    """(a, b) -> [(g, q, p)] with Levi-Civita coefficient q * sqrt2^p / den,
+    q an integer and p the parity of deg a + deg b + deg g."""
+    lc = lie_algebra(n).levi_civita
+    rat, irr = lc.rat.tolist(), lc.irr.tolist()
+    d = len(degree)
+    graded: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for a in range(d):
+        for b in range(d):
+            for g in range(d):
+                p = (degree[a] + degree[b] + degree[g]) % 2
+                q, stray = (irr, rat) if p else (rat, irr)
+                if stray[a][b][g]:
+                    raise ArithmeticError("Levi-Civita table is not sqrt2-graded")
+                if q[a][b][g]:
+                    graded.setdefault((a, b), []).append((g, int(q[a][b][g]), p))
+    return graded
+
+
 def assemble(n: int) -> ConstraintSystem:
-    """Emit every symmetry constraint on the covariant derivative of K."""
-    alg = lie_algebra(n)
-    d = alg.dim
+    """Emit every symmetry constraint on the covariant derivative of K as a
+    primitive integer row over the graded unknowns."""
+    indices = basis_indices(n)
+    d = len(indices)
+    degree = [int(idx.j == idx.i) for idx in indices]
+    triples = symmetric_triples(d)
     pos = triple_positions(d)
-    lc_pairs = alg.levi_civita_sparse()  # (a, b) -> [(g, coeff)]
-    lc_by_output: dict[tuple[int, int], list[tuple[int, QSqrt2]]] = {}
-    for (a, b), entries in lc_pairs.items():
-        for g, coeff in entries:
-            lc_by_output.setdefault((a, g), []).append((b, coeff))
+    at = [
+        [[pos[tuple(sorted((i, j, k)))] for k in range(d)] for j in range(d)]
+        for i in range(d)
+    ]
+    unknown_degree = tuple(degree[i] + degree[j] + degree[k] for i, j, k in triples)
+    graded = _graded_levi_civita(n, degree)
 
-    rows: list[tuple[tuple[int, QSqrt2], ...]] = []
+    rows: list[IntegerRow] = []
     labels: list[tuple[int, int, int, int]] = []
-
-    def accumulate(row: SparseRow, a: int, b: int, g: int, out: int, sign: int) -> None:
-        # sign * [(D_a K)(b, g)]^out, linear in the unknown entries of K
-        def add(i: int, j: int, k: int, coeff: QSqrt2) -> None:
-            p = pos[tuple(sorted((i, j, k)))]
-            acc = row.get(p, ZERO) + (coeff if sign > 0 else -coeff)
-            if acc:
-                row[p] = acc
-            else:
-                row.pop(p, None)
-
-        for eps, coeff in lc_by_output.get((a, out), ()):
-            add(b, g, eps, coeff)
-        for eps, coeff in lc_pairs.get((a, b), ()):
-            add(eps, g, out, -coeff)
-        for eps, coeff in lc_pairs.get((a, g), ()):
-            add(b, eps, out, -coeff)
-
+    multiplicities: list[int] = []
+    seen: dict[IntegerRow, int] = {}
     for a in range(d):
         for b in range(a + 1, d):
             for g in range(d):
-                for out in range(d):
-                    row: SparseRow = {}
-                    accumulate(row, a, b, g, out, +1)
-                    accumulate(row, b, a, g, out, -1)
-                    if row:
-                        rows.append(tuple(sorted(row.items())))
+                for out in range(g, d):
+                    # the row is sqrt2^parity times a rational row in y
+                    parity = (degree[a] + degree[b] + degree[g] + degree[out]) % 2
+                    # (D_x K)(y, g, out) = -sum_e (G[x,y,e] K(e,g,out)
+                    #   + G[x,g,e] K(y,e,out) + G[x,out,e] K(y,g,e)) is the
+                    # e_out component of (D_x K)(y, g) lowered by the metric
+                    # connection G, so the row is symmetric in (g, out); the
+                    # overall sign is dropped.  A term G * K_t carries
+                    # sqrt2^(p + deg t), which is 2^shift * sqrt2^parity.
+                    row: dict[int, int] = {}
+                    for x, y, sign in ((a, b, 1), (b, a, -1)):
+                        for slot, i, j in ((y, g, out), (g, y, out), (out, y, g)):
+                            for e, q, p in graded.get((x, slot), ()):
+                                t = at[e][i][j]
+                                shift = (p + unknown_degree[t] - parity) >> 1
+                                row[t] = row.get(t, 0) + (sign * q << shift)
+                    entries = sorted((t, c) for t, c in row.items() if c)
+                    if not entries:
+                        continue
+                    scale = math.gcd(*(c for _, c in entries))
+                    if entries[0][1] < 0:
+                        scale = -scale
+                    key = tuple((t, c // scale) for t, c in entries)
+                    index = seen.setdefault(key, len(rows))
+                    if index == len(rows):
+                        rows.append(key)
                         labels.append((a, b, g, out))
+                        multiplicities.append(0)
+                    multiplicities[index] += 1 if g == out else 2
 
     return ConstraintSystem(
         n=n,
-        unknown_triples=symmetric_triples(d),
+        unknown_triples=triples,
+        degrees=unknown_degree,
         rows=tuple(rows),
         labels=tuple(labels),
+        multiplicities=tuple(multiplicities),
     )
 
 
@@ -212,10 +289,17 @@ class TheoremCertificate:
 
 
 def _kernel_vector(system: ConstraintSystem) -> tuple[list[list[QSqrt2]], int]:
+    """Kernel basis in the entries K_t and the rank: the integer rows are
+    eliminated over Q, then each graded kernel vector is lifted back through
+    K_t = sqrt2^{deg t} y_t."""
     echelon = SparseEchelon(system.unknowns)
-    for row in system.sparse_rows():
-        echelon.insert(row)
-    return echelon.kernel_basis(), echelon.rank
+    for row in system.rows:
+        echelon.insert(dict(row))
+    basis = [
+        [y * _SQRT2_POWERS[deg] for y, deg in zip(vector, system.degrees)]
+        for vector in echelon.kernel_basis()
+    ]
+    return basis, echelon.rank
 
 
 def solve(n: int) -> TheoremCertificate:
@@ -226,7 +310,7 @@ def solve(n: int) -> TheoremCertificate:
         n=n,
         dim=basis_dimension(n),
         unknowns=system.unknowns,
-        row_count=len(system.rows),
+        row_count=system.row_count,
         rank=rank,
         kernel_dim=len(basis_vectors),
         normalization="K[Mean(1)|Mean(1)|Cov(1,1)] = 1",
@@ -331,14 +415,9 @@ def verify_theorem(n: int) -> TheoremCertificate:
     amari = generator.scale(AMARI_SCALE)
 
     for alpha in VERIFY_ALPHAS:
-        scaled = generator.scale(alpha)
-        cert.record(
-            f"conjugate_symmetric_alpha_{alpha}",
-            is_conjugate_symmetric(from_difference(scaled)),
-        )
-        cert.record(
-            f"predicates_agree_alpha_{alpha}", predicate_suite(scaled).all_true()
-        )
+        suite = predicate_suite(generator.scale(alpha))
+        cert.record(f"conjugate_symmetric_alpha_{alpha}", suite.conjugate_symmetric)
+        cert.record(f"predicates_agree_alpha_{alpha}", suite.all_true())
 
     cert.record(
         "dually_flat_plus", curvature(from_difference(amari)).is_zero()

@@ -15,6 +15,7 @@ from gaussgeom.exact import (
     ExactArray,
     QMatrix,
     QSqrt2,
+    SparseEchelon,
     kernel_basis_sparse,
 )
 
@@ -124,6 +125,25 @@ class TestKernel:
         basis = kernel_basis_sparse(rows, 3)
         dense = QMatrix.from_rows([[ONE, ZERO, -SQRT2], [ZERO, ONE, ZERO]])
         assert basis == dense.kernel_basis()
+
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=5, max_size=5),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_rational_rows_match_qsqrt2_rows(self, rows):
+        # integer rows are eliminated over Q, with the same rank and kernel
+        # as the same rows given as Q(sqrt2) scalars
+        rational = SparseEchelon(5)
+        for row in rows:
+            rational.insert({c: v for c, v in enumerate(row) if v})
+        dense = QMatrix.from_rows(rows)
+        assert rational.rank == dense.rank()
+        basis = rational.kernel_basis()
+        assert basis == dense.kernel_basis()
+        assert all(isinstance(v, QSqrt2) for vector in basis for v in vector)
 
 
 class TestExactArray:

@@ -36,6 +36,9 @@ class TestRecheckCertificate:
         )
         assert result.returncode == 0, result.stdout + result.stderr
         assert "RECHECK: PASS" in result.stdout
+        # the count is of every emitted constraint, not of distinct rows
+        assert "rows_annihilated: PASS (4 rows, 0 nonzero)" in result.stdout
+        assert "rows_annihilated: PASS (222 rows, 0 nonzero)" in result.stdout
 
     def test_rejects_tampered_kernel(self, tmp_path):
         out = tmp_path / "certs"
@@ -48,3 +51,41 @@ class TestRecheckCertificate:
         assert result.returncode == 1
         assert "rows_annihilated: FAIL" in result.stdout
         assert "RECHECK: FAIL" in result.stdout
+
+    def test_rejects_tampered_sqrt2_part(self, tmp_path):
+        path = self._certificate(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["kernel"]["Mean(1)|Mean(1)|Cov(1,1)"] = "1/1 + 1/1*sqrt2"
+        path.write_text(json.dumps(payload))
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 1
+        assert "rows_annihilated: FAIL" in result.stdout
+        assert "RECHECK: FAIL" in result.stdout
+
+    def test_malformed_label_exits_2(self, tmp_path):
+        path = self._certificate(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["kernel"]["Bogus(1)|Mean(1)|Cov(1,1)"] = "1/1 + 0/1*sqrt2"
+        path.write_text(json.dumps(payload))
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "Bogus(1)|Mean(1)|Cov(1,1)" in result.stderr
+
+    def test_bad_n_exits_2(self, tmp_path):
+        path = self._certificate(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["n"] = 0
+        path.write_text(json.dumps(payload))
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "n must be a positive integer" in result.stderr
+
+    @staticmethod
+    def _certificate(tmp_path):
+        out = tmp_path / "certs"
+        run(SCRIPTS / "run_verification.py", "--max-n", "1", "--out", out)
+        return out / "certificate_n1.json"

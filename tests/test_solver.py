@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 from pathlib import Path
 import random
 from fractions import Fraction
@@ -8,8 +10,8 @@ from fractions import Fraction
 import pytest
 
 from gaussgeom.algebra import BasisIndex, basis_indices
-from gaussgeom.connections import amari_difference
-from gaussgeom.exact import HALF_SQRT2, ONE, ZERO, QSqrt2
+from gaussgeom.connections import amari_difference, lc_difference_derivative
+from gaussgeom.exact import HALF_SQRT2, ONE, SQRT2, ZERO, QSqrt2
 from gaussgeom.solver import (
     AMARI_SCALE,
     TheoremCertificate,
@@ -21,7 +23,21 @@ from gaussgeom.solver import (
     statistical_space_dim,
     verify_theorem,
 )
-from gaussgeom.tensors import basis_dimension, symmetric_triples, triple_positions
+from gaussgeom.tensors import (
+    SymTensor3,
+    basis_dimension,
+    symmetric_triples,
+    triple_positions,
+)
+
+#: SHA-256 of ``verify_theorem(n).to_json()`` (UTF-8) under certificate
+#: schema v1, taken before the constraint rows were assembled over the
+#: integers; these bytes must not change
+CERTIFICATE_SHA256 = {
+    1: "b70379d4b4205c9205aaf93b0e3dd5237cae8e87a571df9c07823b27ad9dc515",
+    2: "a0d3dfbe8515ba7cb7eeb1ca080fe5446acb141f712dcc105ac062f56c52d67f",
+    3: "494748863e470eacde1369fdd10f8fa718ed3ad933dad0c482dee2b2c91ef7da",
+}
 
 
 def positions(n):
@@ -44,6 +60,86 @@ class TestCounting:
         system = assemble(n)
         assert system.unknowns == statistical_space_dim(n)
         assert len(system.rows) == len(system.labels)
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("n,emitted", [(1, 4), (2, 222), (3, 2590), (4, 15694)])
+    def test_emitted_row_count(self, n, emitted):
+        assert assemble(n).row_count == emitted
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rows_are_distinct_primitive_integer_rows(self, n):
+        system = assemble(n)
+        assert len(set(system.rows)) == len(system.rows)
+        for row in system.rows:
+            cols = [t for t, _ in row]
+            coeffs = [c for _, c in row]
+            assert cols == sorted(set(cols))
+            assert all(type(c) is int and 0 < abs(c) <= 4 for c in coeffs)
+            assert coeffs[0] > 0
+            assert math.gcd(*coeffs) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_degrees_count_diagonal_covariances(self, n):
+        indices = basis_indices(n)
+        system = assemble(n)
+        assert system.degrees == tuple(
+            sum(indices[p].j == indices[p].i for p in triple)
+            for triple in system.unknown_triples
+        )
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rows_match_dense_derivative(self, n):
+        # column t of the constraint matrix, independently: the dense
+        # Levi-Civita derivative of the unit tensor e_t, antisymmetrised in
+        # (a, b); each nonzero dense row must be a multiple of one assembled
+        # row, read back in the ungraded entries K_t = sqrt2^{deg t} y_t
+        system = assemble(n)
+        d = basis_dimension(n)
+        columns = [
+            lc_difference_derivative(SymTensor3.from_entries(n, {t: ONE}))
+            for t in system.unknown_triples
+        ]
+
+        def normalized(entries):
+            inv = next(v for v in entries if v).inverse()
+            return tuple(v * inv for v in entries)
+
+        dense_rows = []
+        for a in range(d):
+            for b in range(a + 1, d):
+                for g in range(d):
+                    for out in range(d):
+                        entries = [
+                            col.item(a, b, g, out) - col.item(b, a, g, out)
+                            for col in columns
+                        ]
+                        if any(entries):
+                            dense_rows.append(normalized(entries))
+
+        assembled = set()
+        for row in system.rows:
+            entries = [ZERO] * system.unknowns
+            for t, c in row:
+                entries[t] = QSqrt2(c)
+                for _ in range(system.degrees[t]):
+                    entries[t] = entries[t] * HALF_SQRT2
+            assembled.add(normalized(entries))
+        assert len(dense_rows) == system.row_count
+        assert set(dense_rows) == assembled
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_sqrt2_part_of_every_entry_is_checked(self, n):
+        system = assemble(n)
+        amari = list(amari_difference(n).values)
+        for p in range(system.unknowns):
+            perturbed = list(amari)
+            perturbed[p] = perturbed[p] + SQRT2
+            assert not system.satisfied_by(perturbed)
+
+    def test_residuals_reject_wrong_length(self):
+        with pytest.raises(ValueError):
+            assemble(1).residuals([ONE])
 
 
 class TestSystem:
@@ -181,6 +277,11 @@ class TestCertificate:
             assert cert.checks[f"predicates_agree_alpha_{alpha}"]
         assert cert.checks["dually_flat_plus"]
         assert cert.checks["dually_flat_minus"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_certificate_bytes_pinned(self, n):
+        text = verify_theorem(n).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERTIFICATE_SHA256[n]
 
     def test_json_is_deterministic(self):
         assert verify_theorem(2).to_json() == verify_theorem(2).to_json()
