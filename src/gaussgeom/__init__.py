@@ -1,123 +1,9 @@
 """Exact verification engine and numeric library for the statistical geometry
-of multivariate normal distributions."""
+of multivariate normal distributions.
 
-from .algebra import (
-    BasisIndex,
-    basis,
-    basis_indices,
-    bracket,
-    cubic,
-    derived_series_dims,
-    inner,
-    levi_civita,
-    lie_algebra,
-    u_map,
-)
-from .connections import (
-    PredicateSuite,
-    alpha_connection,
-    amari_difference,
-    conjugate,
-    cubic_of_difference,
-    curvature,
-    from_difference,
-    is_conjugate_symmetric,
-    lc_cubic_derivative,
-    lc_difference_derivative,
-    predicate_suite,
-)
-from .exact import ExactArray, QMatrix, QSqrt2, kernel_basis_sparse
-from .group import (
-    GroupElement,
-    act,
-    act_tangent,
-    group_inv,
-    group_mul,
-    phi,
-    phi_inv,
-    pull_back_to_identity,
-    transporter,
-    upper_cholesky,
-)
-from .manifold import (
-    ManifoldPoint,
-    MCEstimate,
-    TangentVector,
-    alpha_connection_form,
-    amari_cubic,
-    basis_tangent,
-    fisher_metric,
-    log_pdf,
-    log_pdf_direction,
-    mc_oracle_cubic,
-    mc_oracle_metric,
-)
-from .solver import (
-    ConstraintSystem,
-    TheoremCertificate,
-    assemble,
-    solve,
-    statistical_space_dim,
-    verify_theorem,
-)
-from .tensors import ConnCoeffs, CurvatureTensor, SymTensor3
+The package root exports only ``__version__``; import the submodules
+(``gaussgeom.solver``, ``gaussgeom.manifold``, ...) for everything else.  The
+root imports none of them, so the exact stack loads without scipy.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BasisIndex",
-    "ConnCoeffs",
-    "ConstraintSystem",
-    "CurvatureTensor",
-    "ExactArray",
-    "GroupElement",
-    "MCEstimate",
-    "ManifoldPoint",
-    "PredicateSuite",
-    "QMatrix",
-    "QSqrt2",
-    "SymTensor3",
-    "TangentVector",
-    "TheoremCertificate",
-    "act",
-    "act_tangent",
-    "alpha_connection",
-    "alpha_connection_form",
-    "amari_cubic",
-    "amari_difference",
-    "assemble",
-    "basis",
-    "basis_indices",
-    "basis_tangent",
-    "bracket",
-    "conjugate",
-    "cubic",
-    "cubic_of_difference",
-    "curvature",
-    "derived_series_dims",
-    "fisher_metric",
-    "from_difference",
-    "group_inv",
-    "group_mul",
-    "inner",
-    "is_conjugate_symmetric",
-    "kernel_basis_sparse",
-    "lc_cubic_derivative",
-    "lc_difference_derivative",
-    "levi_civita",
-    "lie_algebra",
-    "log_pdf",
-    "log_pdf_direction",
-    "mc_oracle_cubic",
-    "mc_oracle_metric",
-    "phi",
-    "phi_inv",
-    "predicate_suite",
-    "pull_back_to_identity",
-    "solve",
-    "statistical_space_dim",
-    "transporter",
-    "u_map",
-    "upper_cholesky",
-    "verify_theorem",
-]

@@ -110,20 +110,9 @@ class BasisMatrix:
     n: int
     nonzero: tuple[int, int, QSqrt2]  # 0-based (row, col, value)
 
-    @property
-    def size(self) -> int:
-        return self.n + 1
-
     def sparse(self) -> SparseMatrix:
         r, c, v = self.nonzero
         return {(r, c): v}
-
-    def entries(self) -> tuple[tuple[QSqrt2, ...], ...]:
-        r0, c0, v = self.nonzero
-        return tuple(
-            tuple(v if (r, c) == (r0, c0) else ZERO for c in range(self.size))
-            for r in range(self.size)
-        )
 
 
 def _basis_matrix(n: int, index: BasisIndex) -> BasisMatrix:
@@ -260,7 +249,6 @@ class LieAlgebra:
 
     n: int
     indices: tuple[BasisIndex, ...]
-    matrices: tuple[BasisMatrix, ...]
     structure: ExactArray  # [a, b, g] -> e_g coefficient of [e_a, e_b]
     gram: ExactArray  # [a, b] -> inner product (identity matrix)
     cubic: ExactArray  # [a, b, c] -> cubic form on basis directions
@@ -318,7 +306,6 @@ def lie_algebra(n: int) -> LieAlgebra:
     return LieAlgebra(
         n=n,
         indices=indices,
-        matrices=matrices,
         structure=structure,
         gram=gram,
         cubic=cubic,

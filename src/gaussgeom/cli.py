@@ -44,10 +44,10 @@ SEED_ENV = "GAUSSGEOM_SEED"
 
 
 def _default_seed() -> int:
-    try:
-        return int(os.environ.get(SEED_ENV, "0"))
-    except ValueError:
-        return 0
+    text = os.environ.get(SEED_ENV, "0")
+    if not (text.isascii() and text.isdigit()):
+        raise click.UsageError(f"${SEED_ENV} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _echo_json(payload) -> None:
@@ -66,6 +66,8 @@ def _parse_point(sigma: str | None, mu: str | None, n: int | None) -> ManifoldPo
         if n is None:
             raise click.UsageError("provide --sigma/--mu or --n")
         return ManifoldPoint.standard(n)
+    if n is not None:
+        raise click.UsageError("--n cannot be combined with --sigma/--mu")
     if sigma is None or mu is None:
         raise click.UsageError("--sigma and --mu must be given together")
     try:
@@ -82,6 +84,15 @@ def _parse_tangent(text: str, name: str) -> TangentVector:
         return TangentVector(payload["x"], payload["v"])
     except ValueError as exc:
         raise click.UsageError(f"--{name}: {exc}") from exc
+
+
+def _check_dimensions(n: int, owner: str, **tangents: TangentVector) -> None:
+    """Usage error unless every named tangent has dimension n."""
+    for name, tangent in tangents.items():
+        if tangent.n != n:
+            raise click.UsageError(
+                f"--{name} has dimension {tangent.n}, but {owner} has dimension {n}"
+            )
 
 
 def _parse_alpha(text: str) -> Fraction:
@@ -277,6 +288,7 @@ def metric(sigma, mu, n, s_text, t_text) -> None:
     point = _parse_point(sigma, mu, n)
     s = _parse_tangent(s_text, "s")
     t = _parse_tangent(t_text, "t")
+    _check_dimensions(point.n, "the point", s=s, t=t)
     _echo_json({"value": fisher_metric(point, s, t)})
 
 
@@ -295,6 +307,7 @@ def cubic(sigma, mu, n, s_text, t_text, w_text) -> None:
         _parse_tangent(t_text, "t"),
         _parse_tangent(w_text, "w"),
     )
+    _check_dimensions(point.n, "the point", s=s, t=t, w=w)
     _echo_json({"value": amari_cubic(point, s, t, w)})
 
 
@@ -303,7 +316,9 @@ def cubic(sigma, mu, n, s_text, t_text, w_text) -> None:
 @click.option("--sigma", default=None)
 @click.option("--mu", default=None)
 @click.option("--samples", type=click.IntRange(min=1), default=100_000)
-@click.option("--seed", type=int, default=None, help=f"Defaults to ${SEED_ENV} or 0.")
+@click.option(
+    "--seed", type=click.IntRange(min=0), default=None, help=f"Defaults to ${SEED_ENV} or 0."
+)
 @click.pass_context
 def oracle(ctx, n, sigma, mu, samples, seed) -> None:
     """Monte-Carlo estimates of metric and cubic values vs closed forms."""
@@ -386,8 +401,14 @@ def group_cmd(do_act, do_phi, do_phi_inv, do_pullback, a_text, b_text, sigma, mu
     if do_act:
         g = need_element()
         p = need_point()
+        if g.n != p.n:
+            raise click.UsageError(
+                f"the point has dimension {p.n}, but the group element has dimension {g.n}"
+            )
         if t_text is not None:
-            moved = act_tangent(g, _parse_tangent(t_text, "t"))
+            t = _parse_tangent(t_text, "t")
+            _check_dimensions(g.n, "the group element", t=t)
+            moved = act_tangent(g, t)
             _echo_json({"x": moved.x.tolist(), "v": moved.v.tolist()})
             return
         q = act(g, p)
@@ -397,7 +418,9 @@ def group_cmd(do_act, do_phi, do_phi_inv, do_pullback, a_text, b_text, sigma, mu
     if t_text is None:
         raise click.UsageError("--pullback requires --t")
     p = need_point()
-    coeffs = pull_back_to_identity(p, _parse_tangent(t_text, "t"))
+    t = _parse_tangent(t_text, "t")
+    _check_dimensions(p.n, "the point", t=t)
+    coeffs = pull_back_to_identity(p, t)
     labels = [idx.label() for idx in basis_indices(p.n)]
     _echo_json({"coefficients": dict(zip(labels, coeffs.tolist()))})
 

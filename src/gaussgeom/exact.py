@@ -2,8 +2,9 @@
 
 Every structure constant, connection coefficient and certificate entry in this
 package is a number of the form a + b*sqrt(2) with rational a, b.  This module
-provides that scalar type, exact dense matrices with a nullspace solver, and a
-dense multi-index array representation used for bulk tensor contractions.
+provides that scalar type, a sparse reduced-echelon nullspace solver (the one
+elimination routine of the package), and a dense multi-index array
+representation used for bulk tensor contractions.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -112,12 +113,6 @@ class QSqrt2:
 
     def __rtruediv__(self, other: Rational) -> QSqrt2:
         return QSqrt2(other) * self.inverse()
-
-    def conjugate(self) -> QSqrt2:
-        return QSqrt2(self._a, -self._b)
-
-    def is_rational(self) -> bool:
-        return self._b == 0
 
     def to_float(self) -> float:
         return float(self._a) + float(self._b) * _SQRT2_FLOAT
@@ -273,61 +268,6 @@ class SparseEchelon:
         return basis
 
 
-def kernel_basis_sparse(rows: Iterable[SparseRow], cols: int) -> list[list[QSqrt2]]:
-    ech = SparseEchelon(cols)
-    for row in rows:
-        ech.insert(row)
-    return ech.kernel_basis()
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense exact matrix over Q(sqrt2)."""
-
-    entries: tuple[tuple[QSqrt2, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[QSqrt2 | Rational]]) -> QMatrix:
-        return cls(tuple(tuple(as_qsqrt2(v) for v in row) for row in rows))
-
-    @classmethod
-    def identity(cls, size: int) -> QMatrix:
-        return cls.from_rows(
-            [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
-        )
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def _sparse_rows(self) -> list[SparseRow]:
-        return [
-            {j: v for j, v in enumerate(row) if v} for row in self.entries
-        ]
-
-    def rank(self) -> int:
-        ech = SparseEchelon(self.cols)
-        for row in self._sparse_rows():
-            ech.insert(row)
-        return ech.rank
-
-    def kernel_basis(self) -> list[list[QSqrt2]]:
-        """Exact basis of the right nullspace: m @ v == 0 for each vector."""
-        return kernel_basis_sparse(self._sparse_rows(), self.cols)
-
-    def mul_vec(self, vec: Sequence[QSqrt2]) -> list[QSqrt2]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [
-            sum((row[j] * vec[j] for j in range(self.cols)), ZERO)
-            for row in self.entries
-        ]
-
-
 # ---------------------------------------------------------------------------
 # Dense exact arrays: integer-pair storage with a shared denominator.
 # ---------------------------------------------------------------------------
@@ -335,17 +275,20 @@ class QMatrix:
 
 def _int_gcd_reduce(rat: np.ndarray, irr: np.ndarray, den: int):
     g = den
-    for v in rat.flat:
-        g = math.gcd(g, v)
-        if g == 1:
-            return rat, irr, den
-    for v in irr.flat:
-        g = math.gcd(g, v)
-        if g == 1:
-            return rat, irr, den
-    if g in (0, 1):
+    for part in (rat.ravel(), irr.ravel()):
+        # a dense array usually reaches gcd 1 within its first entries; a
+        # sparse one is scanned over its nonzero entries only
+        g = np.gcd.reduce(part[:64], initial=g)
+        if g != 1:
+            g = np.gcd.reduce(part[part.nonzero()], initial=g)
+    g = int(g)
+    if g == 1:
         return rat, irr, den
     return rat // g, irr // g, den // g
+
+
+def _peak(arr: np.ndarray) -> int:
+    return int(np.abs(arr).max(initial=0))
 
 
 @dataclass(frozen=True)
@@ -379,20 +322,11 @@ class ExactArray:
     def build(
         cls, shape: tuple[int, ...], entry: Callable[[tuple[int, ...]], QSqrt2]
     ) -> ExactArray:
-        values = np.empty(shape, dtype=object)
-        den = 1
-        for idx in np.ndindex(*shape):
-            q = entry(idx)
-            values[idx] = q
-            den = den * (q.a.denominator // math.gcd(den, q.a.denominator))
-            den = den * (q.b.denominator // math.gcd(den, q.b.denominator))
-        rat = np.empty(shape, dtype=object)
-        irr = np.empty(shape, dtype=object)
-        for idx in np.ndindex(*shape):
-            q = values[idx]
-            rat[idx] = q.a.numerator * (den // q.a.denominator)
-            irr[idx] = q.b.numerator * (den // q.b.denominator)
-        return cls(rat, irr, den)
+        values = [entry(idx) for idx in np.ndindex(*shape)]
+        den = math.lcm(*(q.a.denominator for q in values), *(q.b.denominator for q in values))
+        rat = np.array([q.a.numerator * (den // q.a.denominator) for q in values], dtype=object)
+        irr = np.array([q.b.numerator * (den // q.b.denominator) for q in values], dtype=object)
+        return cls(rat.reshape(shape), irr.reshape(shape), den)
 
     def item(self, *idx: int) -> QSqrt2:
         return QSqrt2(
@@ -444,10 +378,8 @@ class ExactArray:
         contracted = 1
         for axis in axes[0]:
             contracted *= self.shape[axis]
-        peak_l = max((abs(int(v)) for v in self.rat.flat), default=0)
-        peak_l = max(peak_l, max((abs(int(v)) for v in self.irr.flat), default=0))
-        peak_r = max((abs(int(v)) for v in other.rat.flat), default=0)
-        peak_r = max(peak_r, max((abs(int(v)) for v in other.irr.flat), default=0))
+        peak_l = max(_peak(self.rat), _peak(self.irr))
+        peak_r = max(_peak(other.rat), _peak(other.irr))
         if contracted * peak_l * peak_r * 3 < 2**62:
             lhs = (self.rat.astype(np.int64), self.irr.astype(np.int64))
             rhs = (other.rat.astype(np.int64), other.irr.astype(np.int64))

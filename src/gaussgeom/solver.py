@@ -121,12 +121,6 @@ class ConstraintSystem:
         return all(not r for r in self.residuals(vector))
 
 
-def statistical_space_dim(n: int) -> int:
-    """Dimension of the space of left-invariant statistical structures with
-    the canonical metric: one free entry per unordered basis triple."""
-    return len(symmetric_triples(basis_dimension(n)))
-
-
 def _graded_levi_civita(
     n: int, degree: Sequence[int]
 ) -> dict[tuple[int, int], list[tuple[int, int, int]]]:

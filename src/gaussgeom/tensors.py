@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .exact import ZERO, ExactArray, QSqrt2, Rational, as_qsqrt2
 
 
@@ -34,6 +36,17 @@ def symmetric_triples(dim: int) -> tuple[tuple[int, int, int], ...]:
 @lru_cache(maxsize=None)
 def triple_positions(dim: int) -> dict[tuple[int, int, int], int]:
     return {t: p for p, t in enumerate(symmetric_triples(dim))}
+
+
+@lru_cache(maxsize=None)
+def _dense_positions(dim: int) -> np.ndarray:
+    """(dim, dim, dim) table of the canonical position of each index's triple."""
+    pos = triple_positions(dim)
+    table = np.empty((dim,) * 3, dtype=np.intp)
+    for idx in np.ndindex(*table.shape):
+        table[idx] = pos[tuple(sorted(idx))]
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -100,12 +113,11 @@ class SymTensor3:
         return [(triples[p], v) for p, v in enumerate(self.values) if v]
 
     def to_exact_array(self) -> ExactArray:
-        pos = triple_positions(self.dim)
+        """Dense (d, d, d) array, gathered from the canonical values."""
         values = self.values
-        return ExactArray.build(
-            (self.dim,) * 3,
-            lambda idx: values[pos[tuple(sorted(idx))]],
-        )
+        canonical = ExactArray.build((len(values),), lambda idx: values[idx[0]])
+        table = _dense_positions(self.dim)
+        return ExactArray(canonical.rat[table], canonical.irr[table], canonical.den)
 
     def is_zero(self) -> bool:
         return not any(self.values)

@@ -296,6 +296,72 @@ class TestGroupCommand:
         assert result.exit_code == 2
 
 
+def assert_usage_error(result, message):
+    """Exit 2 with one ``Error:`` line naming the problem, no traceback."""
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and message in errors[0], result.output
+
+
+POINT_1 = ["--sigma", "[[1.0]]", "--mu", "[0.0]"]
+TANGENT_1 = '{"x": [[0.0]], "v": [1.0]}'
+TANGENT_2 = '{"x": [[0,0],[0,0]], "v": [1, 0]}'
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("value", ["abc", "-1", ""])
+    def test_bad_seed_env(self, runner, monkeypatch, value):
+        monkeypatch.setenv("GAUSSGEOM_SEED", value)
+        result = runner.invoke(main, ["oracle", "--n", "1", "--samples", "10"])
+        assert_usage_error(result, "GAUSSGEOM_SEED")
+
+    def test_negative_seed_option(self, runner):
+        result = runner.invoke(main, ["oracle", "--n", "1", "--samples", "10", "--seed", "-1"])
+        assert_usage_error(result, "--seed")
+
+    def test_metric_tangent_dimension_mismatch(self, runner):
+        result = runner.invoke(main, ["metric", *POINT_1, "--s", TANGENT_1, "--t", TANGENT_2])
+        assert_usage_error(result, "--t has dimension 2, but the point has dimension 1")
+
+    def test_cubic_tangent_dimension_mismatch(self, runner):
+        result = runner.invoke(
+            main, ["cubic", "--n", "1", "--s", TANGENT_1, "--t", TANGENT_1, "--w", TANGENT_2]
+        )
+        assert_usage_error(result, "--w has dimension 2, but the point has dimension 1")
+
+    def test_pullback_dimension_mismatch(self, runner):
+        result = runner.invoke(main, ["group", "--pullback", *POINT_1, "--t", TANGENT_2])
+        assert_usage_error(result, "--t has dimension 2, but the point has dimension 1")
+
+    def test_act_tangent_dimension_mismatch(self, runner):
+        result = runner.invoke(
+            main, ["group", "--act", "--a", "[[2.0]]", "--b", "[0.0]", *POINT_1, "--t", TANGENT_2]
+        )
+        assert_usage_error(result, "--t has dimension 2, but the group element has dimension 1")
+
+    def test_act_point_dimension_mismatch(self, runner):
+        result = runner.invoke(
+            main,
+            ["group", "--act", "--a", "[[2.0]]", "--b", "[0.0]",
+             "--sigma", "[[1.0, 0.0], [0.0, 1.0]]", "--mu", "[0.0, 0.0]"],
+        )
+        assert_usage_error(result, "the point has dimension 2, but the group element")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["metric", "--s", TANGENT_1, "--t", TANGENT_1],
+            ["cubic", "--s", TANGENT_1, "--t", TANGENT_1, "--w", TANGENT_1],
+            ["oracle", "--samples", "10"],
+        ],
+    )
+    def test_n_with_explicit_point(self, runner, args):
+        result = runner.invoke(main, [*args, "--n", "3", *POINT_1])
+        assert_usage_error(result, "--n cannot be combined with --sigma/--mu")
+
+
 class TestDeterminism:
     def test_repeated_invocations_are_byte_identical(self, runner):
         args = ["oracle", "--n", "2", "--samples", "50000", "--seed", "11"]

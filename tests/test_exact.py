@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,10 +14,8 @@ from gaussgeom.exact import (
     SQRT2,
     ZERO,
     ExactArray,
-    QMatrix,
     QSqrt2,
     SparseEchelon,
-    kernel_basis_sparse,
 )
 
 
@@ -72,59 +71,78 @@ class TestScalar:
         assert QSqrt2(1, 0)
 
 
+def eliminate(rows, cols):
+    """Echelon of dense rows (lists of scalars), zero entries left out."""
+    echelon = SparseEchelon(cols)
+    for row in rows:
+        echelon.insert({c: v for c, v in enumerate(row) if v})
+    return echelon
+
+
+def mul_vec(rows, vec):
+    return [sum((v * x for v, x in zip(row, vec)), ZERO) for row in rows]
+
+
 @st.composite
 def small_matrices(draw):
     rows = draw(st.integers(min_value=1, max_value=4))
     cols = draw(st.integers(min_value=1, max_value=5))
-    entries = draw(
+    return draw(
         st.lists(
             st.lists(qsqrt2s(max_num=4), min_size=cols, max_size=cols),
             min_size=rows,
             max_size=rows,
         )
     )
-    return QMatrix.from_rows(entries)
 
 
 class TestKernel:
     def test_single_row(self):
-        m = QMatrix.from_rows([[ONE, -ONE]])
-        assert m.kernel_basis() == [[ONE, ONE]]
+        assert eliminate([[ONE, -ONE]], 2).kernel_basis() == [[ONE, ONE]]
 
     def test_identity_has_trivial_kernel(self):
-        assert QMatrix.identity(3).kernel_basis() == []
+        identity = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+        echelon = eliminate(identity, 3)
+        assert echelon.kernel_basis() == []
+        assert echelon.rank == 3
 
     def test_hand_eliminated_system(self):
         # rows: x0 = sqrt2 * x2, x1 = 0; kernel spans (sqrt2, 0, 1)
-        m = QMatrix.from_rows([[ONE, ZERO, -SQRT2], [ZERO, ONE, ZERO]])
-        (vec,) = m.kernel_basis()
-        assert m.mul_vec(vec) == [ZERO, ZERO]
+        rows = [[ONE, ZERO, -SQRT2], [ZERO, ONE, ZERO]]
+        (vec,) = eliminate(rows, 3).kernel_basis()
+        assert mul_vec(rows, vec) == [ZERO, ZERO]
         # proportional to (sqrt2, 0, 1); normalized so the first nonzero is 1
         assert vec[1] == ZERO
         assert vec[0] * ONE == vec[2] * SQRT2
         assert vec[0] == ONE
 
     @given(small_matrices())
-    def test_kernel_vectors_are_exact_solutions(self, m):
-        basis = m.kernel_basis()
-        for vec in basis:
-            assert m.mul_vec(vec) == [ZERO] * m.rows
+    def test_kernel_vectors_are_exact_solutions(self, rows):
+        for vec in eliminate(rows, len(rows[0])).kernel_basis():
+            assert mul_vec(rows, vec) == [ZERO] * len(rows)
 
     @given(small_matrices())
-    def test_rank_nullity(self, m):
-        assert len(m.kernel_basis()) == m.cols - m.rank()
+    def test_rank_nullity(self, rows):
+        echelon = eliminate(rows, len(rows[0]))
+        assert len(echelon.kernel_basis()) == len(rows[0]) - echelon.rank
 
     @given(small_matrices(), st.randoms(use_true_random=False))
-    def test_rank_invariant_under_row_permutation(self, m, rnd):
-        rows = list(m.entries)
-        rnd.shuffle(rows)
-        assert QMatrix(tuple(rows)).rank() == m.rank()
+    def test_rank_invariant_under_row_permutation(self, rows, rnd):
+        shuffled = list(rows)
+        rnd.shuffle(shuffled)
+        cols = len(rows[0])
+        assert eliminate(shuffled, cols).rank == eliminate(rows, cols).rank
 
     def test_sparse_interface_matches_dense(self):
-        rows = [{0: ONE, 2: -SQRT2}, {1: ONE}]
-        basis = kernel_basis_sparse(rows, 3)
-        dense = QMatrix.from_rows([[ONE, ZERO, -SQRT2], [ZERO, ONE, ZERO]])
-        assert basis == dense.kernel_basis()
+        # rows given with their explicit zero entries eliminate like the
+        # sparse rows that leave them out
+        sparse = SparseEchelon(3)
+        dense = SparseEchelon(3)
+        for row in ([ONE, ZERO, -SQRT2], [ZERO, ONE, ZERO]):
+            sparse.insert({c: v for c, v in enumerate(row) if v})
+            dense.insert(dict(enumerate(row)))
+        assert dense.rank == sparse.rank == 2
+        assert dense.kernel_basis() == sparse.kernel_basis()
 
     @given(
         st.lists(
@@ -136,14 +154,14 @@ class TestKernel:
     def test_rational_rows_match_qsqrt2_rows(self, rows):
         # integer rows are eliminated over Q, with the same rank and kernel
         # as the same rows given as Q(sqrt2) scalars
-        rational = SparseEchelon(5)
-        for row in rows:
-            rational.insert({c: v for c, v in enumerate(row) if v})
-        dense = QMatrix.from_rows(rows)
-        assert rational.rank == dense.rank()
+        rational = eliminate(rows, 5)
+        field = eliminate([[QSqrt2(v) for v in row] for row in rows], 5)
+        assert rational.rank == field.rank
         basis = rational.kernel_basis()
-        assert basis == dense.kernel_basis()
+        assert basis == field.kernel_basis()
         assert all(isinstance(v, QSqrt2) for vector in basis for v in vector)
+        for vec in basis:
+            assert mul_vec(rows, vec) == [ZERO] * len(rows)
 
 
 class TestExactArray:
@@ -184,6 +202,25 @@ class TestExactArray:
         assert ExactArray.zeros((2, 3)).is_zero()
         a = ExactArray.build((2,), lambda i: QSqrt2(i[0]))
         assert not a.is_zero()
+
+    @given(st.lists(qsqrt2s(), min_size=1, max_size=6), st.integers(1, 12))
+    def test_reduced_divides_out_the_common_factor(self, values, factor):
+        a = ExactArray.build((len(values),), lambda idx: values[idx[0]])
+        reduced = ExactArray(a.rat * factor, a.irr * factor, a.den * factor).reduced()
+        assert reduced.den == a.den
+        assert list(reduced.rat) == list(a.rat) and list(reduced.irr) == list(a.irr)
+
+    @pytest.mark.parametrize("part", ["rat", "irr"])
+    def test_reduced_scans_past_the_leading_entries(self, part):
+        # the leading entries share the factor 4 with the denominator; one
+        # entry far behind them, in either part, shares only 2
+        parts = {"rat": [4] * 70 + [0] * 30, "irr": [0] * 100}
+        parts[part][-1] = 2
+        rat, irr = (np.array(parts[key], dtype=object) for key in ("rat", "irr"))
+        reduced = ExactArray(rat, irr, 8).reduced()
+        assert reduced.den == 4
+        assert list(reduced.rat) == [v // 2 for v in parts["rat"]]
+        assert list(reduced.irr) == [v // 2 for v in parts["irr"]]
 
     def test_tensordot_survives_huge_entries(self):
         # entries around 2^40 force the arbitrary-precision path; the result

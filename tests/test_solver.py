@@ -20,7 +20,6 @@ from gaussgeom.solver import (
     perturbation_breaks_constraints,
     solve,
     solved_difference_tensor,
-    statistical_space_dim,
     verify_theorem,
 )
 from gaussgeom.tensors import (
@@ -53,12 +52,12 @@ def kernel_entry(cert, *parts: BasisIndex) -> QSqrt2:
 class TestCounting:
     @pytest.mark.parametrize("n,count", [(1, 4), (2, 35), (3, 165), (4, 560)])
     def test_unknown_count(self, n, count):
-        assert statistical_space_dim(n) == count
+        assert len(symmetric_triples(basis_dimension(n))) == count
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_assembled_system_shape(self, n):
         system = assemble(n)
-        assert system.unknowns == statistical_space_dim(n)
+        assert system.unknowns == len(symmetric_triples(basis_dimension(n)))
         assert len(system.rows) == len(system.labels)
 
 
@@ -256,14 +255,14 @@ class TestPerturbation:
         system = assemble(n)
         amari = list(amari_difference(n).values)
         assert perturbation_breaks_constraints(
-            system, amari, range(statistical_space_dim(n))
+            system, amari, range(system.unknowns)
         )
 
     def test_sampled_unit_perturbations_n3(self):
         system = assemble(3)
         amari = list(amari_difference(3).values)
         rng = random.Random(5)
-        sample = rng.sample(range(statistical_space_dim(3)), 25)
+        sample = rng.sample(range(system.unknowns), 25)
         assert perturbation_breaks_constraints(system, amari, sample)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import qsqrt2s
-from gaussgeom.exact import ONE, ZERO, QSqrt2
+from gaussgeom.exact import ONE, ZERO, ExactArray, QSqrt2
 from gaussgeom.tensors import (
     SymTensor3,
     basis_dimension,
@@ -67,6 +67,14 @@ class TestSymTensor3:
                 for l in range(2):
                     assert dense.item(i, j, l) == dense.item(j, i, l)
                     assert dense.item(i, j, l) == dense.item(i, l, j)
+
+    @given(st.lists(qsqrt2s(max_num=4), min_size=35, max_size=35))
+    def test_dense_expansion_matches_entrywise_build(self, values):
+        k = SymTensor3.from_vector(2, values)
+        reference = ExactArray.build((k.dim,) * 3, lambda idx: k.get(*idx))
+        dense = k.to_exact_array()
+        assert dense.den == reference.den
+        assert (dense.rat == reference.rat).all() and (dense.irr == reference.irr).all()
 
     def test_round_trip_through_dense(self):
         k = SymTensor3.from_entries(2, {(0, 2, 3): QSqrt2(1, 2)})
