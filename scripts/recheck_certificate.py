@@ -60,8 +60,9 @@ def validate(payload: object) -> None:
     if not isinstance(payload, dict):
         raise ValueError("not a certificate object")
     for key in ("rank", "kernel_dim", "unknowns"):
-        if not isinstance(payload.get(key), int):
-            raise ValueError(f"{key} must be an integer, got {payload.get(key)!r}")
+        value = payload.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
     kernel_vector(payload)
 
 

@@ -6,9 +6,12 @@ the translation column, e_ij (i < j) a single 1 at (i, j), and e_ii the value
 1/sqrt(2) at (i, i).  This normalization makes the basis orthonormal for the
 inner product induced by the Fisher metric at the identity.
 
-All structure constants are computed from matrix commutators, and the inner
-product and cubic form are evaluated on the matrix representatives; the
-closed-form tables these reproduce are pinned down in the test suite.
+The tables are built in the sqrt2-graded basis: e_a = E_a / sqrt2^deg(a) with
+E_a a 0/1 matrix unit and deg(a) = 1 for Cov(i,i), else 0.  The structure
+constants, inner product and cubic form are int64 contractions of the matrix
+units, each scaled entrywise by a power of sqrt2 only when it becomes an
+exact array; the closed-form tables these reproduce are pinned down in the
+test suite.
 """
 
 from __future__ import annotations
@@ -18,15 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import (
-    HALF_SQRT2,
-    ONE,
-    SQRT2,
-    ZERO,
-    ExactArray,
-    QSqrt2,
-    SparseEchelon,
-)
+import numpy as np
+
+from .exact import ONE, ZERO, ExactArray, QSqrt2, SparseEchelon
 from .tensors import ConnCoeffs
 
 _LABEL_RE = re.compile(r"^(Mean|Cov)\((\d+)(?:,(\d+))?\)$")
@@ -99,143 +96,36 @@ def basis_indices(n: int) -> tuple[BasisIndex, ...]:
     return tuple(means + covs)
 
 
-SparseMatrix = dict[tuple[int, int], QSqrt2]
-
-
-@dataclass(frozen=True)
-class BasisMatrix:
-    """(n+1) x (n+1) matrix realization of a basis direction."""
-
-    index: BasisIndex
-    n: int
-    nonzero: tuple[int, int, QSqrt2]  # 0-based (row, col, value)
-
-    def sparse(self) -> SparseMatrix:
-        r, c, v = self.nonzero
-        return {(r, c): v}
-
-
-def _basis_matrix(n: int, index: BasisIndex) -> BasisMatrix:
-    if index.is_mean:
-        return BasisMatrix(index, n, (index.i - 1, n, ONE))
-    if index.i == index.j:
-        return BasisMatrix(index, n, (index.i - 1, index.i - 1, HALF_SQRT2))
-    return BasisMatrix(index, n, (index.i - 1, index.j - 1, ONE))
-
-
-def basis(n: int) -> list[tuple[BasisIndex, BasisMatrix]]:
-    """All basis directions of the algebra for a given n."""
-    return [(idx, _basis_matrix(n, idx)) for idx in basis_indices(n)]
-
-
-def _sparse_commutator(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
-    out: SparseMatrix = {}
-
-    def accumulate(a: SparseMatrix, b: SparseMatrix, sign: int) -> None:
-        for (i, j), u in a.items():
-            for (k, l), v in b.items():
-                if j != k:
-                    continue
-                acc = out.get((i, l), ZERO) + (u * v if sign > 0 else -(u * v))
-                if acc:
-                    out[(i, l)] = acc
-                else:
-                    out.pop((i, l), None)
-
-    accumulate(x, y, +1)
-    accumulate(y, x, -1)
-    return out
-
-
 class ClosureError(RuntimeError):
     """A computed matrix fell outside the span of the basis."""
 
 
-def _expand_sparse(n: int, matrix: SparseMatrix) -> list[QSqrt2]:
-    """Exact expansion of an algebra element in the canonical basis."""
-    indices = basis_indices(n)
-    position = {idx: p for p, idx in enumerate(indices)}
-    coeffs = [ZERO] * len(indices)
-    for (r, c), v in matrix.items():
-        if not v:
-            continue
-        if c == n and r < n:
-            coeffs[position[BasisIndex.mean(r + 1)]] = v
-        elif r < n and c < n and r < c:
-            coeffs[position[BasisIndex.cov(r + 1, c + 1)]] = v
-        elif r < n and r == c:
-            coeffs[position[BasisIndex.cov(r + 1, r + 1)]] = v * SQRT2
-        else:
-            raise ClosureError(f"entry at {(r, c)} outside the algebra span")
-    return coeffs
+def _sqrt2_scaled(table: np.ndarray, power: np.ndarray) -> ExactArray:
+    """The integer ``table`` times sqrt2^``power`` (entrywise integer powers),
+    as a reduced ExactArray."""
+    # sqrt2^p = sqrt2^(p + 2m) / 2^m with every p + 2m nonnegative
+    m = (1 - int(power.min(initial=0))) // 2
+    shifted = power + 2 * m
+    scaled = table << (shifted >> 1)
+    odd = shifted % 2 == 1
+    rat = np.where(odd, 0, scaled).astype(object)
+    irr = np.where(odd, scaled, 0).astype(object)
+    return ExactArray(rat, irr, 2**m).reduced()
 
 
-def bracket(x: BasisMatrix, y: BasisMatrix) -> list[QSqrt2]:
-    """Commutator of two basis matrices, expanded exactly in the basis."""
-    if x.n != y.n:
-        raise ValueError("basis matrices of different n")
-    return _expand_sparse(x.n, _sparse_commutator(x.sparse(), y.sparse()))
+def _commutator_table(units: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """[units[a], units[b]] at (rows[g], cols[g]) as an integer (a, b, g) table.
 
-
-# ---------------------------------------------------------------------------
-# Inner product and cubic form on matrix representatives.
-# ---------------------------------------------------------------------------
-
-
-def _representative(mat: BasisMatrix) -> tuple[int | None, SparseMatrix]:
-    """Split a basis matrix into (mean slot, symmetrized covariance part).
-
-    The covariance part is the image U + U^T of the triangular block under the
-    tangent identification with the Gaussian parameter space.
+    Raises ClosureError if a commutator has a nonzero entry outside the
+    support of the basis.
     """
-    r, c, v = mat.nonzero
-    if c == mat.n:
-        return r, {}
-    if r == c:
-        return None, {(r, c): v * 2}
-    return None, {(r, c): v, (c, r): v}
-
-
-def _trace3(a: SparseMatrix, b: SparseMatrix, c: SparseMatrix) -> QSqrt2:
-    total = ZERO
-    for (i, j), u in a.items():
-        for (k, l), v in b.items():
-            if k != j:
-                continue
-            w = c.get((l, i))
-            if w:
-                total = total + u * v * w
-    return total
-
-
-def _inner_entry(x: BasisMatrix, y: BasisMatrix) -> QSqrt2:
-    mx, hx = _representative(x)
-    my, hy = _representative(y)
-    if mx is not None and my is not None:
-        return ONE if mx == my else ZERO
-    if mx is not None or my is not None:
-        return ZERO
-    # tr(UV) + tr(UV^T) equals half the trace of the symmetrized product
-    total = ZERO
-    for (i, j), u in hx.items():
-        v = hy.get((j, i))
-        if v:
-            total = total + u * v
-    return total * Fraction(1, 2)
-
-
-def _cubic_entry(x: BasisMatrix, y: BasisMatrix, z: BasisMatrix) -> QSqrt2:
-    mx, hx = _representative(x)
-    my, hy = _representative(y)
-    mz, hz = _representative(z)
-    means = [m for m in (mx, my, mz) if m is not None]
-    if not means:
-        return _trace3(hx, hy, hz)
-    if len(means) == 2:
-        # one covariance direction paired against two mean directions
-        cov = hx or hy or hz
-        return cov.get((means[0], means[1]), ZERO)
-    return ZERO
+    product = units[:, None] @ units
+    commutator = product - product.transpose(1, 0, 2, 3)
+    support = np.zeros(units.shape[1:], dtype=bool)
+    support[rows, cols] = True
+    if commutator[:, :, ~support].any():
+        raise ClosureError("a commutator has an entry outside the algebra span")
+    return commutator[:, :, rows, cols]
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +139,7 @@ class LieAlgebra:
 
     n: int
     indices: tuple[BasisIndex, ...]
+    degrees: tuple[int, ...]  # [a] -> sqrt2-degree: 1 for Cov(i,i), else 0
     structure: ExactArray  # [a, b, g] -> e_g coefficient of [e_a, e_b]
     gram: ExactArray  # [a, b] -> inner product (identity matrix)
     cubic: ExactArray  # [a, b, c] -> cubic form on basis directions
@@ -274,26 +165,35 @@ class LieAlgebra:
 def lie_algebra(n: int) -> LieAlgebra:
     if n < 1:
         raise ValueError("n must be at least 1")
-    pairs = basis(n)
-    indices = tuple(idx for idx, _ in pairs)
-    matrices = tuple(mat for _, mat in pairs)
+    indices = basis_indices(n)
     d = len(indices)
+    # e_a = E_a / sqrt2^deg(a), E_a the 0/1 matrix unit at (rows[a], cols[a])
+    degrees = tuple(int(idx.j == idx.i) for idx in indices)
+    deg = np.array(degrees, dtype=np.int8)
+    rows = np.array([idx.i - 1 for idx in indices])
+    cols = np.array([n if idx.is_mean else idx.j - 1 for idx in indices])
+    units = np.zeros((d, n + 1, n + 1), dtype=np.int64)
+    units[np.arange(d), rows, cols] = 1
 
-    bracket_table = [[bracket(x, y) for y in matrices] for x in matrices]
-    structure = ExactArray.build(
-        (d, d, d), lambda idx: bracket_table[idx[0]][idx[1]][idx[2]]
+    # [e_a, e_b] has e_g coefficient [E_a, E_b] at (rows[g], cols[g]) times
+    # sqrt2^(deg g - deg a - deg b)
+    structure = _sqrt2_scaled(
+        _commutator_table(units, rows, cols), deg - deg[:, None, None] - deg[:, None]
     )
 
-    gram = ExactArray.build(
-        (d, d), lambda idx: _inner_entry(matrices[idx[0]], matrices[idx[1]])
-    )
-    if not gram == ExactArray.build((d, d), lambda idx: ONE if idx[0] == idx[1] else ZERO):
+    # At the identity, fisher_metric and amari_cubic of tangents (X, v) are
+    # tr(A_s A_t) / 2 and tr(A_s A_t A_w) in A = [[X, v], [v^T, 0]]; for e_a,
+    # A = (E_a + E_a^T) / sqrt2^deg(a)
+    sym = units + units.transpose(0, 2, 1)
+    pair_deg = deg[:, None] + deg
+    gram = _sqrt2_scaled(np.einsum("aij,bji->ab", sym, sym), -2 - pair_deg)
+    if not gram == _sqrt2_scaled(np.eye(d, dtype=np.int64), np.zeros(d, dtype=np.int8)):
         raise RuntimeError("canonical basis failed orthonormality")
 
-    cubic = ExactArray.build(
-        (d, d, d),
-        lambda idx: _cubic_entry(matrices[idx[0]], matrices[idx[1]], matrices[idx[2]]),
-    )
+    # tr(A_a A_b A_c) = (A_a A_b)[cols c, rows c] + (A_a A_b)[rows c, cols c],
+    # and (A_a A_b)^T = A_b A_a
+    half = (sym[:, None] @ sym)[:, :, rows, cols]
+    cubic = _sqrt2_scaled(half + half.transpose(1, 0, 2), -(pair_deg[:, :, None] + deg))
 
     # 2 <U(x, y), z> = <[z, x], y> + <x, [z, y]> against an orthonormal basis;
     # as arrays U[x, y, z] = (structure[z, x, y] + structure[z, y, x]) / 2
@@ -306,6 +206,7 @@ def lie_algebra(n: int) -> LieAlgebra:
     return LieAlgebra(
         n=n,
         indices=indices,
+        degrees=degrees,
         structure=structure,
         gram=gram,
         cubic=cubic,

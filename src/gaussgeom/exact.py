@@ -343,6 +343,8 @@ class ExactArray:
         return ExactArray(rat, irr, den)
 
     def _common(self, other: ExactArray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        if self.den == other.den:
+            return self.rat, self.irr, other.rat, other.irr, self.den
         den = self.den * other.den // math.gcd(self.den, other.den)
         s, o = den // self.den, den // other.den
         return self.rat * s, self.irr * s, other.rat * o, other.irr * o, den

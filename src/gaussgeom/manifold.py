@@ -187,7 +187,7 @@ def _mc_expectation(point, tangents, samples: int, seed: int) -> MCEstimate:
         w = centered @ inv
         product = np.ones(count)
         for t, const in zip(tangents, consts):
-            quad = 0.5 * np.einsum("ij,jk,ik->i", w, t.x, w)
+            quad = 0.5 * ((w @ t.x) * w).sum(1)
             product = product * (const + quad + w @ t.v)
         total += float(product.sum())
         total_sq += float((product * product).sum())

@@ -9,7 +9,8 @@ its kernel, and certifies that the kernel is one-dimensional with the expected
 coefficient pattern: the line spanned by the Amari-Chentsov difference tensor.
 
 The system is assembled over the integers.  Each basis direction has a
-sqrt2-degree, 1 for Cov(i,i) and 0 otherwise, and every Levi-Civita
+sqrt2-degree (``LieAlgebra.degrees``), 1 for Cov(i,i) and 0 otherwise, and
+every Levi-Civita
 coefficient is sqrt2 to the parity of its three degrees times a rational.
 In the graded unknowns y_t = K_t / sqrt2^{deg t} of the triples t, every
 constraint is therefore sqrt2^k times a rational row; the system keeps each
@@ -121,12 +122,11 @@ class ConstraintSystem:
         return all(not r for r in self.residuals(vector))
 
 
-def _graded_levi_civita(
-    n: int, degree: Sequence[int]
-) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+def _graded_levi_civita(n: int) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
     """(a, b) -> [(g, q, p)] with Levi-Civita coefficient q * sqrt2^p / den,
     q an integer and p the parity of deg a + deg b + deg g."""
-    lc = lie_algebra(n).levi_civita
+    alg = lie_algebra(n)
+    lc, degree = alg.levi_civita, alg.degrees
     rat, irr = lc.rat.tolist(), lc.irr.tolist()
     d = len(degree)
     graded: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
@@ -145,9 +145,8 @@ def _graded_levi_civita(
 def assemble(n: int) -> ConstraintSystem:
     """Emit every symmetry constraint on the covariant derivative of K as a
     primitive integer row over the graded unknowns."""
-    indices = basis_indices(n)
-    d = len(indices)
-    degree = [int(idx.j == idx.i) for idx in indices]
+    degree = lie_algebra(n).degrees
+    d = len(degree)
     triples = symmetric_triples(d)
     pos = triple_positions(d)
     at = [
@@ -155,7 +154,7 @@ def assemble(n: int) -> ConstraintSystem:
         for i in range(d)
     ]
     unknown_degree = tuple(degree[i] + degree[j] + degree[k] for i, j, k in triples)
-    graded = _graded_levi_civita(n, degree)
+    graded = _graded_levi_civita(n)
 
     rows: list[IntegerRow] = []
     labels: list[tuple[int, int, int, int]] = []

@@ -175,6 +175,19 @@ class TestExactArray:
         b = ExactArray.build((2,), lambda i: QSqrt2(Fraction(1, 3)))
         assert (a + b).item(0) == QSqrt2(Fraction(5, 6))
 
+    def test_equal_denominators_add_subtract_and_compare(self):
+        a = ExactArray.build((2,), lambda i: QSqrt2(Fraction(1, 2), Fraction(i[0], 2)))
+        b = ExactArray.build((2,), lambda i: QSqrt2(Fraction(3, 2), Fraction(1, 2)))
+        assert a.den == b.den == 2
+        total = a + b
+        assert [total.item(i) for i in range(2)] == [QSqrt2(2, Fraction(1, 2)), QSqrt2(2, 1)]
+        assert (b - a).item(0) == QSqrt2(1, Fraction(1, 2))
+        assert a == ExactArray.build((2,), lambda i: QSqrt2(Fraction(1, 2), Fraction(i[0], 2)))
+        assert not (a == b)
+        # the operands are left as they were
+        assert a.item(1) == QSqrt2(Fraction(1, 2), Fraction(1, 2))
+        assert total.rat is not a.rat and total.rat is not b.rat
+
     def test_tensordot_matches_scalar_products(self):
         a = ExactArray.build((2, 2), lambda idx: QSqrt2(idx[0] + 1, idx[1]))
         b = ExactArray.build((2, 2), lambda idx: QSqrt2(idx[1], Fraction(1, 2)))

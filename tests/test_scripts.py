@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -83,6 +85,19 @@ class TestRecheckCertificate:
         assert "Traceback" not in result.stderr
         assert len(result.stderr.strip().splitlines()) == 1
         assert "n must be a positive integer" in result.stderr
+
+    @pytest.mark.parametrize("key", ["rank", "kernel_dim", "unknowns"])
+    def test_boolean_rank_field_exits_2(self, tmp_path, key):
+        path = self._certificate(tmp_path)
+        payload = json.loads(path.read_text())
+        payload[key] = True
+        path.write_text(json.dumps(payload))
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert f"{key} must be an integer, got True" in result.stderr
+        assert "RECHECK" not in result.stdout
 
     @staticmethod
     def _certificate(tmp_path):
