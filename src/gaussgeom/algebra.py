@@ -108,9 +108,7 @@ def _sqrt2_scaled(table: np.ndarray, power: np.ndarray) -> ExactArray:
     shifted = power + 2 * m
     scaled = table << (shifted >> 1)
     odd = shifted % 2 == 1
-    rat = np.where(odd, 0, scaled).astype(object)
-    irr = np.where(odd, scaled, 0).astype(object)
-    return ExactArray(rat, irr, 2**m).reduced()
+    return ExactArray(np.where(odd, 0, scaled), np.where(odd, scaled, 0), 2**m).reduced()
 
 
 def _commutator_table(units: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -155,9 +153,8 @@ class LieAlgebra:
 
     def structure_sparse(self) -> dict[tuple[int, int], list[tuple[int, QSqrt2]]]:
         out: dict[tuple[int, int], list[tuple[int, QSqrt2]]] = {}
-        for (a, b, g), v in self.structure.iter_items():
-            if v:
-                out.setdefault((a, b), []).append((g, v))
+        for (a, b, g), v in self.structure.nonzero_items():
+            out.setdefault((a, b), []).append((g, v))
         return out
 
 

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import lie_algebra
 from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2
 from .tensors import ConnCoeffs, CurvatureTensor, SymTensor3
 
 
+@lru_cache(maxsize=None)
 def amari_difference(n: int) -> SymTensor3:
     """Difference tensor of the Amari-Chentsov connection: K = -C/2 with C
     the cubic form on the orthonormal basis."""

@@ -4,7 +4,10 @@ Every structure constant, connection coefficient and certificate entry in this
 package is a number of the form a + b*sqrt(2) with rational a, b.  This module
 provides that scalar type, a sparse reduced-echelon nullspace solver (the one
 elimination routine of the package), and a dense multi-index array
-representation used for bulk tensor contractions.
+representation used for bulk tensor contractions.  The dense arrays store
+their integers as int64, falling back to arbitrary-precision Python ints only
+past 2^62, and contract in float64 BLAS while every partial sum stays below
+2^53, where float64 is exact.
 """
 
 from __future__ import annotations
@@ -272,32 +275,52 @@ class SparseEchelon:
 # Dense exact arrays: integer-pair storage with a shared denominator.
 # ---------------------------------------------------------------------------
 
+#: int64 storage holds integers below this in magnitude, so the sum or
+#: difference of two stored arrays cannot overflow
+_INT64_BOUND = 2**62
+#: float64 holds every integer below this in magnitude exactly
+_FLOAT_EXACT_BOUND = 2**53
+
+
+def _storage(bound: int) -> type:
+    """Storage dtype for integers of magnitude at most ``bound``: int64 below
+    2^62, else an object array of arbitrary-precision Python ints."""
+    return np.int64 if bound < _INT64_BOUND else object
+
+
+def _peak(a: ExactArray) -> int:
+    """Largest magnitude of an integer stored in ``a``."""
+    return max(int(np.abs(part).max(initial=0)) for part in (a.rat, a.irr))
+
 
 def _int_gcd_reduce(rat: np.ndarray, irr: np.ndarray, den: int):
     g = den
     for part in (rat.ravel(), irr.ravel()):
+        if g == 1:
+            break
         # a dense array usually reaches gcd 1 within its first entries; a
         # sparse one is scanned over its nonzero entries only
-        g = np.gcd.reduce(part[:64], initial=g)
+        g = math.gcd(g, int(np.gcd.reduce(part[:64])))
         if g != 1:
-            g = np.gcd.reduce(part[part.nonzero()], initial=g)
-    g = int(g)
+            g = math.gcd(g, int(np.gcd.reduce(part[part.nonzero()])))
     if g == 1:
         return rat, irr, den
+    if g == den and not (rat.any() or irr.any()):
+        # only an all-zero array can have a g too large for int64 division
+        return rat, irr, 1
     return rat // g, irr // g, den // g
-
-
-def _peak(arr: np.ndarray) -> int:
-    return int(np.abs(arr).max(initial=0))
 
 
 @dataclass(frozen=True)
 class ExactArray:
     """Dense array of Q(sqrt2) scalars stored as (rat + irr*sqrt2) / den.
 
-    ``rat`` and ``irr`` are object-dtype ndarrays of arbitrary-precision ints
-    and ``den`` a positive int, so all operations stay exact while contractions
-    run through numpy's C loops instead of per-scalar Python arithmetic.
+    ``rat`` and ``irr`` are integer ndarrays and ``den`` a positive int.  Each
+    operation bounds the magnitude of the integers it produces from the peaks
+    of its operands: below 2^62 they are stored as int64, otherwise as
+    object arrays of arbitrary-precision Python ints, so every result stays
+    exact.  Contractions whose products and partial sums all stay below 2^53
+    run in float64 (BLAS), where those integers are exact.
     """
 
     rat: np.ndarray
@@ -314,9 +337,7 @@ class ExactArray:
 
     @classmethod
     def zeros(cls, shape: tuple[int, ...]) -> ExactArray:
-        return cls(
-            np.zeros(shape, dtype=object), np.zeros(shape, dtype=object), 1
-        )
+        return cls(np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64), 1)
 
     @classmethod
     def build(
@@ -324,9 +345,14 @@ class ExactArray:
     ) -> ExactArray:
         values = [entry(idx) for idx in np.ndindex(*shape)]
         den = math.lcm(*(q.a.denominator for q in values), *(q.b.denominator for q in values))
-        rat = np.array([q.a.numerator * (den // q.a.denominator) for q in values], dtype=object)
-        irr = np.array([q.b.numerator * (den // q.b.denominator) for q in values], dtype=object)
-        return cls(rat.reshape(shape), irr.reshape(shape), den)
+        rat = [q.a.numerator * (den // q.a.denominator) for q in values]
+        irr = [q.b.numerator * (den // q.b.denominator) for q in values]
+        dtype = _storage(max(map(abs, rat + irr), default=0))
+        return cls(
+            np.array(rat, dtype=dtype).reshape(shape),
+            np.array(irr, dtype=dtype).reshape(shape),
+            den,
+        )
 
     def item(self, *idx: int) -> QSqrt2:
         return QSqrt2(
@@ -334,20 +360,27 @@ class ExactArray:
             Fraction(int(self.irr[idx]), self.den),
         )
 
-    def iter_items(self):
-        for idx in np.ndindex(*self.shape):
-            yield idx, self.item(*idx)
+    def nonzero_items(self) -> list[tuple[tuple[int, ...], QSqrt2]]:
+        """(index, value) of every nonzero entry, in C order."""
+        support = np.argwhere((self.rat != 0) | (self.irr != 0))
+        return [(tuple(idx), self.item(*idx)) for idx in support.tolist()]
 
     def reduced(self) -> ExactArray:
         rat, irr, den = _int_gcd_reduce(self.rat, self.irr, self.den)
         return ExactArray(rat, irr, den)
 
     def _common(self, other: ExactArray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        if self.den == other.den:
-            return self.rat, self.irr, other.rat, other.irr, self.den
-        den = self.den * other.den // math.gcd(self.den, other.den)
+        """Both operands over their common denominator, in the one storage
+        dtype that also holds their sum or difference."""
+        den = math.lcm(self.den, other.den)
         s, o = den // self.den, den // other.den
-        return self.rat * s, self.irr * s, other.rat * o, other.irr * o, den
+        # max(peak, 1): the factor itself must fit the dtype where the peak is 0
+        dtype = _storage(max(_peak(self), 1) * s + max(_peak(other), 1) * o)
+        parts = []
+        for arr, factor in ((self.rat, s), (self.irr, s), (other.rat, o), (other.irr, o)):
+            arr = arr.astype(dtype, copy=False)
+            parts.append(arr if factor == 1 else arr * factor)
+        return (*parts, den)
 
     def __add__(self, other: ExactArray) -> ExactArray:
         ra, ia, rb, ib, den = self._common(other)
@@ -367,29 +400,28 @@ class ExactArray:
         den = self.den * p_den * r_den
         pa = p_num * r_den
         pb = r_num * p_den
+        # (rat + irr*sqrt2)(pa + pb*sqrt2) = (rat*pa + 2*irr*pb) + (rat*pb + irr*pa)*sqrt2
+        dtype = _storage(max(_peak(self), 1) * (abs(pa) + 2 * abs(pb)))
+        rat, irr = self.rat.astype(dtype, copy=False), self.irr.astype(dtype, copy=False)
         return ExactArray(
-            self.rat * pa + self.irr * pb * 2,
-            self.rat * pb + self.irr * pa,
-            den,
+            rat * pa + irr * (2 * pb), rat * pb + irr * pa, den
         ).reduced()
 
     def tensordot(self, other: ExactArray, axes) -> ExactArray:
-        lhs = (self.rat, self.irr)
-        rhs = (other.rat, other.irr)
-        # int64 fast path when a conservative bound rules out overflow
-        contracted = 1
-        for axis in axes[0]:
-            contracted *= self.shape[axis]
-        peak_l = max(_peak(self.rat), _peak(self.irr))
-        peak_r = max(_peak(other.rat), _peak(other.irr))
-        if contracted * peak_l * peak_r * 3 < 2**62:
-            lhs = (self.rat.astype(np.int64), self.irr.astype(np.int64))
-            rhs = (other.rat.astype(np.int64), other.irr.astype(np.int64))
-        rat = np.tensordot(lhs[0], rhs[0], axes) + 2 * np.tensordot(lhs[1], rhs[1], axes)
-        irr = np.tensordot(lhs[0], rhs[1], axes) + np.tensordot(lhs[1], rhs[0], axes)
-        return ExactArray(
-            rat.astype(object), irr.astype(object), self.den * other.den
+        contracted = math.prod(self.shape[axis] for axis in axes[0])
+        # rat = l.r * r.r + 2 l.i * r.i sums at most 3 * contracted products
+        # of two peaks; below 2^53 float64 computes every term exactly
+        exact_in_float = contracted * _peak(self) * _peak(other) * 3 < _FLOAT_EXACT_BOUND
+        dtype = np.float64 if exact_in_float else object
+        lr, li, rr, ri = (
+            part.astype(dtype, copy=False)
+            for part in (self.rat, self.irr, other.rat, other.irr)
         )
+        rat = np.tensordot(lr, rr, axes) + 2 * np.tensordot(li, ri, axes)
+        irr = np.tensordot(lr, ri, axes) + np.tensordot(li, rr, axes)
+        if exact_in_float:
+            rat, irr = rat.astype(np.int64), irr.astype(np.int64)
+        return ExactArray(rat, irr, self.den * other.den)
 
     def transpose(self, axes: tuple[int, ...]) -> ExactArray:
         return ExactArray(

@@ -147,7 +147,7 @@ class ConnCoeffs:
         return self.coeffs - self.coeffs.transpose((1, 0, 2)) - structure
 
     def nonzero_items(self) -> list[tuple[tuple[int, int, int], QSqrt2]]:
-        return [(idx, v) for idx, v in self.coeffs.iter_items() if v]
+        return self.coeffs.nonzero_items()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConnCoeffs):
@@ -177,7 +177,7 @@ class CurvatureTensor:
         return self.values == -self.values.transpose((1, 0, 2, 3))
 
     def nonzero_items(self) -> list[tuple[tuple[int, int, int, int], QSqrt2]]:
-        return [(idx, v) for idx, v in self.values.iter_items() if v]
+        return self.values.nonzero_items()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CurvatureTensor):

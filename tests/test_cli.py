@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -145,6 +146,18 @@ class TestConnection:
     def test_bad_alpha_is_usage_error(self, runner):
         result = runner.invoke(main, ["connection", "--n", "1", "--alpha", "x", "--what", "coeffs"])
         assert result.exit_code == 2
+
+    def test_huge_alpha_curvature_is_pinned(self, runner):
+        # alpha = 1e30 pushes the curvature integers past int64, onto the
+        # object-array path; the SHA-256 of stdout was taken before the dense
+        # layer moved to int64 storage
+        result = invoke(
+            runner, "connection", "--n", "2", "--alpha", "1e30", "--what", "curvature"
+        )
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == (
+            "ab176faf76a38109e7733edc26920ebc419f287ca2c40e8b50fb83f1c8a34000"
+        )
 
 
 class TestPointwise:

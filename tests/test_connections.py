@@ -63,6 +63,10 @@ class TestAmariDifference:
         k = amari_difference(n)
         assert cubic_of_difference(k).to_exact_array() == lie_algebra(n).cubic
 
+    def test_built_once_per_n(self):
+        # SymTensor3 is immutable, so every caller can share one instance
+        assert amari_difference(3) is amari_difference(3)
+
 
 class TestFromDifference:
     @pytest.mark.parametrize("n", [1, 2, 3])

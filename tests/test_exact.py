@@ -247,3 +247,166 @@ class TestExactArray:
         )
         assert prod.item(0, 0) == expected
         assert abs(expected.a) > 2**63  # genuinely outside int64
+
+
+def _as_objects(a: ExactArray) -> np.ndarray:
+    """The entries of ``a`` as an object array of exact scalars: the all-object
+    reference that every storage dtype must agree with."""
+    values = [a.item(*idx) for idx in np.ndindex(*a.shape)]
+    return np.array(values, dtype=object).reshape(a.shape)
+
+
+def _same(result: ExactArray, reference: np.ndarray) -> bool:
+    return result.shape == reference.shape and all(
+        x == y for x, y in zip(_as_objects(result).ravel(), reference.ravel())
+    )
+
+
+def _array(rat, irr, den: int = 1, dtype=np.int64) -> ExactArray:
+    return ExactArray(np.array(rat, dtype=dtype), np.array(irr, dtype=dtype), den)
+
+
+def _odd_near(limit: int, below: bool) -> int:
+    """The largest odd p with p*p < limit, or the smallest odd p with
+    p*p >= limit."""
+    p = math.isqrt(limit - 1)
+    if below:
+        return p - (p % 2 == 0)
+    return p + 1 + (p % 2 == 0)
+
+
+@st.composite
+def bounded_arrays(draw, shape: tuple[int, ...], bits: int) -> ExactArray:
+    """Entries up to 2^bits in magnitude, one of them at the peak; stored as
+    int64 where they fit and as Python-int object arrays either way."""
+    size = math.prod(shape)
+    limit = 2**bits
+    rat = draw(st.lists(st.integers(-limit, limit), min_size=size, max_size=size))
+    irr = draw(st.lists(st.integers(-limit, limit), min_size=size, max_size=size))
+    rat[0] = draw(st.sampled_from([limit, -limit]))
+    dtype = draw(st.sampled_from([np.int64, object])) if limit < 2**62 else object
+    den = draw(st.sampled_from([1, 2, 3, 5, 12, 2**61 - 1, 3**50]))
+    rat, irr = (np.array(part, dtype=dtype).reshape(shape) for part in (rat, irr))
+    return ExactArray(rat, irr, den)
+
+
+class TestStorageBounds:
+    """int64 storage below 2^62, exact float64 contractions below 2^53 and the
+    object fallback beyond, each against the all-object reference."""
+
+    @pytest.mark.parametrize("contracted", [1, 3])
+    @pytest.mark.parametrize("below", [True, False])
+    def test_tensordot_float_bound(self, contracted, below):
+        # rat sums contracted * (p*p + 2*p*p) = 3*contracted*p^2, odd, at the
+        # bound itself; just above 2^53 float64 cannot hold it
+        p = _odd_near(-(-(2**53) // (3 * contracted)), below)
+        assert (3 * contracted * p * p < 2**53) == below
+        a = _array(np.full((2, contracted), p), np.full((2, contracted), p))
+        b = _array(np.full((contracted, 2), p), np.full((contracted, 2), p))
+        result = a.tensordot(b, axes=([1], [0]))
+        reference = np.tensordot(_as_objects(a), _as_objects(b), axes=([1], [0]))
+        assert _same(result, reference)
+        assert result.rat.dtype == (np.int64 if below else object)
+
+    @pytest.mark.parametrize(
+        ("factor", "dtype"),
+        [
+            (lambda p: QSqrt2((2**62 - 1) // p), np.int64),
+            (lambda p: QSqrt2(2**62 // p + 1), object),
+            (lambda p: QSqrt2(0, (2**62 - 1) // (2 * p)), np.int64),
+            (lambda p: QSqrt2(0, 2**62 // (2 * p) + 1), object),
+            (lambda p: QSqrt2(Fraction(2**63 // p + 1, 3), 1), object),
+            (lambda p: QSqrt2(2**70, -(2**70)), object),
+        ],
+    )
+    def test_scale_int64_bound(self, factor, dtype):
+        p = 2**40 + 1
+        a = _array([p, -p, 1, 0], [0, 1, -p, p])
+        q = factor(p)
+        result = a.scale(q)
+        assert _same(result, _as_objects(a) * q)
+        assert result.rat.dtype == dtype
+
+    def test_scale_zero_array_by_tiny_and_huge_factors(self):
+        zero = ExactArray.zeros((2, 2))
+        for q in (QSqrt2(Fraction(1, 10**400)), QSqrt2(10**400, 3)):
+            assert zero.scale(q).is_zero()
+        tiny = _array([1, 2], [3, 0]).scale(Fraction(1, 10**400))
+        assert tiny.item(1) == QSqrt2(Fraction(2, 10**400))
+
+    @pytest.mark.parametrize(
+        ("peak", "dtype"),
+        [((2**62 - 1) // 8, np.int64), (2**62 // 8 + 1, object), (2**61, object)],
+    )
+    def test_common_denominator_int64_bound(self, peak, dtype):
+        # over the denominator 15 the operands are scaled by 5 and 3, so
+        # their sum reaches 8 * peak
+        a = _array([peak, -peak, 1], [1, peak, 0], 3)
+        b = _array([peak, peak, 0], [-peak, 1, peak], 5)
+        objects_a, objects_b = _as_objects(a), _as_objects(b)
+        for result, reference in ((a + b, objects_a + objects_b), (a - b, objects_a - objects_b)):
+            assert _same(result, reference)
+            assert result.rat.dtype == dtype
+        # the same values over a denominator 7 times larger
+        rescaled = ExactArray(a.rat.astype(object) * 7, a.irr.astype(object) * 7, 21)
+        assert a == rescaled and rescaled == a
+        off_by_one = ExactArray(rescaled.rat + np.array([0, 0, 1]), rescaled.irr, 21)
+        assert not a == off_by_one and not off_by_one == a
+
+    @pytest.mark.parametrize("big", [False, True])
+    def test_mixed_int64_and_object_operands(self, big):
+        value = 2**62 if big else 5
+        ints = ExactArray.build(
+            (3, 2), lambda idx: QSqrt2(Fraction(idx[0] + 1, 2), idx[1] - 1)
+        )
+        objects = _array(
+            [[value, 1], [-value, 0], [0, 2]], [[1, 2], [value, 0], [3, -1]], 3, object
+        )
+        assert ints.rat.dtype == np.int64 and objects.rat.dtype == object
+        q = QSqrt2(3, Fraction(1, 2))
+        for x, y in ((ints, objects), (objects, ints)):
+            ox, oy = _as_objects(x), _as_objects(y)
+            assert _same(x + y, ox + oy)
+            assert _same(x - y, ox - oy)
+            assert _same(x.scale(q), ox * q)
+            assert _same(x.tensordot(y, axes=([0], [0])), np.tensordot(ox, oy, axes=([0], [0])))
+            assert (x == y) == bool((ox == oy).all())
+            assert x == ExactArray(x.rat.astype(object), x.irr.astype(object), x.den)
+
+    @given(st.data(), st.integers(1, 4), st.integers(20, 30))
+    def test_tensordot_matches_object_reference(self, data, contracted, bits):
+        # 3 * contracted * 2^(2*bits) straddles 2^53 across the drawn sizes
+        a = data.draw(bounded_arrays((2, contracted), bits))
+        b = data.draw(bounded_arrays((3, contracted), bits))
+        result = a.tensordot(b, axes=([1], [1]))
+        reference = np.tensordot(_as_objects(a), _as_objects(b), axes=([1], [1]))
+        assert _same(result, reference)
+
+    @given(st.data(), st.integers(56, 64), st.integers(56, 64))
+    def test_sums_and_equality_match_object_reference(self, data, bits_a, bits_b):
+        a = data.draw(bounded_arrays((2, 3), bits_a))
+        b = data.draw(bounded_arrays((2, 3), bits_b))
+        objects_a, objects_b = _as_objects(a), _as_objects(b)
+        assert _same(a + b, objects_a + objects_b)
+        assert _same(a - b, objects_a - objects_b)
+        assert _same(-a, -objects_a)
+        assert (a == b) == bool((objects_a == objects_b).all())
+        rat, irr = a.rat.astype(object), a.irr.astype(object)
+        assert a == ExactArray(rat * 6, irr * 6, a.den * 6)
+
+    @given(st.data(), st.integers(30, 62), st.integers(0, 40))
+    def test_scale_matches_object_reference(self, data, bits, factor_bits):
+        a = data.draw(bounded_arrays((2, 3), bits))
+        num = st.integers(-(2**factor_bits), 2**factor_bits)
+        den = st.sampled_from([1, 2, 3, 7])
+        q = QSqrt2(
+            Fraction(data.draw(num), data.draw(den)), Fraction(data.draw(num), data.draw(den))
+        )
+        assert _same(a.scale(q), _as_objects(a) * q)
+
+    def test_nonzero_items_skip_zeros_in_c_order(self):
+        a = _array([[0, 3], [0, 0], [-1, 0]], [[0, 0], [0, 2], [1, 0]], 2)
+        expected = [(idx, a.item(*idx)) for idx in np.ndindex(*a.shape) if a.item(*idx)]
+        assert a.nonzero_items() == expected
+        assert [idx for idx, _ in expected] == [(0, 1), (1, 1), (2, 0)]
+        assert ExactArray.zeros((2, 2)).nonzero_items() == []
