@@ -4,7 +4,8 @@
 Reassembles the constraint system from scratch, rebuilds the kernel vector
 recorded in the certificate, and confirms that (a) the vector annihilates
 every constraint row exactly, (b) its entries match the certified nonzero
-pattern, and (c) the recorded rank/kernel accounting is consistent.
+pattern, and (c) the recorded rank equals the rank of the reassembled rows,
+recomputed by exact elimination, with a kernel of dimension exactly 1.
 
 Exit codes: 0 every certificate passes, 1 a check failed, 2 a certificate
 could not be read (bad JSON, ``n``, kernel label or value, or a missing
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 from gaussgeom.algebra import basis_indices
-from gaussgeom.exact import ZERO, QSqrt2
+from gaussgeom.exact import ZERO, QSqrt2, SparseEchelon
 from gaussgeom.solver import assemble, expected_pattern
 from gaussgeom.tensors import basis_dimension, symmetric_triples, triple_positions
 
@@ -94,9 +95,18 @@ def recheck(payload: dict) -> bool:
     ]
     report("pattern_match", not mismatched, f"{len(mismatched)} mismatches")
 
+    # uniqueness is re-derived: the rank of the reassembled rows, not the
+    # recorded one, must leave a one-dimensional kernel
+    echelon = SparseEchelon(system.unknowns)
+    for row in system.rows:
+        echelon.insert(dict(row))
+    rank = echelon.rank
     report(
         "rank_accounting",
-        payload["rank"] + payload["kernel_dim"] == payload["unknowns"],
+        payload["unknowns"] == system.unknowns
+        and payload["rank"] == rank
+        and payload["kernel_dim"] == system.unknowns - rank == 1,
+        f"rank {rank} of {system.unknowns} unknowns",
     )
     report("status_recorded_pass", payload.get("status") == "PASS")
     return ok

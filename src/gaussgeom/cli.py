@@ -13,6 +13,7 @@ as strings, and repeated runs with the same flags and seed are byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -105,7 +106,15 @@ def _parse_alpha(text: str) -> Fraction:
 def _scalar_payload(value: QSqrt2, render_float: bool) -> dict:
     payload = {"exact": value.to_string()}
     if render_float:
-        payload["float"] = float(f"{value.to_float():.15g}")
+        try:
+            number = value.to_float()
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise click.UsageError(
+                "--float: an entry is too large for a float; drop --float for exact values"
+            )
+        payload["float"] = float(f"{number:.15g}")
     return payload
 
 

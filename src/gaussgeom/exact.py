@@ -401,10 +401,27 @@ class ExactArray:
         pa = p_num * r_den
         pb = r_num * p_den
         # (rat + irr*sqrt2)(pa + pb*sqrt2) = (rat*pa + 2*irr*pb) + (rat*pb + irr*pa)*sqrt2
-        dtype = _storage(max(_peak(self), 1) * (abs(pa) + 2 * abs(pb)))
+        dtype = _storage(max(_peak(self), 1) * max(abs(pa) + 2 * abs(pb), 1))
         rat, irr = self.rat.astype(dtype, copy=False), self.irr.astype(dtype, copy=False)
         return ExactArray(
             rat * pa + irr * (2 * pb), rat * pb + irr * pa, den
+        ).reduced()
+
+    def times_sqrt2_powers(self, powers: np.ndarray) -> ExactArray:
+        """Each entry times sqrt2^k, k the integer at its position in
+        ``powers`` (negative k divide), reduced."""
+        # sqrt2^k = 2^half * sqrt2^odd; the least negative half goes to den
+        half, odd = np.divmod(np.asarray(powers, dtype=np.int64), 2)
+        low = min(int(half.min(initial=0)), 0)
+        factor = np.left_shift(1, half - low)
+        # (rat + irr*sqrt2) * sqrt2 = 2*irr + rat*sqrt2
+        dtype = _storage(max(_peak(self), 1) * 2 * int(factor.max(initial=1)))
+        rat, irr = self.rat.astype(dtype, copy=False), self.irr.astype(dtype, copy=False)
+        odd = odd.astype(bool)
+        return ExactArray(
+            np.where(odd, 2 * irr, rat) * factor,
+            np.where(odd, rat, irr) * factor,
+            self.den << -low,
         ).reduced()
 
     def tensordot(self, other: ExactArray, axes) -> ExactArray:
@@ -444,3 +461,18 @@ class ExactArray:
             self.rat.astype(np.float64)
             + self.irr.astype(np.float64) * _SQRT2_FLOAT
         ) / self.den
+
+
+def csr_matvec(
+    starts: np.ndarray, columns: np.ndarray, coefficients: np.ndarray, vector: ExactArray
+) -> ExactArray:
+    """Integer matrix in CSR form (row starts, columns, coefficients; no empty
+    row) times a 1-D exact vector."""
+    row_bound = int(np.add.reduceat(np.abs(coefficients), starts).max(initial=0))
+    dtype = _storage(max(_peak(vector), 1) * row_bound)
+    coefficients = coefficients.astype(dtype)
+    rat, irr = (
+        np.add.reduceat(coefficients * part.astype(dtype, copy=False)[columns], starts)
+        for part in (vector.rat, vector.irr)
+    )
+    return ExactArray(rat, irr, vector.den)

@@ -14,18 +14,25 @@ every Levi-Civita
 coefficient is sqrt2 to the parity of its three degrees times a rational.
 In the graded unknowns y_t = K_t / sqrt2^{deg t} of the triples t, every
 constraint is therefore sqrt2^k times a rational row; the system keeps each
-distinct row once, as a primitive integer row.  Elimination runs over Q, and
-sqrt2 enters only at the certificate boundary, where the kernel is lifted
-back to K_t = sqrt2^{deg t} y_t and written as ``a/b + c/d*sqrt2``.
+distinct row once, as a primitive integer row.  The rows are assembled as
+integer numpy batches: every (a, b, g, d) term of the Levi-Civita derivative
+is emitted at once as a coordinate list, summed per row, made primitive and
+deduplicated.  Elimination runs over Q.  The kernel, the residual check and
+the pattern checks work on 1-D ``ExactArray``s over the triples, and
+``QSqrt2`` scalars appear only at the certificate boundary, where the kernel
+is lifted back to K_t = sqrt2^{deg t} y_t and written as ``a/b + c/d*sqrt2``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .algebra import BasisIndex, basis_indices, lie_algebra
 from .connections import (
@@ -34,8 +41,22 @@ from .connections import (
     from_difference,
     predicate_suite,
 )
-from .exact import HALF_SQRT2, ONE, SQRT2, ZERO, QSqrt2, SparseEchelon
-from .tensors import SymTensor3, basis_dimension, symmetric_triples, triple_positions
+from .exact import (
+    HALF_SQRT2,
+    ONE,
+    ZERO,
+    ExactArray,
+    QSqrt2,
+    SparseEchelon,
+    csr_matvec,
+)
+from .tensors import (
+    SymTensor3,
+    basis_dimension,
+    dense_positions,
+    symmetric_triples,
+    triple_positions,
+)
 
 SCHEMA_VERSION = "1"
 
@@ -49,15 +70,6 @@ VERIFY_ALPHAS: tuple[Fraction, ...] = (
     Fraction(2),
     Fraction(-2),
     Fraction(1, 3),
-)
-
-#: sqrt2^k and sqrt2^-k for the degrees 0..3 of an unknown triple
-_SQRT2_POWERS = (ONE, SQRT2, QSqrt2(2), QSqrt2(0, 2))
-_INVERSE_SQRT2_POWERS = (
-    ONE,
-    HALF_SQRT2,
-    QSqrt2(Fraction(1, 2)),
-    QSqrt2(0, Fraction(1, 4)),
 )
 
 IntegerRow = tuple[tuple[int, int], ...]
@@ -94,112 +106,143 @@ class ConstraintSystem:
         """Number of nonzero constraints over every (a < b, g, d)."""
         return sum(self.multiplicities)
 
-    def residuals(self, vector: Sequence[QSqrt2]) -> list[QSqrt2]:
+    @cached_property
+    def _matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows in CSR form: row starts, columns, coefficients."""
+        lengths = np.fromiter(map(len, self.rows), dtype=np.intp, count=len(self.rows))
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.rows)), dtype=np.int64)
+        columns, coefficients = flat.reshape(-1, 2).T
+        return np.cumsum(lengths) - lengths, columns, coefficients
+
+    def _products(self, vector: Sequence[QSqrt2] | ExactArray) -> ExactArray:
+        """Every row applied to the graded entries K_t / sqrt2^{deg t}."""
+        if not isinstance(vector, ExactArray):
+            values = vector
+            vector = ExactArray.build((len(values),), lambda idx: values[idx[0]])
+        if vector.shape != (self.unknowns,):
+            raise ValueError(f"expected {self.unknowns} entries, got {vector.shape}")
+        graded = vector.times_sqrt2_powers(-np.array(self.degrees))
+        return csr_matvec(*self._matrix, graded)
+
+    def residuals(self, vector: Sequence[QSqrt2] | ExactArray) -> list[QSqrt2]:
         """Each distinct row applied to the graded coordinates of ``vector``.
 
         Writing K_t / sqrt2^{deg t} = u_t + v_t*sqrt2 with rational u, v,
         the residual of an integer row r is r.u + (r.v)*sqrt2, which vanishes
         exactly when r annihilates both rational parts.
         """
-        if len(vector) != self.unknowns:
-            raise ValueError(f"expected {self.unknowns} entries, got {len(vector)}")
-        graded = [
-            k * _INVERSE_SQRT2_POWERS[deg] for k, deg in zip(vector, self.degrees)
+        products = self._products(vector)
+        den = products.den
+        return [
+            QSqrt2(Fraction(ru, den), Fraction(rv, den)) if ru or rv else ZERO
+            for ru, rv in zip(products.rat.tolist(), products.irr.tolist())
         ]
-        den = math.lcm(*(y.a.denominator for y in graded), *(y.b.denominator for y in graded))
-        u = [y.a.numerator * (den // y.a.denominator) for y in graded]
-        v = [y.b.numerator * (den // y.b.denominator) for y in graded]
-        out = []
-        for row in self.rows:
-            ru = sum(c * u[t] for t, c in row)
-            rv = sum(c * v[t] for t, c in row)
-            out.append(
-                QSqrt2(Fraction(ru, den), Fraction(rv, den)) if ru or rv else ZERO
-            )
-        return out
 
-    def satisfied_by(self, vector: Sequence[QSqrt2]) -> bool:
-        return all(not r for r in self.residuals(vector))
-
-
-def _graded_levi_civita(n: int) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
-    """(a, b) -> [(g, q, p)] with Levi-Civita coefficient q * sqrt2^p / den,
-    q an integer and p the parity of deg a + deg b + deg g."""
-    alg = lie_algebra(n)
-    lc, degree = alg.levi_civita, alg.degrees
-    rat, irr = lc.rat.tolist(), lc.irr.tolist()
-    d = len(degree)
-    graded: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for a in range(d):
-        for b in range(d):
-            for g in range(d):
-                p = (degree[a] + degree[b] + degree[g]) % 2
-                q, stray = (irr, rat) if p else (rat, irr)
-                if stray[a][b][g]:
-                    raise ArithmeticError("Levi-Civita table is not sqrt2-graded")
-                if q[a][b][g]:
-                    graded.setdefault((a, b), []).append((g, int(q[a][b][g]), p))
-    return graded
+    def satisfied_by(self, vector: Sequence[QSqrt2] | ExactArray) -> bool:
+        return self._products(vector).is_zero()
 
 
 def assemble(n: int) -> ConstraintSystem:
     """Emit every symmetry constraint on the covariant derivative of K as a
     primitive integer row over the graded unknowns."""
-    degree = lie_algebra(n).degrees
+    alg = lie_algebra(n)
+    degree = np.array(alg.degrees, dtype=np.int64)
     d = len(degree)
     triples = symmetric_triples(d)
-    pos = triple_positions(d)
-    at = [
-        [[pos[tuple(sorted((i, j, k)))] for k in range(d)] for j in range(d)]
-        for i in range(d)
-    ]
-    unknown_degree = tuple(degree[i] + degree[j] + degree[k] for i, j, k in triples)
-    graded = _graded_levi_civita(n)
+    unknowns = len(triples)
+    at = dense_positions(d)
+    unknown_degree = degree[np.array(triples)].sum(axis=1)
 
-    rows: list[IntegerRow] = []
-    labels: list[tuple[int, int, int, int]] = []
-    multiplicities: list[int] = []
-    seen: dict[IntegerRow, int] = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            for g in range(d):
-                for out in range(g, d):
-                    # the row is sqrt2^parity times a rational row in y
-                    parity = (degree[a] + degree[b] + degree[g] + degree[out]) % 2
-                    # (D_x K)(y, g, out) = -sum_e (G[x,y,e] K(e,g,out)
-                    #   + G[x,g,e] K(y,e,out) + G[x,out,e] K(y,g,e)) is the
-                    # e_out component of (D_x K)(y, g) lowered by the metric
-                    # connection G, so the row is symmetric in (g, out); the
-                    # overall sign is dropped.  A term G * K_t carries
-                    # sqrt2^(p + deg t), which is 2^shift * sqrt2^parity.
-                    row: dict[int, int] = {}
-                    for x, y, sign in ((a, b, 1), (b, a, -1)):
-                        for slot, i, j in ((y, g, out), (g, y, out), (out, y, g)):
-                            for e, q, p in graded.get((x, slot), ()):
-                                t = at[e][i][j]
-                                shift = (p + unknown_degree[t] - parity) >> 1
-                                row[t] = row.get(t, 0) + (sign * q << shift)
-                    entries = sorted((t, c) for t, c in row.items() if c)
-                    if not entries:
-                        continue
-                    scale = math.gcd(*(c for _, c in entries))
-                    if entries[0][1] < 0:
-                        scale = -scale
-                    key = tuple((t, c // scale) for t, c in entries)
-                    index = seen.setdefault(key, len(rows))
-                    if index == len(rows):
-                        rows.append(key)
-                        labels.append((a, b, g, out))
-                        multiplicities.append(0)
-                    multiplicities[index] += 1 if g == out else 2
+    # Levi-Civita coefficient [x, s, e] = q * sqrt2^p / den, q an integer and
+    # p the parity of deg x + deg s + deg e; its nonzero entries are listed
+    # in (x, s, e) order, so each (x, s) owns one contiguous run of them
+    lc = alg.levi_civita
+    parity = (degree[:, None, None] + degree[:, None] + degree) % 2
+    if np.where(parity == 1, lc.rat, lc.irr).any():
+        raise ArithmeticError("Levi-Civita table is not sqrt2-graded")
+    q_table = np.where(parity == 1, lc.irr, lc.rat).astype(np.int64)
+    lc_x, lc_s, lc_e = np.nonzero(q_table)
+    lc_q, lc_p = q_table[lc_x, lc_s, lc_e], parity[lc_x, lc_s, lc_e]
+    run_length = np.bincount(lc_x * d + lc_s, minlength=d * d)
+    run_start = np.cumsum(run_length) - run_length
+
+    # the constraints (a < b, g <= out) in emission order
+    ab, go = np.triu_indices(d, 1), np.triu_indices(d)
+    a, b = (np.repeat(i, len(go[0])) for i in ab)
+    g, out = (np.tile(i, len(ab[0])) for i in go)
+    row_parity = (degree[a] + degree[b] + degree[g] + degree[out]) % 2
+
+    # (D_x K)(y, g, out) = -sum_e (G[x,y,e] K(e,g,out) + G[x,g,e] K(y,e,out)
+    #   + G[x,out,e] K(y,g,e)) is the e_out component of (D_x K)(y, g)
+    # lowered by the metric connection G, so the row is symmetric in
+    # (g, out); the overall sign is dropped.  A term G * K_t carries
+    # sqrt2^(p + deg t), which is 2^shift * sqrt2^parity.
+    row_ids, columns, values = [], [], []
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for slot, i, j in ((y, g, out), (g, y, out), (out, y, g)):
+            length = run_length[x * d + slot]
+            row = np.repeat(np.arange(len(a)), length)
+            offset = np.arange(len(row)) - np.repeat(np.cumsum(length) - length, length)
+            term = run_start[x * d + slot][row] + offset
+            t = at[lc_e[term], i[row], j[row]]
+            shift = (lc_p[term] + unknown_degree[t] - row_parity[row]) >> 1
+            row_ids.append(row)
+            columns.append(t)
+            values.append(sign * lc_q[term] << shift)
+
+    # sum the terms of each (row, column), in row-major order
+    key = np.concatenate(row_ids) * unknowns + np.concatenate(columns)
+    order = np.argsort(key)
+    key, value = key[order], np.concatenate(values)[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    key, value = key[first], np.add.reduceat(value, first)
+    key, value = key[value != 0], value[value != 0]
+    row, column = np.divmod(key, unknowns)
+
+    # primitive rows with a positive first coefficient
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    length = np.diff(starts, append=len(value))
+    divisor = np.gcd.reduceat(np.abs(value), starts) * np.sign(value[starts])
+    value = value // np.repeat(divisor, length)
+
+    # distinct rows in first-emission order: rows are sorted by their padded
+    # sequences of (column, coefficient) codes, with code 0 past a row's end
+    entry_row = np.repeat(np.arange(len(starts)), length)
+    low = int(value.min(initial=0))
+    padded = np.zeros((len(starts), length.max(initial=0)), dtype=np.int64)
+    padded[entry_row, np.arange(len(value)) - starts[entry_row]] = (
+        column * (int(value.max(initial=0)) - low + 1) + (value - low) + 1
+    )
+    order = np.lexsort(padded.T[::-1])
+    ordered = padded[order]
+    new_group = np.ones(len(order), dtype=bool)
+    new_group[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new_group) - 1
+    # lexsort is stable, so each group's first sorted row is its first emitted
+    kept = np.sort(order[new_group])
+    distinct = np.empty_like(kept)
+    distinct[group[kept]] = np.arange(len(kept))
+    quad = row[starts]
+    multiplicities = np.bincount(
+        distinct[group], weights=np.where(g[quad] == out[quad], 1, 2)
+    ).astype(np.int64)
+
+    in_kept = np.zeros(len(starts), dtype=bool)
+    in_kept[kept] = True
+    mask = in_kept[entry_row]
+    pairs = list(zip(column[mask].tolist(), value[mask].tolist()))
+    bounds = np.cumsum(length[kept]).tolist()
+    rows = tuple(tuple(pairs[i:j]) for i, j in zip([0] + bounds, bounds))
+    labels = tuple(zip(*(part[quad[kept]].tolist() for part in (a, b, g, out))))
 
     return ConstraintSystem(
         n=n,
         unknown_triples=triples,
-        degrees=unknown_degree,
-        rows=tuple(rows),
-        labels=tuple(labels),
-        multiplicities=tuple(multiplicities),
+        degrees=tuple(unknown_degree.tolist()),
+        rows=rows,
+        labels=labels,
+        multiplicities=tuple(multiplicities.tolist()),
     )
 
 
@@ -281,24 +324,24 @@ class TheoremCertificate:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _kernel_vector(system: ConstraintSystem) -> tuple[list[list[QSqrt2]], int]:
+def _kernel_basis(system: ConstraintSystem) -> tuple[list[ExactArray], int]:
     """Kernel basis in the entries K_t and the rank: the integer rows are
     eliminated over Q, then each graded kernel vector is lifted back through
     K_t = sqrt2^{deg t} y_t."""
     echelon = SparseEchelon(system.unknowns)
     for row in system.rows:
         echelon.insert(dict(row))
-    basis = [
-        [y * _SQRT2_POWERS[deg] for y, deg in zip(vector, system.degrees)]
-        for vector in echelon.kernel_basis()
-    ]
+    basis = []
+    for y in echelon.kernel_basis():
+        graded = ExactArray.build((system.unknowns,), lambda idx: y[idx[0]])
+        basis.append(graded.times_sqrt2_powers(np.array(system.degrees)))
     return basis, echelon.rank
 
 
 def solve(n: int) -> TheoremCertificate:
     """Compute the kernel and check it against the certified pattern."""
     system = assemble(n)
-    basis_vectors, rank = _kernel_vector(system)
+    basis_vectors, rank = _kernel_basis(system)
     cert = TheoremCertificate(
         n=n,
         dim=basis_dimension(n),
@@ -315,34 +358,23 @@ def solve(n: int) -> TheoremCertificate:
 
     vector = basis_vectors[0]
     positions = triple_positions(basis_dimension(n))
-    anchor = positions[
-        tuple(
-            sorted(
-                (
-                    0,  # Mean(1)
-                    0,
-                    n,  # Cov(1,1) follows the n mean directions
-                )
-            )
-        )
-    ]
-    if not vector[anchor]:
+    # Mean(1), Mean(1), Cov(1,1): Cov(1,1) follows the n mean directions
+    anchor = vector.item(positions[(0, 0, n)])
+    if not anchor:
         cert.record("anchor_entry_nonzero", False, "normalizing entry vanishes")
         return cert
     cert.record("anchor_entry_nonzero", True)
-    inv = vector[anchor].inverse()
-    vector = [v * inv for v in vector]
+    vector = vector.scale(anchor.inverse())
 
     cert.record("kernel_in_row_space_kernel", system.satisfied_by(vector))
 
-    pattern = expected_pattern(n)
+    expected = SymTensor3.from_entries(n, expected_pattern(n)).canonical
     mismatches = []
-    for p, triple in enumerate(system.unknown_triples):
-        expected = pattern.get(triple, ZERO)
-        if vector[p] != expected:
-            mismatches.append(
-                f"{_triple_label(n, triple)}: got {vector[p]}, want {expected}"
-            )
+    if vector != expected:
+        for p, triple in enumerate(system.unknown_triples):
+            got, want = vector.item(p), expected.item(p)
+            if got != want:
+                mismatches.append(f"{_triple_label(n, triple)}: got {got}, want {want}")
     cert.record("nonzero_pattern", not mismatches, "; ".join(mismatches[:5]))
 
     indices = basis_indices(n)
@@ -350,7 +382,7 @@ def solve(n: int) -> TheoremCertificate:
 
     def entry(*parts: BasisIndex) -> QSqrt2:
         key = tuple(sorted(position[part] for part in parts))
-        return vector[positions[key]]
+        return vector.item(positions[key])
 
     ratio_double = all(
         entry(BasisIndex.cov(i, i), BasisIndex.cov(i, i), BasisIndex.cov(i, i))
@@ -370,18 +402,12 @@ def solve(n: int) -> TheoremCertificate:
 
     # scaling the generator by -sqrt2/2 must reproduce the cubic table
     # through the pairing C = -2 <K(., .), .>
-    cubic = lie_algebra(n).cubic
-    scaled = [v * AMARI_SCALE * (-2) for v in vector]
-    cubic_ok = all(
-        scaled[p] == cubic.item(*triple)
-        for p, triple in enumerate(system.unknown_triples)
-    )
-    cert.record("cubic_table_reproduced", cubic_ok)
+    cubic = SymTensor3.from_dense(n, lie_algebra(n).cubic).canonical
+    cert.record("cubic_table_reproduced", vector.scale(AMARI_SCALE * -2) == cubic)
 
     cert.kernel = {
-        _triple_label(n, triple): vector[p].to_string()
-        for p, triple in enumerate(system.unknown_triples)
-        if vector[p]
+        _triple_label(n, system.unknown_triples[p]): value.to_string()
+        for (p,), value in vector.nonzero_items()
     }
     return cert
 

@@ -2,6 +2,8 @@
 
 Indices are integer basis positions in the canonical order (mean directions
 first, then covariance directions); the algebra module owns the labelling.
+Every container stores an ``ExactArray``; a symmetric rank-3 tensor keeps one
+entry per unordered triple and expands to the dense array by a gather.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def triple_positions(dim: int) -> dict[tuple[int, int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _dense_positions(dim: int) -> np.ndarray:
+def dense_positions(dim: int) -> np.ndarray:
     """(dim, dim, dim) table of the canonical position of each index's triple."""
     pos = triple_positions(dim)
     table = np.empty((dim,) * 3, dtype=np.intp)
@@ -51,76 +53,81 @@ def _dense_positions(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymTensor3:
-    """Totally symmetric rank-3 tensor stored once per unordered triple."""
+    """Totally symmetric rank-3 tensor stored once per unordered triple.
+
+    ``canonical`` is a reduced 1-D ``ExactArray`` over ``symmetric_triples``,
+    so scaling, addition and the dense expansion are integer array
+    operations; ``values`` reads it back as ``QSqrt2`` scalars.
+    """
 
     n: int
-    values: tuple[QSqrt2, ...]
+    canonical: ExactArray
 
     def __post_init__(self) -> None:
         expected = len(symmetric_triples(basis_dimension(self.n)))
-        if len(self.values) != expected:
-            raise ValueError(
-                f"expected {expected} canonical triples, got {len(self.values)}"
-            )
+        shape = self.canonical.shape if isinstance(self.canonical, ExactArray) else None
+        if shape != (expected,):
+            raise ValueError(f"expected {expected} canonical triples, got {shape}")
 
     @property
     def dim(self) -> int:
         return basis_dimension(self.n)
 
+    @property
+    def values(self) -> tuple[QSqrt2, ...]:
+        return tuple(self.canonical.item(p) for p in range(self.canonical.shape[0]))
+
     @classmethod
     def zeros(cls, n: int) -> SymTensor3:
-        return cls(n, (ZERO,) * len(symmetric_triples(basis_dimension(n))))
+        return cls(n, ExactArray.zeros((len(symmetric_triples(basis_dimension(n))),)))
 
     @classmethod
     def from_entries(
         cls, n: int, entries: Mapping[tuple[int, int, int], QSqrt2 | Rational]
     ) -> SymTensor3:
-        dim = basis_dimension(n)
-        values = [ZERO] * len(symmetric_triples(dim))
-        pos = triple_positions(dim)
-        for triple, value in entries.items():
-            values[pos[tuple(sorted(triple))]] = as_qsqrt2(value)
-        return cls(n, tuple(values))
+        pos = triple_positions(basis_dimension(n))
+        by_position = {pos[tuple(sorted(t))]: value for t, value in entries.items()}
+        return cls(
+            n,
+            ExactArray.build(
+                (len(pos),), lambda idx: as_qsqrt2(by_position.get(idx[0], ZERO))
+            ),
+        )
 
     @classmethod
     def from_vector(cls, n: int, vector: Sequence[QSqrt2]) -> SymTensor3:
-        return cls(n, tuple(vector))
+        return cls(n, ExactArray.build((len(vector),), lambda idx: vector[idx[0]]))
 
     @classmethod
     def from_dense(cls, n: int, dense: ExactArray) -> SymTensor3:
+        i, j, k = np.array(symmetric_triples(basis_dimension(n))).T
         return cls(
-            n,
-            tuple(dense.item(*t) for t in symmetric_triples(basis_dimension(n))),
+            n, ExactArray(dense.rat[i, j, k], dense.irr[i, j, k], dense.den).reduced()
         )
 
     def get(self, i: int, j: int, k: int) -> QSqrt2:
-        key = tuple(sorted((i, j, k)))
-        return self.values[triple_positions(self.dim)[key]]
+        return self.canonical.item(triple_positions(self.dim)[tuple(sorted((i, j, k)))])
 
     def scale(self, factor: QSqrt2 | Rational) -> SymTensor3:
-        q = as_qsqrt2(factor)
-        return SymTensor3(self.n, tuple(v * q for v in self.values))
+        return SymTensor3(self.n, self.canonical.scale(factor))
 
     def __add__(self, other: SymTensor3) -> SymTensor3:
         if self.n != other.n:
             raise ValueError("mismatched bases")
-        return SymTensor3(
-            self.n, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        return SymTensor3(self.n, (self.canonical + other.canonical).reduced())
 
     def nonzero_items(self) -> list[tuple[tuple[int, int, int], QSqrt2]]:
         triples = symmetric_triples(self.dim)
-        return [(triples[p], v) for p, v in enumerate(self.values) if v]
+        return [(triples[p], v) for (p,), v in self.canonical.nonzero_items()]
 
     def to_exact_array(self) -> ExactArray:
-        """Dense (d, d, d) array, gathered from the canonical values."""
-        values = self.values
-        canonical = ExactArray.build((len(values),), lambda idx: values[idx[0]])
-        table = _dense_positions(self.dim)
-        return ExactArray(canonical.rat[table], canonical.irr[table], canonical.den)
+        """Dense (d, d, d) array, gathered from the canonical entries."""
+        table = dense_positions(self.dim)
+        c = self.canonical
+        return ExactArray(c.rat[table], c.irr[table], c.den)
 
     def is_zero(self) -> bool:
-        return not any(self.values)
+        return self.canonical.is_zero()
 
 
 @dataclass(frozen=True)

@@ -363,6 +363,22 @@ class TestInputErrors:
         assert_usage_error(result, "the point has dimension 2, but the group element")
 
     @pytest.mark.parametrize(
+        "alpha,what",
+        [
+            ("1e400", "coeffs"),
+            ("1e400", "conjugate"),
+            ("1e400", "curvature"),
+            # finite parts whose sum a + b*sqrt2 exceeds the float range
+            ("1.5e308", "coeffs"),
+        ],
+    )
+    def test_float_rendering_out_of_range(self, runner, alpha, what):
+        result = runner.invoke(
+            main, ["connection", "--n", "2", "--alpha", alpha, "--what", what, "--float"]
+        )
+        assert_usage_error(result, "--float: an entry is too large for a float")
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["metric", "--s", TANGENT_1, "--t", TANGENT_1],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import qsqrt2s
 from gaussgeom.exact import (
+    HALF_SQRT2,
     ONE,
     SQRT2,
     ZERO,
@@ -210,6 +211,23 @@ class TestExactArray:
         a = ExactArray.build((2,), lambda i: QSqrt2(1, 1))
         scaled = a.scale(SQRT2)
         assert scaled.item(0) == QSqrt2(2, 1)
+
+    def test_scale_by_zero_past_int64(self):
+        # the arbitrary-precision entries must not be cast to int64 first
+        a = ExactArray.build((2,), lambda i: QSqrt2(2**70 + i[0]))
+        assert a.scale(0).is_zero()
+
+    @pytest.mark.parametrize("big", [1, 2**70])
+    def test_times_sqrt2_powers(self, big):
+        values = [QSqrt2(big, Fraction(1, 3)), QSqrt2(Fraction(5, 2), -big), QSqrt2(7, 1)]
+        a = ExactArray.build((3,), lambda i: values[i[0]])
+        powers = [3, -1, -4]
+        result = a.times_sqrt2_powers(np.array(powers))
+        for i, (value, k) in enumerate(zip(values, powers)):
+            factor = SQRT2 if k > 0 else HALF_SQRT2
+            for _ in range(abs(k)):
+                value = value * factor
+            assert result.item(i) == value
 
     def test_is_zero(self):
         assert ExactArray.zeros((2, 3)).is_zero()

@@ -99,6 +99,25 @@ class TestRecheckCertificate:
         assert f"{key} must be an integer, got True" in result.stderr
         assert "RECHECK" not in result.stdout
 
+    @pytest.mark.parametrize(
+        "forged",
+        [{"rank": 33}, {"kernel_dim": 2}, {"rank": 33, "kernel_dim": 2}],
+        ids=["rank", "kernel_dim", "rank_and_kernel_dim"],
+    )
+    def test_rejects_forged_rank_accounting(self, tmp_path, forged):
+        # the n=2 system has rank 34 over 35 unknowns; rank 33 with kernel_dim
+        # 2 is self-consistent, so only the recomputed rank can catch it
+        out = tmp_path / "certs"
+        run(SCRIPTS / "run_verification.py", "--max-n", "2", "--out", out)
+        path = out / "certificate_n2.json"
+        payload = json.loads(path.read_text())
+        payload.update(forged)
+        path.write_text(json.dumps(payload))
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 1
+        assert "rank_accounting: FAIL (rank 34 of 35 unknowns)" in result.stdout
+        assert "RECHECK: FAIL" in result.stdout
+
     @staticmethod
     def _certificate(tmp_path):
         out = tmp_path / "certs"

@@ -8,7 +8,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import qsqrt2s
 from gaussgeom.algebra import BasisIndex, basis_indices
 from gaussgeom.connections import amari_difference, lc_difference_derivative
 from gaussgeom.exact import HALF_SQRT2, ONE, SQRT2, ZERO, QSqrt2
@@ -36,6 +39,16 @@ CERTIFICATE_SHA256 = {
     1: "b70379d4b4205c9205aaf93b0e3dd5237cae8e87a571df9c07823b27ad9dc515",
     2: "a0d3dfbe8515ba7cb7eeb1ca080fe5446acb141f712dcc105ac062f56c52d67f",
     3: "494748863e470eacde1369fdd10f8fa718ed3ad933dad0c482dee2b2c91ef7da",
+}
+
+#: SHA-256 of ``repr((rows, labels, multiplicities, degrees))`` of
+#: ``assemble(n)``, taken from the per-quadruple Python assembler that the
+#: integer batches replaced; the system must not change
+SYSTEM_SHA256 = {
+    1: "200ebd5cd0c8ee15e88ecddb0a0ff346df874bdbcba4ba89522962d035e4c540",
+    2: "050f40a815dee1a984cfd6afa093de89d868049fcc357f061ebfd6f1c0aa4feb",
+    3: "b58b668e0ca762f178597bfd4f8d3d47fa3b0295cf52b7dbd5a019cdc80bd49b",
+    4: "62fbb2c733bd5fcc7919c9959be14ff4548d3b861f316ae426fd9049a409f70a",
 }
 
 
@@ -127,7 +140,13 @@ class TestIntegerRows:
         assert len(dense_rows) == system.row_count
         assert set(dense_rows) == assembled
 
-    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_system_pinned(self, n):
+        system = assemble(n)
+        text = repr((system.rows, system.labels, system.multiplicities, system.degrees))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SYSTEM_SHA256[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_sqrt2_part_of_every_entry_is_checked(self, n):
         system = assemble(n)
         amari = list(amari_difference(n).values)
@@ -139,6 +158,39 @@ class TestIntegerRows:
     def test_residuals_reject_wrong_length(self):
         with pytest.raises(ValueError):
             assemble(1).residuals([ONE])
+
+    @given(
+        st.lists(
+            st.one_of(
+                qsqrt2s(),
+                st.builds(QSqrt2, st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)),
+            ),
+            min_size=35,
+            max_size=35,
+        )
+    )
+    def test_residuals_match_per_row_formula(self, vector):
+        # per row: K_t / sqrt2^{deg t} = u_t + v_t*sqrt2 over a common
+        # denominator, then r.u + (r.v)*sqrt2; entries past 2^62 force the
+        # arbitrary-precision path
+        system = assemble(2)
+        graded = []
+        for k, deg in zip(vector, system.degrees):
+            for _ in range(deg):
+                k = k * HALF_SQRT2
+            graded.append(k)
+        den = math.lcm(*(y.a.denominator for y in graded), *(y.b.denominator for y in graded))
+        u = [y.a.numerator * (den // y.a.denominator) for y in graded]
+        v = [y.b.numerator * (den // y.b.denominator) for y in graded]
+        expected = [
+            QSqrt2(
+                Fraction(sum(c * u[t] for t, c in row), den),
+                Fraction(sum(c * v[t] for t, c in row), den),
+            )
+            for row in system.rows
+        ]
+        assert system.residuals(vector) == expected
+        assert system.satisfied_by(vector) == (not any(expected))
 
 
 class TestSystem:

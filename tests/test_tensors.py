@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +14,18 @@ from gaussgeom.tensors import (
     basis_dimension,
     symmetric_triples,
     triple_positions,
+)
+
+#: Q(sqrt2) scalars with small entries or numerators past 2^62, which force
+#: the arbitrary-precision storage
+mixed_qsqrt2s = st.one_of(
+    st.builds(
+        lambda num, den, b: QSqrt2(Fraction(num, den), b),
+        st.integers(2**62, 2**70) | st.integers(-(2**70), -(2**62)),
+        st.sampled_from([1, 3, 8]),
+        st.integers(-(2**70), 2**70),
+    ),
+    qsqrt2s(),
 )
 
 
@@ -79,3 +94,18 @@ class TestSymTensor3:
     def test_round_trip_through_dense(self):
         k = SymTensor3.from_entries(2, {(0, 2, 3): QSqrt2(1, 2)})
         assert SymTensor3.from_dense(2, k.to_exact_array()).values == k.values
+
+    @given(
+        st.lists(mixed_qsqrt2s, min_size=4, max_size=4),
+        st.lists(mixed_qsqrt2s, min_size=4, max_size=4),
+        mixed_qsqrt2s,
+    )
+    def test_integer_storage_matches_per_entry_arithmetic(self, left, right, factor):
+        k, other = SymTensor3.from_vector(1, left), SymTensor3.from_vector(1, right)
+        assert k.values == tuple(left)
+        assert k.scale(factor).values == tuple(v * factor for v in left)
+        assert (k + other).values == tuple(a + b for a, b in zip(left, right))
+        dense = k.to_exact_array()
+        triples = triple_positions(k.dim)
+        for idx in np.ndindex(*dense.shape):
+            assert dense.item(*idx) == left[triples[tuple(sorted(idx))]]
