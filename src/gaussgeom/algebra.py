@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exact import ONE, ZERO, ExactArray, QSqrt2, SparseEchelon
+from .exact import ExactArray, QSqrt2, SparseEchelon
 from .tensors import ConnCoeffs
 
 _LABEL_RE = re.compile(r"^(Mean|Cov)\((\d+)(?:,(\d+))?\)$")
@@ -138,6 +138,7 @@ class LieAlgebra:
     n: int
     indices: tuple[BasisIndex, ...]
     degrees: tuple[int, ...]  # [a] -> sqrt2-degree: 1 for Cov(i,i), else 0
+    commutators: np.ndarray  # [a, b, g] -> E_g coefficient of [E_a, E_b], int64
     structure: ExactArray  # [a, b, g] -> e_g coefficient of [e_a, e_b]
     gram: ExactArray  # [a, b] -> inner product (identity matrix)
     cubic: ExactArray  # [a, b, c] -> cubic form on basis directions
@@ -150,12 +151,6 @@ class LieAlgebra:
 
     def position(self, index: BasisIndex) -> int:
         return self.indices.index(index)
-
-    def structure_sparse(self) -> dict[tuple[int, int], list[tuple[int, QSqrt2]]]:
-        out: dict[tuple[int, int], list[tuple[int, QSqrt2]]] = {}
-        for (a, b, g), v in self.structure.nonzero_items():
-            out.setdefault((a, b), []).append((g, v))
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -174,9 +169,8 @@ def lie_algebra(n: int) -> LieAlgebra:
 
     # [e_a, e_b] has e_g coefficient [E_a, E_b] at (rows[g], cols[g]) times
     # sqrt2^(deg g - deg a - deg b)
-    structure = _sqrt2_scaled(
-        _commutator_table(units, rows, cols), deg - deg[:, None, None] - deg[:, None]
-    )
+    commutators = _commutator_table(units, rows, cols)
+    structure = _sqrt2_scaled(commutators, deg - deg[:, None, None] - deg[:, None])
 
     # At the identity, fisher_metric and amari_cubic of tangents (X, v) are
     # tr(A_s A_t) / 2 and tr(A_s A_t A_w) in A = [[X, v], [v^T, 0]]; for e_a,
@@ -204,6 +198,7 @@ def lie_algebra(n: int) -> LieAlgebra:
         n=n,
         indices=indices,
         degrees=degrees,
+        commutators=commutators,
         structure=structure,
         gram=gram,
         cubic=cubic,
@@ -234,36 +229,28 @@ def levi_civita(n: int) -> ConnCoeffs:
 
 
 def derived_series_dims(n: int) -> list[int]:
-    """Dimensions of the derived series; ends at zero iff solvable."""
-    alg = lie_algebra(n)
-    d = alg.dim
-    sparse_structure = alg.structure_sparse()
+    """Dimensions of the derived series; ends at zero iff solvable.
 
-    def bracket_vectors(x: dict[int, QSqrt2], y: dict[int, QSqrt2]) -> dict[int, QSqrt2]:
-        out: dict[int, QSqrt2] = {}
-        for a, xa in x.items():
-            for b, yb in y.items():
-                for g, c in sparse_structure.get((a, b), ()):
-                    acc = out.get(g, ZERO) + xa * yb * c
-                    if acc:
-                        out[g] = acc
-                    else:
-                        out.pop(g, None)
-        return out
-
-    current: list[dict[int, QSqrt2]] = [{i: ONE} for i in range(d)]
+    Brackets the matrix units E_a, which span the same subspaces as the
+    e_a = E_a / sqrt2^deg(a), in int64: a commutator of two of them is 0 or
+    +-1 times one, so every generator is a 0/+-1 vector and nothing grows.
+    """
+    table = lie_algebra(n).commutators
+    d = len(table)
+    current = np.eye(d, dtype=np.int64)
     dims = [d]
     for _ in range(d + 1):
+        # brackets[i, :, j] = [x_i, x_j] for the generators x = current
+        brackets = np.tensordot(np.tensordot(current, table, ([1], [0])), current, ([1], [1]))
+        first, second = np.triu_indices(len(current), 1)
         echelon = SparseEchelon(d)
-        generators: list[dict[int, QSqrt2]] = []
-        for i, x in enumerate(current):
-            for y in current[i + 1 :]:
-                z = bracket_vectors(x, y)
-                if z and echelon.insert(z):
-                    generators.append(z)
+        generators = [
+            z
+            for z in brackets[first, :, second]
+            if echelon.insert({int(g): int(z[g]) for g in z.nonzero()[0]})
+        ]
         dims.append(echelon.rank)
-        current = generators
         if echelon.rank == 0:
             return dims
+        current = np.array(generators)
     raise RuntimeError("derived series did not terminate")
-

@@ -42,6 +42,8 @@ from .solver import verify_theorem
 from .tensors import symmetric_triples
 
 SEED_ENV = "GAUSSGEOM_SEED"
+#: bound on the decimal digits of --alpha's numerator and denominator
+ALPHA_DIGITS = 1000
 
 
 def _default_seed() -> int:
@@ -97,10 +99,21 @@ def _check_dimensions(n: int, owner: str, **tangents: TangentVector) -> None:
 
 
 def _parse_alpha(text: str) -> Fraction:
+    # bounded so that every printed entry, at most quadratic in alpha, stays
+    # within the 4300-digit int-to-str limit; the exponent is checked before
+    # Fraction expands it, as 1e999999999 alone is a 400 MB integer
+    _, e, exponent = text.lower().rpartition("e")
     try:
-        return Fraction(text)
+        if e and abs(int(exponent)) > ALPHA_DIGITS:
+            raise ValueError("exponent out of range")
+        value = Fraction(text)
+        if max(abs(value.numerator), value.denominator) >= 10**ALPHA_DIGITS:
+            raise ValueError("too many digits")
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(f"--alpha must be a rational number: {text!r}") from exc
+        raise click.UsageError(
+            f"--alpha must be a rational number of at most {ALPHA_DIGITS} digits: {text!r}"
+        ) from exc
+    return value
 
 
 def _scalar_payload(value: QSqrt2, render_float: bool) -> dict:
@@ -399,8 +412,15 @@ def group_cmd(do_act, do_phi, do_phi_inv, do_pullback, a_text, b_text, sigma, mu
     def need_point() -> ManifoldPoint:
         return _parse_point(sigma, mu, None)
 
+    def finite(move, *args):
+        # a finite input can still overflow to inf or nan
+        try:
+            return move(*args)
+        except ValueError as exc:
+            raise click.UsageError(f"the result is out of the float range: {exc}") from exc
+
     if do_phi:
-        p = phi(need_element())
+        p = finite(phi, need_element())
         _echo_json({"sigma": p.sigma.tolist(), "mu": p.mu.tolist()})
         return
     if do_phi_inv:
@@ -417,10 +437,10 @@ def group_cmd(do_act, do_phi, do_phi_inv, do_pullback, a_text, b_text, sigma, mu
         if t_text is not None:
             t = _parse_tangent(t_text, "t")
             _check_dimensions(g.n, "the group element", t=t)
-            moved = act_tangent(g, t)
+            moved = finite(act_tangent, g, t)
             _echo_json({"x": moved.x.tolist(), "v": moved.v.tolist()})
             return
-        q = act(g, p)
+        q = finite(act, g, p)
         _echo_json({"sigma": q.sigma.tolist(), "mu": q.mu.tolist()})
         return
     # pullback

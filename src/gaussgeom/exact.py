@@ -2,12 +2,12 @@
 
 Every structure constant, connection coefficient and certificate entry in this
 package is a number of the form a + b*sqrt(2) with rational a, b.  This module
-provides that scalar type, a sparse reduced-echelon nullspace solver (the one
-elimination routine of the package), and a dense multi-index array
-representation used for bulk tensor contractions.  The dense arrays store
-their integers as int64, falling back to arbitrary-precision Python ints only
-past 2^62, and contract in float64 BLAS while every partial sum stays below
-2^53, where float64 is exact.
+provides that scalar type, a fraction-free sparse echelon solver for integer
+rows whose nullspace it returns in that type (the one elimination routine of
+the package), and a dense multi-index array representation used for bulk
+tensor contractions.  The dense arrays store their integers as int64, falling
+back to arbitrary-precision Python ints only past 2^62, and contract in
+float64 BLAS while every partial sum stays below 2^53, where float64 is exact.
 """
 
 from __future__ import annotations
@@ -165,32 +165,27 @@ def as_qsqrt2(value: QSqrt2 | Rational) -> QSqrt2:
 
 
 # ---------------------------------------------------------------------------
-# Sparse reduced row echelon form and nullspace extraction.
+# Fraction-free sparse reduced row echelon form and nullspace extraction.
 # ---------------------------------------------------------------------------
 
-Scalar = QSqrt2 | Rational
-SparseRow = dict[int, Scalar]
+SparseRow = dict[int, int]
 
 
-def _bit_size(v: Scalar) -> int:
-    if isinstance(v, QSqrt2):
-        return v.bit_size()
-    return v.numerator.bit_length() + v.denominator.bit_length()
-
-
-def _inverse(v: Scalar) -> Scalar:
-    return v.inverse() if isinstance(v, QSqrt2) else Fraction(1, v)
+def _primitive(row: SparseRow) -> SparseRow:
+    """``row`` divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    return row if g <= 1 else {c: v // g for c, v in row.items()}
 
 
 class SparseEchelon:
-    """Incrementally maintained reduced row echelon form over Q(sqrt2).
+    """Incrementally maintained reduced row echelon form of integer rows.
 
-    Rows are sparse column->scalar maps whose scalars are ``QSqrt2`` or
-    rationals (``int``/``Fraction``); rows with only rational entries are
-    eliminated in rational arithmetic, as Q is closed under the row
-    operations.  Stored pivot rows are normalized to pivot coefficient 1 and
-    contain no other pivot column, so reducing an incoming row is a single
-    pass over its support.
+    Rows are sparse column->int maps.  Elimination is fraction-free: each
+    stored row is a primitive integer row whose pivot coefficient is positive
+    and which contains no other pivot column, and a row is reduced against it
+    as ``pivot*row - factor*stored`` followed by a gcd division, in a single
+    pass over the row's pivot columns.  Rationals appear only in the
+    nullspace returned by :meth:`kernel_basis`.
     """
 
     def __init__(self, cols: int) -> None:
@@ -204,13 +199,15 @@ class SparseEchelon:
         return len(self._pivot_rows)
 
     def reduce(self, row: SparseRow) -> SparseRow:
-        """Return ``row`` minus its projection onto the stored row space."""
-        out = dict(row)
-        for col in [c for c in sorted(out) if c in self._pivot_rows]:
-            factor = out.pop(col, None)
-            if factor is None or not factor:
-                continue
-            for c, v in self._pivot_rows[col].items():
+        """``row`` reduced to zero on every pivot column and made primitive."""
+        out = {c: v for c, v in row.items() if v}
+        for col in [c for c in out if c in self._pivot_rows]:
+            stored = self._pivot_rows[col]
+            g = math.gcd(stored[col], out[col])
+            scale, factor = stored[col] // g, out.pop(col) // g
+            if scale != 1:
+                out = {c: scale * v for c, v in out.items()}
+            for c, v in stored.items():
                 if c == col:
                     continue
                 acc = out.get(c, 0) - factor * v
@@ -218,22 +215,26 @@ class SparseEchelon:
                     out[c] = acc
                 else:
                     out.pop(c, None)
-        return {c: v for c, v in out.items() if v}
+        return _primitive(out)
 
     def insert(self, row: SparseRow) -> bool:
         """Reduce ``row`` against the basis; absorb it if independent."""
-        reduced = self.reduce(row)
-        if not reduced:
+        new = self.reduce(row)
+        if not new:
             return False
-        pivot = min(reduced, key=lambda c: (_bit_size(reduced[c]), c))
-        inv = _inverse(reduced[pivot])
-        normalized = {c: v * inv for c, v in reduced.items()}
+        pivot = min(new, key=lambda c: (abs(new[c]), c))
+        if new[pivot] < 0:
+            new = {c: -v for c, v in new.items()}
         # eliminate the new pivot column from every stored row containing it
         for holder in list(self._occurrences.get(pivot, ())):
             stored = self._pivot_rows[holder]
-            factor = stored.pop(pivot)
             self._occurrences[pivot].discard(holder)
-            for c, v in normalized.items():
+            g = math.gcd(new[pivot], stored[pivot])
+            scale, factor = new[pivot] // g, stored.pop(pivot) // g
+            if scale != 1:
+                for c in stored:
+                    stored[c] *= scale
+            for c, v in new.items():
                 if c == pivot:
                     continue
                 acc = stored.get(c, 0) - factor * v
@@ -241,17 +242,17 @@ class SparseEchelon:
                     if c not in stored:
                         self._occurrences.setdefault(c, set()).add(holder)
                     stored[c] = acc
-                else:
-                    if c in stored:
-                        del stored[c]
-                        self._occurrences[c].discard(holder)
-        self._pivot_rows[pivot] = normalized
-        for c in normalized:
+                elif c in stored:
+                    del stored[c]
+                    self._occurrences[c].discard(holder)
+            self._pivot_rows[holder] = _primitive(stored)
+        self._pivot_rows[pivot] = new
+        for c in new:
             self._occurrences.setdefault(c, set()).add(pivot)
         return True
 
     def kernel_basis(self) -> list[list[QSqrt2]]:
-        """Exact nullspace basis over Q(sqrt2), one vector per free column.
+        """Exact nullspace basis over Q, one vector per free column.
 
         Each vector is rescaled so its first nonzero coordinate (in column
         order) equals 1, which makes the output deterministic.
@@ -259,15 +260,15 @@ class SparseEchelon:
         free = [c for c in range(self.cols) if c not in self._pivot_rows]
         basis = []
         for f in free:
-            vec: list[Scalar] = [0] * self.cols
-            vec[f] = 1
-            for pivot, stored in self._pivot_rows.items():
-                coeff = stored.get(f)
-                if coeff:
-                    vec[pivot] = -coeff
+            # x_f = the lcm of the pivots of the rows holding f makes each
+            # x_p = -row[f] * x_f / row[p] an integer
+            rows = {p: self._pivot_rows[p] for p in self._occurrences.get(f, ())}
+            vec = [0] * self.cols
+            vec[f] = math.lcm(*(row[p] for p, row in rows.items()))
+            for p, row in rows.items():
+                vec[p] = -row[f] * vec[f] // row[p]
             lead = next(v for v in vec if v)
-            inv = _inverse(lead)
-            basis.append([as_qsqrt2(v * inv) if v else ZERO for v in vec])
+            basis.append([QSqrt2(Fraction(v, lead)) if v else ZERO for v in vec])
         return basis
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .algebra import basis_indices
-from .manifold import SYMMETRY_TOL, ManifoldPoint, TangentVector
+from .manifold import SYMMETRY_TOL, ManifoldPoint, TangentVector, _as_float_array
 
 #: squared-pivot threshold below which a matrix is rejected as not positive
 #: definite for factorization purposes
@@ -31,8 +31,8 @@ class GroupElement:
     b: np.ndarray
 
     def __init__(self, a, b) -> None:
-        a = np.asarray(a, dtype=float).copy()
-        b = np.asarray(b, dtype=float).reshape(-1).copy()
+        a = _as_float_array(a, "a")
+        b = _as_float_array(b, "b").reshape(-1)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
             raise ValueError("expected square matrix and matching vector")
         lower = np.tril(a, k=-1)

@@ -24,10 +24,14 @@ SHARD_SIZE = 1 << 16
 
 
 def _as_float_array(values, shape_hint: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        raise ValueError(f"{shape_hint} must be an array")
-    return arr.copy()
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{shape_hint} must be an array of finite numbers") from exc
+    # numpy reads None as nan; inf and nan would pass every later check
+    if arr.ndim == 0 or not np.isfinite(arr).all():
+        raise ValueError(f"{shape_hint} must be an array of finite numbers")
+    return arr
 
 
 def _checked_symmetric(m: np.ndarray, name: str) -> np.ndarray:

@@ -17,7 +17,7 @@ constraint is therefore sqrt2^k times a rational row; the system keeps each
 distinct row once, as a primitive integer row.  The rows are assembled as
 integer numpy batches: every (a, b, g, d) term of the Levi-Civita derivative
 is emitted at once as a coordinate list, summed per row, made primitive and
-deduplicated.  Elimination runs over Q.  The kernel, the residual check and
+deduplicated.  Elimination is fraction-free over the integers.  The kernel, the residual check and
 the pattern checks work on 1-D ``ExactArray``s over the triples, and
 ``QSqrt2`` scalars appear only at the certificate boundary, where the kernel
 is lifted back to K_t = sqrt2^{deg t} y_t and written as ``a/b + c/d*sqrt2``.

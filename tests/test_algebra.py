@@ -390,6 +390,21 @@ class TestSolvability:
     def test_smallest_case(self):
         assert derived_series_dims(1) == [2, 1, 0]
 
+    @pytest.mark.parametrize(
+        "n,dims",
+        [
+            (1, [2, 1, 0]),
+            (2, [5, 3, 1, 0]),
+            (3, [9, 6, 3, 0]),
+            (4, [14, 10, 6, 1, 0]),
+            (5, [20, 15, 10, 3, 0]),
+            (6, [27, 21, 15, 6, 0]),
+            (7, [35, 28, 21, 10, 0]),
+        ],
+    )
+    def test_dims_pinned(self, n, dims):
+        assert derived_series_dims(n) == dims
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_terminates_at_zero(self, n):
         dims = derived_series_dims(n)

@@ -5,6 +5,8 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussgeom.cli import main
 from gaussgeom.exact import QSqrt2
@@ -321,6 +323,7 @@ def assert_usage_error(result, message):
 POINT_1 = ["--sigma", "[[1.0]]", "--mu", "[0.0]"]
 TANGENT_1 = '{"x": [[0.0]], "v": [1.0]}'
 TANGENT_2 = '{"x": [[0,0],[0,0]], "v": [1, 0]}'
+TANGENT_X = '{"x": [[1.0]], "v": [0.0]}'
 
 
 class TestInputErrors:
@@ -378,6 +381,42 @@ class TestInputErrors:
         )
         assert_usage_error(result, "--float: an entry is too large for a float")
 
+    @pytest.mark.parametrize("alpha", ["1e5000", "1e-5000", "1e999999999", "1/" + "3" * 1001])
+    def test_alpha_too_large(self, runner, alpha):
+        # every entry printed would pass the 4300-digit int-to-str limit
+        result = runner.invoke(
+            main, ["connection", "--n", "1", "--alpha", alpha, "--what", "coeffs"]
+        )
+        assert_usage_error(result, "--alpha must be a rational number of at most 1000 digits")
+
+    @pytest.mark.parametrize(
+        "sigma",
+        ["{}", '[["a"]]', "[[1" + "0" * 400 + "]]", "[[null]]", "[[1e999]]", "[[-Infinity]]", "[[NaN]]"],
+    )
+    def test_malformed_point(self, runner, sigma):
+        result = runner.invoke(
+            main, ["metric", "--sigma", sigma, "--mu", "[0.0]", "--s", TANGENT_1, "--t", TANGENT_1]
+        )
+        assert_usage_error(result, "sigma must be an array of finite numbers")
+
+    @pytest.mark.parametrize("a", ["{}", "[[null]]", "[[1e999]]"])
+    def test_malformed_group_element(self, runner, a):
+        result = runner.invoke(main, ["group", "--phi", "--a", a, "--b", "[0.0]"])
+        assert_usage_error(result, "a must be an array of finite numbers")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--phi", "--a", "[[1e200]]", "--b", "[0.0]"],
+            ["--act", "--a", "[[1e200]]", "--b", "[0.0]", *POINT_1],
+            ["--act", "--a", "[[1e200]]", "--b", "[0.0]", *POINT_1, "--t", TANGENT_X],
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_group_result_out_of_float_range(self, runner, args):
+        result = runner.invoke(main, ["group", *args])
+        assert_usage_error(result, "the result is out of the float range")
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -402,3 +441,81 @@ class TestDeterminism:
         first = invoke(runner, "verify", "--n", "2", "--format", "json")
         second = invoke(runner, "verify", "--n", "2", "--format", "json")
         assert first.output == second.output
+
+
+#: n values for the cheap commands, with a few that must be rejected
+N_TEXT = st.sampled_from(["1", "2", "0", "-1", "two", ""])
+
+ALPHA_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.from_regex(r"-?[0-9_]{1,6}(/[0-9]{1,4}|\.[0-9]{0,4}(e-?[0-9]{1,5})?)?", fullmatch=True),
+    st.sampled_from(["1e400", "1.5e308", "1e5000", "1e-5000", "1e999999999", "nan", "1/0"]),
+)
+
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["x", "v", "y"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: --s/--t/--sigma/--mu text: arbitrary text, arbitrary JSON, and
+#: well-shaped tangents with arbitrary numbers
+JSON_TEXT = st.one_of(
+    st.text(max_size=20),
+    JSON_VALUE.map(json.dumps),
+    st.builds(
+        lambda x, v: json.dumps({"x": [[x]], "v": [v]}),
+        st.floats() | st.integers(),
+        st.floats() | st.integers(),
+    ),
+)
+
+FLOAT_FLAG = st.sampled_from([[], ["--float"]])
+
+ARGV = st.one_of(
+    st.builds(
+        lambda n, alpha, what, flag: [
+            "connection", "--n", n, "--alpha", alpha, "--what", what, *flag
+        ],
+        N_TEXT,
+        ALPHA_TEXT,
+        st.sampled_from(["coeffs", "curvature", "conjugate", "predicates"]),
+        FLOAT_FLAG,
+    ),
+    st.builds(
+        lambda n, what, flag: ["tensors", "--n", n, "--what", what, *flag],
+        N_TEXT,
+        st.sampled_from(["brackets", "u-map", "levi-civita", "cubic", "metric"]),
+        FLOAT_FLAG,
+    ),
+    st.builds(
+        lambda n, fmt: ["verify", "--n", n, "--format", fmt],
+        N_TEXT,
+        st.sampled_from(["table", "json"]),
+    ),
+    st.builds(
+        lambda n, s, t: ["metric", "--n", n, "--s", s, "--t", t], N_TEXT, JSON_TEXT, JSON_TEXT
+    ),
+    st.builds(
+        lambda sigma, mu, s: ["metric", "--sigma", sigma, "--mu", mu, "--s", s, "--t", s],
+        JSON_TEXT,
+        JSON_TEXT,
+        JSON_TEXT,
+    ),
+    st.builds(lambda a, b: ["group", "--phi", "--a", a, "--b", b], JSON_TEXT, JSON_TEXT),
+)
+
+
+class TestExitCodeContract:
+    @settings(max_examples=120)
+    @given(ARGV)
+    def test_exit_code_and_determinism(self, argv):
+        # exit 0 pass, 1 a mathematical check failed, 2 a usage error: an
+        # exception other than SystemExit would be a traceback
+        runner = CliRunner()
+        first = runner.invoke(main, argv)
+        assert first.exception is None or isinstance(first.exception, SystemExit), argv
+        assert first.exit_code in (0, 1, 2)
+        assert "Traceback" not in first.output
+        assert runner.invoke(main, argv).stdout == first.stdout

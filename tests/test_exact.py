@@ -73,7 +73,7 @@ class TestScalar:
 
 
 def eliminate(rows, cols):
-    """Echelon of dense rows (lists of scalars), zero entries left out."""
+    """Echelon of dense integer rows, zero entries left out."""
     echelon = SparseEchelon(cols)
     for row in rows:
         echelon.insert({c: v for c, v in enumerate(row) if v})
@@ -84,13 +84,58 @@ def mul_vec(rows, vec):
     return [sum((v * x for v, x in zip(row, vec)), ZERO) for row in rows]
 
 
+def rational(vec):
+    """A kernel vector's entries as Fractions; they must have no sqrt2 part."""
+    assert all(v.b == 0 for v in vec)
+    return [v.a for v in vec]
+
+
+def gauss_jordan(rows, cols):
+    """Reference: the nonzero rows of the reduced row echelon form over Q,
+    and its pivot columns, by dense Fraction arithmetic."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        k = len(pivots)
+        r = next((i for i in range(k, len(m)) if m[i][c]), None)
+        if r is None:
+            continue
+        m[k], m[r] = m[r], m[k]
+        m[k] = [v / m[k][c] for v in m[k]]
+        m = [
+            row if i == k else [a - row[c] * b for a, b in zip(row, m[k])]
+            for i, row in enumerate(m)
+        ]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def reference_kernel(rows, cols):
+    """Nullspace basis of the reference echelon form, one vector per free
+    column."""
+    reduced, pivots = gauss_jordan(rows, cols)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
 @st.composite
 def small_matrices(draw):
+    """Integer matrices; the large entries (some past 2^62) and the small
+    non-unit ones reach non-unit pivots and the gcd division."""
     rows = draw(st.integers(min_value=1, max_value=4))
     cols = draw(st.integers(min_value=1, max_value=5))
+    entries = st.integers(min_value=-6, max_value=6) | st.integers(
+        min_value=-(2**70), max_value=2**70
+    )
     return draw(
         st.lists(
-            st.lists(qsqrt2s(max_num=4), min_size=cols, max_size=cols),
+            st.lists(entries, min_size=cols, max_size=cols),
             min_size=rows,
             max_size=rows,
         )
@@ -99,23 +144,22 @@ def small_matrices(draw):
 
 class TestKernel:
     def test_single_row(self):
-        assert eliminate([[ONE, -ONE]], 2).kernel_basis() == [[ONE, ONE]]
+        assert eliminate([[1, -1]], 2).kernel_basis() == [[ONE, ONE]]
 
     def test_identity_has_trivial_kernel(self):
-        identity = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
+        identity = [[int(i == j) for j in range(3)] for i in range(3)]
         echelon = eliminate(identity, 3)
         assert echelon.kernel_basis() == []
         assert echelon.rank == 3
 
     def test_hand_eliminated_system(self):
-        # rows: x0 = sqrt2 * x2, x1 = 0; kernel spans (sqrt2, 0, 1)
-        rows = [[ONE, ZERO, -SQRT2], [ZERO, ONE, ZERO]]
+        # rows: 2 x0 = 3 x2, x1 = 0; the kernel spans (3, 0, 2), a non-unit
+        # pivot on either end
+        rows = [[2, 0, -3], [0, 1, 0]]
         (vec,) = eliminate(rows, 3).kernel_basis()
         assert mul_vec(rows, vec) == [ZERO, ZERO]
-        # proportional to (sqrt2, 0, 1); normalized so the first nonzero is 1
-        assert vec[1] == ZERO
-        assert vec[0] * ONE == vec[2] * SQRT2
-        assert vec[0] == ONE
+        # normalized so the first nonzero is 1
+        assert vec == [ONE, ZERO, QSqrt2(Fraction(2, 3))]
 
     @given(small_matrices())
     def test_kernel_vectors_are_exact_solutions(self, rows):
@@ -139,30 +183,22 @@ class TestKernel:
         # sparse rows that leave them out
         sparse = SparseEchelon(3)
         dense = SparseEchelon(3)
-        for row in ([ONE, ZERO, -SQRT2], [ZERO, ONE, ZERO]):
+        for row in ([2, 0, -3], [0, 1, 0]):
             sparse.insert({c: v for c, v in enumerate(row) if v})
             dense.insert(dict(enumerate(row)))
         assert dense.rank == sparse.rank == 2
         assert dense.kernel_basis() == sparse.kernel_basis()
 
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=-4, max_value=4), min_size=5, max_size=5),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_rational_rows_match_qsqrt2_rows(self, rows):
-        # integer rows are eliminated over Q, with the same rank and kernel
-        # as the same rows given as Q(sqrt2) scalars
-        rational = eliminate(rows, 5)
-        field = eliminate([[QSqrt2(v) for v in row] for row in rows], 5)
-        assert rational.rank == field.rank
-        basis = rational.kernel_basis()
-        assert basis == field.kernel_basis()
-        assert all(isinstance(v, QSqrt2) for vector in basis for v in vector)
-        for vec in basis:
-            assert mul_vec(rows, vec) == [ZERO] * len(rows)
+    @given(small_matrices())
+    def test_rank_and_kernel_match_dense_reference(self, rows):
+        # the same rank, and kernels that span the same space: both bases
+        # have the same reduced row echelon form
+        cols = len(rows[0])
+        echelon = eliminate(rows, cols)
+        reference = reference_kernel(rows, cols)
+        assert echelon.rank == len(gauss_jordan(rows, cols)[1])
+        basis = [rational(vec) for vec in echelon.kernel_basis()]
+        assert gauss_jordan(basis, cols) == gauss_jordan(reference, cols)
 
 
 class TestExactArray:

@@ -39,6 +39,7 @@ CERTIFICATE_SHA256 = {
     1: "b70379d4b4205c9205aaf93b0e3dd5237cae8e87a571df9c07823b27ad9dc515",
     2: "a0d3dfbe8515ba7cb7eeb1ca080fe5446acb141f712dcc105ac062f56c52d67f",
     3: "494748863e470eacde1369fdd10f8fa718ed3ad933dad0c482dee2b2c91ef7da",
+    4: "96bf80bddc3df83ff9ad67721a97e553b50e21e83a24775d35b8a4900708ccc5",
 }
 
 #: SHA-256 of ``repr((rows, labels, multiplicities, degrees))`` of
@@ -329,7 +330,7 @@ class TestCertificate:
         assert cert.checks["dually_flat_plus"]
         assert cert.checks["dually_flat_minus"]
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_certificate_bytes_pinned(self, n):
         text = verify_theorem(n).to_json()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == CERTIFICATE_SHA256[n]
