@@ -22,8 +22,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from gaussgeom.algebra import basis_indices
-from gaussgeom.exact import ZERO, QSqrt2, SparseEchelon
+from gaussgeom.exact import ZERO, ExactArray, QSqrt2, SparseEchelon
 from gaussgeom.solver import assemble, expected_pattern
 from gaussgeom.tensors import basis_dimension, symmetric_triples, triple_positions
 
@@ -68,7 +70,8 @@ def validate(payload: object) -> None:
 
 
 def recheck(payload: dict) -> bool:
-    vector = kernel_vector(payload)
+    values = kernel_vector(payload)
+    vector = ExactArray.build((len(values),), lambda idx: values[idx[0]])
     n = payload["n"]
     triples = symmetric_triples(basis_dimension(n))
 
@@ -84,14 +87,15 @@ def recheck(payload: dict) -> bool:
     residuals = system.residuals(vector)
     # counted over every emitted constraint, as each distinct row stands for
     # ``multiplicity`` of them
-    bad = sum(m for r, m in zip(residuals, system.multiplicities) if r)
+    nonzero = (residuals.rat != 0) | (residuals.irr != 0)
+    bad = int(np.array(system.multiplicities) @ nonzero)
     report("rows_annihilated", bad == 0, f"{system.row_count} rows, {bad} nonzero")
 
     pattern = expected_pattern(n)
     mismatched = [
         p
         for p, triple in enumerate(triples)
-        if vector[p] != pattern.get(triple, ZERO)
+        if values[p] != pattern.get(triple, ZERO)
     ]
     report("pattern_match", not mismatched, f"{len(mismatched)} mismatches")
 

@@ -24,7 +24,6 @@ from functools import lru_cache
 import numpy as np
 
 from .exact import ExactArray, QSqrt2, SparseEchelon
-from .tensors import ConnCoeffs
 
 _LABEL_RE = re.compile(r"^(Mean|Cov)\((\d+)(?:,(\d+))?\)$")
 
@@ -221,11 +220,6 @@ def u_map(n: int, x: BasisIndex, y: BasisIndex) -> list[QSqrt2]:
     alg = lie_algebra(n)
     a, b = alg.position(x), alg.position(y)
     return [alg.u_coeffs.item(a, b, g) for g in range(alg.dim)]
-
-
-def levi_civita(n: int) -> ConnCoeffs:
-    """Levi-Civita connection of the left-invariant metric, as coefficients."""
-    return ConnCoeffs(n, lie_algebra(n).levi_civita)
 
 
 def derived_series_dims(n: int) -> list[int]:

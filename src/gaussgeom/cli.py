@@ -6,8 +6,10 @@ tables), ``connection`` (coefficients, curvature, conjugates, predicates),
 comparison against the closed forms) and ``group`` (action utilities).
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-input errors.  All output is JSON with sorted keys; exact scalars are printed
-as strings, and repeated runs with the same flags and seed are byte-identical.
+input errors, including finite input whose float result is not finite.  All
+output but the ``verify`` table is JSON with sorted keys and no Infinity or
+NaN; exact scalars are printed as strings, and repeated runs with the same
+flags and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .manifold import (
     mc_oracle_metric,
 )
 from .solver import verify_theorem
-from .tensors import symmetric_triples
 
 SEED_ENV = "GAUSSGEOM_SEED"
 #: bound on the decimal digits of --alpha's numerator and denominator
@@ -131,6 +132,19 @@ def _scalar_payload(value: QSqrt2, render_float: bool) -> dict:
     return payload
 
 
+def _in_float_range(compute, *args):
+    """``compute(*args)``, or a usage error when finite input overflows to
+    inf or nan; numpy's overflow warnings are silenced, as the error says it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = compute(*args)
+        except ValueError as exc:
+            raise click.UsageError(f"the result is out of the float range: {exc}") from exc
+    if isinstance(result, float) and not math.isfinite(result):
+        raise click.UsageError("the result is out of the float range")
+    return result
+
+
 @click.group()
 def main() -> None:
     """Exact and numeric geometry of multivariate normal families."""
@@ -186,52 +200,26 @@ def tensors(n, what, render_float) -> None:
     """Dump exact algebra tables for a given n."""
     alg = lie_algebra(n)
     labels = [idx.label() for idx in alg.indices]
+    table = {
+        "brackets": alg.structure,
+        "u-map": alg.u_coeffs,
+        "levi-civita": alg.levi_civita,
+        "cubic": alg.cubic,
+        "metric": alg.gram,
+    }[what]
     entries = []
-    if what == "brackets":
-        table = alg.structure
-    elif what == "u-map":
-        table = alg.u_coeffs
-    elif what == "levi-civita":
-        table = alg.levi_civita
-    else:
-        table = None
-
-    if table is not None:
-        for a in range(alg.dim):
-            for b in range(alg.dim):
-                components = {
-                    labels[g]: _scalar_payload(table.item(a, b, g), render_float)
-                    for g in range(alg.dim)
-                    if table.item(a, b, g)
-                }
-                if components:
-                    entries.append(
-                        {"x": labels[a], "y": labels[b], "components": components}
-                    )
-    elif what == "cubic":
-        for a, b, g in symmetric_triples(alg.dim):
-            value = alg.cubic.item(a, b, g)
-            if value:
-                entries.append(
-                    {
-                        "x": labels[a],
-                        "y": labels[b],
-                        "z": labels[g],
-                        "value": _scalar_payload(value, render_float),
-                    }
-                )
-    else:  # metric
-        for a in range(alg.dim):
-            for b in range(alg.dim):
-                value = alg.gram.item(a, b)
-                if value:
-                    entries.append(
-                        {
-                            "x": labels[a],
-                            "y": labels[b],
-                            "value": _scalar_payload(value, render_float),
-                        }
-                    )
+    for idx, value in table.nonzero_items():
+        if what == "cubic" and list(idx) != sorted(idx):
+            continue  # one entry per unordered triple
+        names = [labels[i] for i in idx]
+        payload = _scalar_payload(value, render_float)
+        if what in ("cubic", "metric"):
+            entries.append({**dict(zip("xyz", names)), "value": payload})
+        # brackets, u-map and levi-civita: one entry per (x, y) with its components
+        elif entries and [entries[-1]["x"], entries[-1]["y"]] == names[:2]:
+            entries[-1]["components"][names[2]] = payload
+        else:
+            entries.append({"x": names[0], "y": names[1], "components": {names[2]: payload}})
     _echo_json({"n": n, "what": what, "entries": entries})
 
 
@@ -311,7 +299,7 @@ def metric(sigma, mu, n, s_text, t_text) -> None:
     s = _parse_tangent(s_text, "s")
     t = _parse_tangent(t_text, "t")
     _check_dimensions(point.n, "the point", s=s, t=t)
-    _echo_json({"value": fisher_metric(point, s, t)})
+    _echo_json({"value": _in_float_range(fisher_metric, point, s, t)})
 
 
 @main.command()
@@ -330,14 +318,14 @@ def cubic(sigma, mu, n, s_text, t_text, w_text) -> None:
         _parse_tangent(w_text, "w"),
     )
     _check_dimensions(point.n, "the point", s=s, t=t, w=w)
-    _echo_json({"value": amari_cubic(point, s, t, w)})
+    _echo_json({"value": _in_float_range(amari_cubic, point, s, t, w)})
 
 
 @main.command()
 @click.option("--n", type=click.IntRange(min=1), default=None)
 @click.option("--sigma", default=None)
 @click.option("--mu", default=None)
-@click.option("--samples", type=click.IntRange(min=1), default=100_000)
+@click.option("--samples", type=click.IntRange(min=2), default=100_000)
 @click.option(
     "--seed", type=click.IntRange(min=0), default=None, help=f"Defaults to ${SEED_ENV} or 0."
 )
@@ -355,31 +343,37 @@ def oracle(ctx, n, sigma, mu, samples, seed) -> None:
 
     s, t, w = draw_tangent(), draw_tangent(), draw_tangent()
 
-    def compare(closed: float, estimate) -> dict:
-        z = (
-            0.0
-            if estimate.stderr == 0.0
-            else (estimate.value - closed) / estimate.stderr
-        )
-        return {
+    def compare(name: str, closed: float, estimate) -> dict:
+        if not (math.isfinite(estimate.stderr) and estimate.stderr > 0.0):
+            raise click.UsageError(
+                f"the {name} estimate has standard error {estimate.stderr}, "
+                "so it cannot be compared with the closed form"
+            )
+        numbers = {
             "closed_form": closed,
             "estimate": estimate.value,
             "stderr": estimate.stderr,
-            "z": z,
-            "within_3_stderr": abs(z) <= 3.0,
+            "z": (estimate.value - closed) / estimate.stderr,
         }
+        if not all(map(math.isfinite, numbers.values())):
+            raise click.UsageError(f"the {name} comparison is out of the float range")
+        return {**numbers, "within_3_stderr": abs(numbers["z"]) <= 3.0}
 
-    report = {
-        "samples": samples,
-        "seed": seed,
-        "metric": compare(
-            fisher_metric(point, s, t), mc_oracle_metric(point, s, t, samples, seed)
-        ),
-        "cubic": compare(
-            amari_cubic(point, s, t, w),
-            mc_oracle_cubic(point, s, t, w, samples, seed),
-        ),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = {
+            "samples": samples,
+            "seed": seed,
+            "metric": compare(
+                "metric",
+                fisher_metric(point, s, t),
+                mc_oracle_metric(point, s, t, samples, seed),
+            ),
+            "cubic": compare(
+                "cubic",
+                amari_cubic(point, s, t, w),
+                mc_oracle_cubic(point, s, t, w, samples, seed),
+            ),
+        }
     _echo_json(report)
     if not (report["metric"]["within_3_stderr"] and report["cubic"]["within_3_stderr"]):
         ctx.exit(1)
@@ -412,19 +406,12 @@ def group_cmd(do_act, do_phi, do_phi_inv, do_pullback, a_text, b_text, sigma, mu
     def need_point() -> ManifoldPoint:
         return _parse_point(sigma, mu, None)
 
-    def finite(move, *args):
-        # a finite input can still overflow to inf or nan
-        try:
-            return move(*args)
-        except ValueError as exc:
-            raise click.UsageError(f"the result is out of the float range: {exc}") from exc
-
     if do_phi:
-        p = finite(phi, need_element())
+        p = _in_float_range(phi, need_element())
         _echo_json({"sigma": p.sigma.tolist(), "mu": p.mu.tolist()})
         return
     if do_phi_inv:
-        g = phi_inv(need_point())
+        g = _in_float_range(phi_inv, need_point())
         _echo_json({"a": g.a.tolist(), "b": g.b.tolist()})
         return
     if do_act:
@@ -437,10 +424,10 @@ def group_cmd(do_act, do_phi, do_phi_inv, do_pullback, a_text, b_text, sigma, mu
         if t_text is not None:
             t = _parse_tangent(t_text, "t")
             _check_dimensions(g.n, "the group element", t=t)
-            moved = finite(act_tangent, g, t)
+            moved = _in_float_range(act_tangent, g, t)
             _echo_json({"x": moved.x.tolist(), "v": moved.v.tolist()})
             return
-        q = finite(act, g, p)
+        q = _in_float_range(act, g, p)
         _echo_json({"sigma": q.sigma.tolist(), "mu": q.mu.tolist()})
         return
     # pullback
@@ -449,7 +436,7 @@ def group_cmd(do_act, do_phi, do_phi_inv, do_pullback, a_text, b_text, sigma, mu
     p = need_point()
     t = _parse_tangent(t_text, "t")
     _check_dimensions(p.n, "the point", t=t)
-    coeffs = pull_back_to_identity(p, t)
+    coeffs = _in_float_range(pull_back_to_identity, p, t)
     labels = [idx.label() for idx in basis_indices(p.n)]
     _echo_json({"coefficients": dict(zip(labels, coeffs.tolist()))})
 

@@ -1,11 +1,14 @@
 """Left-invariant statistical connections as exact coefficient arrays.
 
-A connection is determined by its coefficients at the identity.  Torsion-free
-metric connections correspond to totally symmetric difference tensors K via
-coefficients = (Levi-Civita) + K, and every such structure carries a cubic
-form C = -2 <K(., .), .>.  This module implements conjugation, curvature, the
-covariant derivatives of K and C, and the conjugate-symmetry predicate, all
-in exact arithmetic.
+A connection is determined by its coefficients at the identity: a (d, d, d)
+``ExactArray`` whose entry [a, b, g] is the e_g component of the covariant
+derivative of e_b along e_a.  Its curvature is a (d, d, d, d) ``ExactArray``
+whose entry [a, b, g, d] is the e_d component of R(e_a, e_b) e_g.
+Torsion-free metric connections correspond to totally symmetric difference
+tensors K via coefficients = (Levi-Civita) + K, and every such structure
+carries a cubic form C = -2 <K(., .), .>.  This module implements
+conjugation, curvature, the covariant derivatives of K and C, and the
+conjugate-symmetry predicate, all in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache
 
 from .algebra import lie_algebra
 from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2
-from .tensors import ConnCoeffs, CurvatureTensor, SymTensor3
+from .tensors import SymTensor3, basis_order
 
 
 @lru_cache(maxsize=None)
@@ -26,51 +29,40 @@ def amari_difference(n: int) -> SymTensor3:
     return SymTensor3.from_dense(n, lie_algebra(n).cubic.scale(Fraction(-1, 2)))
 
 
-def cubic_of_difference(k: SymTensor3) -> SymTensor3:
-    """Cubic form of the statistical structure with difference tensor k."""
-    return k.scale(-2)
-
-
-def from_difference(k: SymTensor3) -> ConnCoeffs:
+def from_difference(k: SymTensor3) -> ExactArray:
     """Connection coefficients (Levi-Civita) + K for a symmetric K."""
-    return ConnCoeffs(k.n, lie_algebra(k.n).levi_civita + k.to_exact_array())
+    return lie_algebra(k.n).levi_civita + k.to_exact_array()
 
 
-def alpha_connection(n: int, alpha: QSqrt2 | Rational) -> ConnCoeffs:
+def alpha_connection(n: int, alpha: QSqrt2 | Rational) -> ExactArray:
     """Member of the Amari-Chentsov family: Levi-Civita + alpha * K."""
     return from_difference(amari_difference(n).scale(as_qsqrt2(alpha)))
 
 
-def conjugate(conn: ConnCoeffs) -> ConnCoeffs:
+def conjugate(gamma: ExactArray) -> ExactArray:
     """Conjugate connection with respect to the left-invariant metric.
 
     For left-invariant data the defining relation
     X g(Y, Z) = g(D_X Y, Z) + g(Y, D*_X Z) has vanishing left side, so the
     conjugate coefficients are entry[a, b, g] = -entry[a, g, b].
     """
-    return ConnCoeffs(conn.n, -conn.coeffs.transpose((0, 2, 1)))
+    return -gamma.transpose((0, 2, 1))
 
 
-def difference_of(conn: ConnCoeffs) -> ExactArray:
-    """Difference tensor recovered as half the gap to the conjugate."""
-    return (conn.coeffs - conjugate(conn).coeffs).scale(Fraction(1, 2))
-
-
-def curvature(conn: ConnCoeffs) -> CurvatureTensor:
+def curvature(gamma: ExactArray) -> ExactArray:
     """Curvature R(x, y)z = D_x D_y z - D_y D_x z - D_[x,y] z on
     left-invariant fields, as exact coefficients."""
-    gamma = conn.coeffs
-    structure = lie_algebra(conn.n).structure
+    structure = lie_algebra(basis_order(gamma.shape[0])).structure
     prod = gamma.tensordot(gamma, axes=([2], [1]))  # [x,y,z,w] = G[x,y,e) G[z,e,w]
     term_xy = prod.transpose((2, 0, 1, 3))  # [a,b,g,d] = prod[b,g,a,d]
     term_yx = prod.transpose((0, 2, 1, 3))  # [a,b,g,d] = prod[a,g,b,d]
     term_bracket = structure.tensordot(gamma, axes=([2], [0]))
-    return CurvatureTensor(conn.n, (term_xy - term_yx - term_bracket).reduced())
+    return (term_xy - term_yx - term_bracket).reduced()
 
 
-def is_conjugate_symmetric(conn: ConnCoeffs) -> bool:
+def is_conjugate_symmetric(gamma: ExactArray) -> bool:
     """Whether the curvature equals the curvature of the conjugate."""
-    return curvature(conn) == curvature(conjugate(conn))
+    return curvature(gamma) == curvature(conjugate(gamma))
 
 
 def lc_difference_derivative(k: SymTensor3) -> ExactArray:
@@ -98,7 +90,7 @@ def _cubic_derivative(gamma: ExactArray, cubic: ExactArray) -> ExactArray:
 def connection_cubic_derivative(k: SymTensor3) -> ExactArray:
     """Covariant derivative of the cubic form along the connection built
     from k itself."""
-    gamma = from_difference(k).coeffs
+    gamma = from_difference(k)
     cubic = k.to_exact_array().scale(-2)
     return _cubic_derivative(gamma, cubic).reduced()
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .connections import (
 from .exact import (
     HALF_SQRT2,
     ONE,
-    ZERO,
     ExactArray,
     QSqrt2,
     SparseEchelon,
@@ -114,32 +112,20 @@ class ConstraintSystem:
         columns, coefficients = flat.reshape(-1, 2).T
         return np.cumsum(lengths) - lengths, columns, coefficients
 
-    def _products(self, vector: Sequence[QSqrt2] | ExactArray) -> ExactArray:
-        """Every row applied to the graded entries K_t / sqrt2^{deg t}."""
-        if not isinstance(vector, ExactArray):
-            values = vector
-            vector = ExactArray.build((len(values),), lambda idx: values[idx[0]])
-        if vector.shape != (self.unknowns,):
-            raise ValueError(f"expected {self.unknowns} entries, got {vector.shape}")
-        graded = vector.times_sqrt2_powers(-np.array(self.degrees))
-        return csr_matvec(*self._matrix, graded)
-
-    def residuals(self, vector: Sequence[QSqrt2] | ExactArray) -> list[QSqrt2]:
+    def residuals(self, vector: ExactArray) -> ExactArray:
         """Each distinct row applied to the graded coordinates of ``vector``.
 
         Writing K_t / sqrt2^{deg t} = u_t + v_t*sqrt2 with rational u, v,
         the residual of an integer row r is r.u + (r.v)*sqrt2, which vanishes
         exactly when r annihilates both rational parts.
         """
-        products = self._products(vector)
-        den = products.den
-        return [
-            QSqrt2(Fraction(ru, den), Fraction(rv, den)) if ru or rv else ZERO
-            for ru, rv in zip(products.rat.tolist(), products.irr.tolist())
-        ]
+        if vector.shape != (self.unknowns,):
+            raise ValueError(f"expected {self.unknowns} entries, got {vector.shape}")
+        graded = vector.times_sqrt2_powers(-np.array(self.degrees))
+        return csr_matvec(*self._matrix, graded)
 
-    def satisfied_by(self, vector: Sequence[QSqrt2] | ExactArray) -> bool:
-        return self._products(vector).is_zero()
+    def satisfied_by(self, vector: ExactArray) -> bool:
+        return self.residuals(vector).is_zero()
 
 
 def assemble(n: int) -> ConstraintSystem:
@@ -451,17 +437,3 @@ def verify_theorem(n: int) -> TheoremCertificate:
     )
     return cert
 
-
-def perturbation_breaks_constraints(
-    system: ConstraintSystem,
-    vector: Sequence[QSqrt2],
-    unit_positions: Iterable[int],
-) -> bool:
-    """True when adding any listed unit entry to ``vector`` violates at least
-    one constraint row."""
-    for p in unit_positions:
-        perturbed = list(vector)
-        perturbed[p] = perturbed[p] + ONE
-        if system.satisfied_by(perturbed):
-            return False
-    return True

@@ -1,13 +1,16 @@
-"""Exact rank-3 and rank-4 tensor containers over a fixed orthonormal basis.
+"""Totally symmetric rank-3 tensors over a fixed orthonormal basis.
 
 Indices are integer basis positions in the canonical order (mean directions
 first, then covariance directions); the algebra module owns the labelling.
-Every container stores an ``ExactArray``; a symmetric rank-3 tensor keeps one
-entry per unordered triple and expands to the dense array by a gather.
+A symmetric rank-3 tensor keeps one ``ExactArray`` entry per unordered triple
+and expands to the dense array by a gather.  Connections and curvatures are
+plain dense ``ExactArray``s of shape (d, d, d) and (d, d, d, d); see
+``connections``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -22,6 +25,14 @@ def basis_dimension(n: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     return n + n * (n + 1) // 2
+
+
+def basis_order(dim: int) -> int:
+    """The n whose basis has ``dim`` = n(n+3)/2 directions."""
+    n = (math.isqrt(9 + 8 * dim) - 3) // 2 if dim > 0 else 0
+    if n < 1 or basis_dimension(n) != dim:
+        raise ValueError(f"{dim} is not a basis dimension n(n+3)/2")
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -128,65 +139,3 @@ class SymTensor3:
 
     def is_zero(self) -> bool:
         return self.canonical.is_zero()
-
-
-@dataclass(frozen=True)
-class ConnCoeffs:
-    """Coefficients of a left-invariant connection over the canonical basis.
-
-    ``coeffs`` has shape (d, d, d); entry [a, b, g] is the e_g component of
-    the covariant derivative of e_b along e_a.
-    """
-
-    n: int
-    coeffs: ExactArray
-
-    @property
-    def dim(self) -> int:
-        return basis_dimension(self.n)
-
-    def entry(self, a: int, b: int, g: int) -> QSqrt2:
-        return self.coeffs.item(a, b, g)
-
-    def torsion_defect(self, structure: ExactArray) -> ExactArray:
-        """Antisymmetrized coefficients minus structure constants; zero iff
-        the connection is torsion free."""
-        return self.coeffs - self.coeffs.transpose((1, 0, 2)) - structure
-
-    def nonzero_items(self) -> list[tuple[tuple[int, int, int], QSqrt2]]:
-        return self.coeffs.nonzero_items()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ConnCoeffs):
-            return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
-
-
-@dataclass(frozen=True)
-class CurvatureTensor:
-    """Curvature coefficients; entry [a, b, g, d] is the e_d component of
-    R(e_a, e_b) e_g."""
-
-    n: int
-    values: ExactArray
-
-    @property
-    def dim(self) -> int:
-        return basis_dimension(self.n)
-
-    def entry(self, a: int, b: int, g: int, d: int) -> QSqrt2:
-        return self.values.item(a, b, g, d)
-
-    def is_zero(self) -> bool:
-        return self.values.is_zero()
-
-    def is_antisymmetric(self) -> bool:
-        return self.values == -self.values.transpose((1, 0, 2, 3))
-
-    def nonzero_items(self) -> list[tuple[tuple[int, int, int, int], QSqrt2]]:
-        return self.values.nonzero_items()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CurvatureTensor):
-            return NotImplemented
-        return self.n == other.n and self.values == other.values

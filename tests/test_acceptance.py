@@ -22,7 +22,6 @@ from conftest import random_spd, random_symmetric, rel_close
 from gaussgeom.algebra import (
     basis_indices,
     derived_series_dims,
-    levi_civita,
     lie_algebra,
 )
 from gaussgeom.cli import main as cli_main
@@ -111,20 +110,20 @@ def test_criterion_3_conjugate_symmetry_of_family():
 def test_criterion_4_levi_civita_table():
     with criterion(4, "Levi-Civita table (exact)"):
         for n in (1, 2, 3, 4):
-            conn = levi_civita(n)
+            conn = lie_algebra(n).levi_civita
             indices = basis_indices(n)
             for a, x in enumerate(indices):
                 for b, y in enumerate(indices):
                     expected = expected_levi_civita(x, y)
                     for g, z in enumerate(indices):
-                        assert conn.entry(a, b, g) == expected.get(z, ZERO), (n, x, y, z)
+                        assert conn.item(a, b, g) == expected.get(z, ZERO), (n, x, y, z)
             # derivatives along every diagonal covariance direction vanish
             for a, x in enumerate(indices):
                 if x.is_mean or x.i != x.j:
                     continue
                 for b in range(len(indices)):
                     for g in range(len(indices)):
-                        assert conn.entry(a, b, g) == ZERO
+                        assert conn.item(a, b, g) == ZERO
 
 
 def test_criterion_5_algebra_sanity():
@@ -142,9 +141,9 @@ def test_criterion_5_algebra_sanity():
                 + prod.transpose((2, 0, 1, 3))
             )
             assert jacobi.is_zero()
-            conn = levi_civita(n)
-            assert conn.torsion_defect(alg.structure).is_zero()
-            assert conn.coeffs == -conn.coeffs.transpose((0, 2, 1))
+            conn = alg.levi_civita
+            assert (conn - conn.transpose((1, 0, 2)) - alg.structure).is_zero()
+            assert conn == -conn.transpose((0, 2, 1))
             dims = derived_series_dims(n)
             assert dims[-1] == 0
         print(f"  derived series n=4: {derived_series_dims(4)}")

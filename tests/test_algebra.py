@@ -10,7 +10,6 @@ from gaussgeom.algebra import (
     cubic,
     derived_series_dims,
     inner,
-    levi_civita,
     lie_algebra,
     u_map,
 )
@@ -345,27 +344,27 @@ class TestUMap:
 class TestLeviCivita:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_full_table_matches_closed_form(self, n):
-        conn = levi_civita(n)
+        conn = lie_algebra(n).levi_civita
         alg = lie_algebra(n)
         for a, x in enumerate(alg.indices):
             for b, y in enumerate(alg.indices):
                 expected = expected_levi_civita(x, y)
                 for g, z in enumerate(alg.indices):
-                    assert conn.entry(a, b, g) == expected.get(z, ZERO), (x, y, z)
+                    assert conn.item(a, b, g) == expected.get(z, ZERO), (x, y, z)
 
     def test_named_entries(self):
-        conn = levi_civita(2)
+        conn = lie_algebra(2).levi_civita
         alg = lie_algebra(2)
         m1, c11 = alg.position(mean(1)), alg.position(cov(1, 1))
-        assert conn.entry(m1, m1, c11) == INV_SQRT2
+        assert conn.item(m1, m1, c11) == INV_SQRT2
         c12, c22 = alg.position(cov(1, 2)), alg.position(cov(2, 2))
-        assert conn.entry(c12, c12, c11) == INV_SQRT2
-        assert conn.entry(c12, c12, c22) == -INV_SQRT2
+        assert conn.item(c12, c12, c11) == INV_SQRT2
+        assert conn.item(c12, c12, c22) == -INV_SQRT2
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_diagonal_directions_are_flat(self, n):
         # derivatives along every Cov(i,i) direction vanish identically
-        conn = levi_civita(n)
+        conn = lie_algebra(n).levi_civita
         alg = lie_algebra(n)
         for idx in alg.indices:
             if idx.is_mean or idx.i != idx.j:
@@ -373,16 +372,17 @@ class TestLeviCivita:
             a = alg.position(idx)
             for b in range(alg.dim):
                 for g in range(alg.dim):
-                    assert conn.entry(a, b, g) == ZERO
+                    assert conn.item(a, b, g) == ZERO
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_torsion_free(self, n):
-        conn = levi_civita(n)
-        assert conn.torsion_defect(lie_algebra(n).structure).is_zero()
+        conn = lie_algebra(n).levi_civita
+        defect = conn - conn.transpose((1, 0, 2)) - lie_algebra(n).structure
+        assert defect.is_zero()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_metric_compatibility(self, n):
-        coeffs = levi_civita(n).coeffs
+        coeffs = lie_algebra(n).levi_civita
         assert coeffs == -coeffs.transpose((0, 2, 1))
 
 

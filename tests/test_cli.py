@@ -324,6 +324,7 @@ POINT_1 = ["--sigma", "[[1.0]]", "--mu", "[0.0]"]
 TANGENT_1 = '{"x": [[0.0]], "v": [1.0]}'
 TANGENT_2 = '{"x": [[0,0],[0,0]], "v": [1, 0]}'
 TANGENT_X = '{"x": [[1.0]], "v": [0.0]}'
+HUGE_TANGENT = '{"x": [[1e300]], "v": [1e300]}'
 
 
 class TestInputErrors:
@@ -412,8 +413,57 @@ class TestInputErrors:
             ["--act", "--a", "[[1e200]]", "--b", "[0.0]", *POINT_1, "--t", TANGENT_X],
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_group_result_out_of_float_range(self, runner, args):
+        result = runner.invoke(main, ["group", *args])
+        assert_usage_error(result, "the result is out of the float range")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["metric", "--s", HUGE_TANGENT, "--t", HUGE_TANGENT],
+            ["cubic", "--s", HUGE_TANGENT, "--t", HUGE_TANGENT, "--w", TANGENT_1],
+        ],
+    )
+    def test_pointwise_value_out_of_float_range(self, runner, args):
+        # finite input whose value overflows; numpy warnings would raise here
+        result = runner.invoke(main, [*args, "--sigma", "[[1e-300]]", "--mu", "[0]"])
+        assert_usage_error(result, "the result is out of the float range")
+
+    def test_oracle_needs_two_samples(self, runner):
+        # one sample has no standard error
+        result = runner.invoke(main, ["oracle", "--n", "1", "--samples", "1"])
+        assert_usage_error(result, "--samples")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sigma,message",
+        [
+            # the squared deviations underflow, so the estimate looks exact
+            ("[[1e300]]", "the metric estimate has standard error 0.0"),
+            # the squared products overflow
+            ("[[1e-300]]", "the metric estimate has standard error nan"),
+        ],
+    )
+    def test_oracle_standard_error_not_positive_and_finite(self, runner, sigma, message):
+        result = runner.invoke(main, ["oracle", "--sigma", sigma, "--mu", "[0]", "--samples", "10"])
+        assert_usage_error(result, message)
+
+    def test_oracle_number_out_of_float_range(self, runner, monkeypatch):
+        monkeypatch.setattr("gaussgeom.cli.fisher_metric", lambda *args: float("inf"))
+        result = runner.invoke(main, ["oracle", "--n", "1", "--samples", "10"])
+        assert_usage_error(result, "the metric comparison is out of the float range")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--phi-inv", "--sigma", "[[1e-20]]", "--mu", "[0]"],
+            ["--pullback", "--sigma", "[[1e-300]]", "--mu", "[0]", "--t", HUGE_TANGENT],
+        ],
+    )
+    def test_group_factorization_out_of_float_range(self, runner, args):
         result = runner.invoke(main, ["group", *args])
         assert_usage_error(result, "the result is out of the float range")
 
@@ -459,17 +509,28 @@ JSON_VALUE = st.recursive(
     max_leaves=8,
 )
 
-#: --s/--t/--sigma/--mu text: arbitrary text, arbitrary JSON, and
-#: well-shaped tangents with arbitrary numbers
+NUMBER = st.floats() | st.integers()
+
+#: --s/--t/--sigma/--mu/--a/--b text: arbitrary text, arbitrary JSON, and
+#: well-shaped tangents, 1x1 matrices and vectors with arbitrary numbers
 JSON_TEXT = st.one_of(
     st.text(max_size=20),
     JSON_VALUE.map(json.dumps),
-    st.builds(
-        lambda x, v: json.dumps({"x": [[x]], "v": [v]}),
-        st.floats() | st.integers(),
-        st.floats() | st.integers(),
-    ),
+    st.builds(lambda x, v: json.dumps({"x": [[x]], "v": [v]}), NUMBER, NUMBER),
+    st.builds(lambda x: json.dumps([[x]]), NUMBER),
+    st.builds(lambda v: json.dumps([v]), NUMBER),
 )
+
+#: well-shaped n=1 arguments with finite numbers of any magnitude, so that a
+#: value can overflow or underflow instead of being rejected as input
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MATRIX_1 = st.floats(min_value=0, exclude_min=True, allow_infinity=False).map(
+    lambda x: json.dumps([[x]])
+)
+VECTOR_1 = FINITE.map(lambda v: json.dumps([v]))
+TANGENT_TEXT = st.builds(lambda x, v: json.dumps({"x": [[x]], "v": [v]}), FINITE, FINITE)
+
+SAMPLES_TEXT = st.sampled_from(["0", "1", "2", "10", "100"])
 
 FLOAT_FLAG = st.sampled_from([[], ["--float"]])
 
@@ -504,11 +565,77 @@ ARGV = st.one_of(
         JSON_TEXT,
     ),
     st.builds(lambda a, b: ["group", "--phi", "--a", a, "--b", b], JSON_TEXT, JSON_TEXT),
+    st.builds(
+        lambda n, s, t, w: ["cubic", "--n", n, "--s", s, "--t", t, "--w", w],
+        N_TEXT,
+        JSON_TEXT,
+        JSON_TEXT,
+        JSON_TEXT,
+    ),
+    st.builds(
+        lambda sigma, mu, s, t, w: [
+            "cubic", "--sigma", sigma, "--mu", mu, "--s", s, "--t", t, "--w", w
+        ],
+        MATRIX_1,
+        VECTOR_1,
+        TANGENT_TEXT,
+        TANGENT_TEXT,
+        TANGENT_TEXT,
+    ),
+    st.builds(
+        lambda sigma, mu, s, t: ["metric", "--sigma", sigma, "--mu", mu, "--s", s, "--t", t],
+        MATRIX_1,
+        VECTOR_1,
+        TANGENT_TEXT,
+        TANGENT_TEXT,
+    ),
+    st.builds(
+        lambda n, samples: ["oracle", "--n", n, "--samples", samples],
+        N_TEXT,
+        SAMPLES_TEXT,
+    ),
+    st.builds(
+        lambda sigma, mu, samples: ["oracle", "--sigma", sigma, "--mu", mu, "--samples", samples],
+        MATRIX_1,
+        VECTOR_1,
+        SAMPLES_TEXT,
+    ),
+    st.builds(
+        lambda a, b, sigma, mu: ["group", "--act", "--a", a, "--b", b, "--sigma", sigma, "--mu", mu],
+        JSON_TEXT,
+        JSON_TEXT,
+        JSON_TEXT,
+        JSON_TEXT,
+    ),
+    st.builds(
+        lambda a, b, sigma, mu, t: [
+            "group", "--act", "--a", a, "--b", b, "--sigma", sigma, "--mu", mu, *t
+        ],
+        MATRIX_1,
+        VECTOR_1,
+        MATRIX_1,
+        VECTOR_1,
+        st.just([]) | TANGENT_TEXT.map(lambda t: ["--t", t]),
+    ),
+    st.builds(
+        lambda sigma, mu: ["group", "--phi-inv", "--sigma", sigma, "--mu", mu],
+        MATRIX_1 | JSON_TEXT,
+        VECTOR_1,
+    ),
+    st.builds(
+        lambda sigma, mu, t: ["group", "--pullback", "--sigma", sigma, "--mu", mu, "--t", t],
+        MATRIX_1,
+        VECTOR_1,
+        TANGENT_TEXT | JSON_TEXT,
+    ),
 )
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
 
 
 class TestExitCodeContract:
-    @settings(max_examples=120)
+    @settings(max_examples=250)
     @given(ARGV)
     def test_exit_code_and_determinism(self, argv):
         # exit 0 pass, 1 a mathematical check failed, 2 a usage error: an
@@ -518,4 +645,7 @@ class TestExitCodeContract:
         assert first.exception is None or isinstance(first.exception, SystemExit), argv
         assert first.exit_code in (0, 1, 2)
         assert "Traceback" not in first.output
+        if first.exit_code in (0, 1) and "table" not in argv:
+            # Infinity and NaN are not JSON
+            json.loads(first.stdout, parse_constant=reject_constant)
         assert runner.invoke(main, argv).stdout == first.stdout

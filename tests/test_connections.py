@@ -8,21 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import qsqrt2s
-from gaussgeom.algebra import BasisIndex, basis_indices, levi_civita, lie_algebra
+from gaussgeom.algebra import BasisIndex, basis_indices, lie_algebra
 from gaussgeom.connections import (
     alpha_connection,
     amari_difference,
     conjugate,
-    cubic_of_difference,
     curvature,
-    difference_of,
     from_difference,
     is_conjugate_symmetric,
     lc_cubic_derivative,
     lc_difference_derivative,
     predicate_suite,
 )
-from gaussgeom.exact import ONE, SQRT2, ZERO, QSqrt2
+from gaussgeom.exact import ONE, SQRT2, ZERO, ExactArray, QSqrt2
 from gaussgeom.tensors import SymTensor3, basis_dimension, symmetric_triples
 
 HALF_SQRT2 = QSqrt2(0, Fraction(1, 2))
@@ -61,7 +59,7 @@ class TestAmariDifference:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_cubic_round_trip(self, n):
         k = amari_difference(n)
-        assert cubic_of_difference(k).to_exact_array() == lie_algebra(n).cubic
+        assert k.scale(-2).to_exact_array() == lie_algebra(n).cubic
 
     def test_built_once_per_n(self):
         # SymTensor3 is immutable, so every caller can share one instance
@@ -71,12 +69,12 @@ class TestAmariDifference:
 class TestFromDifference:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_zero_gives_levi_civita(self, n):
-        assert from_difference(SymTensor3.zeros(n)) == levi_civita(n)
+        assert from_difference(SymTensor3.zeros(n)) == lie_algebra(n).levi_civita
 
     def test_amari_mean_mean_coefficient_cancels(self):
         # Levi-Civita contributes sqrt2/2 and K exactly -sqrt2/2
         conn = from_difference(amari_difference(1))
-        assert conn.entry(0, 0, 1) == ZERO
+        assert conn.item(0, 0, 1) == ZERO
 
     def test_alpha_scaling(self):
         n = 2
@@ -88,13 +86,15 @@ class TestFromDifference:
         rng = random.Random(7)
         for _ in range(5):
             conn = from_difference(random_sym_tensor(rng, n))
-            assert conn.torsion_defect(lie_algebra(n).structure).is_zero()
+            defect = conn - conn.transpose((1, 0, 2)) - lie_algebra(n).structure
+            assert defect.is_zero()
 
 
 class TestConjugate:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_levi_civita_self_conjugate(self, n):
-        assert conjugate(levi_civita(n)) == levi_civita(n)
+        lc = lie_algebra(n).levi_civita
+        assert conjugate(lc) == lc
 
     @given(sym_tensors(2))
     def test_involution(self, k):
@@ -104,13 +104,13 @@ class TestConjugate:
     @given(sym_tensors(2))
     def test_mean_with_conjugate_is_levi_civita(self, k):
         conn = from_difference(k)
-        mean = (conn.coeffs + conjugate(conn).coeffs).scale(Fraction(1, 2))
-        assert mean == levi_civita(2).coeffs
+        mean = (conn + conjugate(conn)).scale(Fraction(1, 2))
+        assert mean == lie_algebra(2).levi_civita
 
     @given(sym_tensors(2))
     def test_half_gap_recovers_difference(self, k):
         conn = from_difference(k)
-        assert difference_of(conn) == k.to_exact_array()
+        assert (conn - conjugate(conn)).scale(Fraction(1, 2)) == k.to_exact_array()
 
 
 class TestCurvature:
@@ -122,14 +122,20 @@ class TestCurvature:
     def test_levi_civita_curvature_n1(self):
         # R(e_1, e_11)e_1 = (1/2) e_11 and R(e_1, e_11)e_11 = -(1/2) e_1,
         # so the plane (e_1, e_11) has sectional curvature -1/2
-        r = curvature(levi_civita(1))
+        r = curvature(lie_algebra(1).levi_civita)
         assert not r.is_zero()
-        assert r.entry(0, 1, 0, 1) == QSqrt2(Fraction(1, 2))
-        assert r.entry(0, 1, 1, 0) == QSqrt2(Fraction(-1, 2))
+        assert r.item(0, 1, 0, 1) == QSqrt2(Fraction(1, 2))
+        assert r.item(0, 1, 1, 0) == QSqrt2(Fraction(-1, 2))
 
     @given(sym_tensors(2))
     def test_antisymmetry(self, k):
-        assert curvature(from_difference(k)).is_antisymmetric()
+        r = curvature(from_difference(k))
+        assert r == -r.transpose((1, 0, 2, 3))
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    def test_rejects_a_dimension_no_n_has(self, d):
+        with pytest.raises(ValueError, match="not a basis dimension"):
+            curvature(ExactArray.zeros((d, d, d)))
 
     @pytest.mark.parametrize("alpha", [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])
     def test_alpha_pairs_share_curvature(self, alpha):
@@ -142,7 +148,7 @@ class TestCurvature:
 class TestConjugateSymmetry:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_levi_civita(self, n):
-        assert is_conjugate_symmetric(levi_civita(n))
+        assert is_conjugate_symmetric(lie_algebra(n).levi_civita)
 
     @pytest.mark.parametrize("alpha", [1, -1, 2, -2, Fraction(1, 3), Fraction(1, 2), Fraction(-1, 2), 0])
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -68,15 +69,18 @@ class TestImportSplit:
         assert result.stdout.strip().splitlines()[-1] == "False"
 
 
+def load_file(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkTracer:
     def test_every_traced_name_still_exists(self):
         for module in MODULES:
             importlib.import_module(module)
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
-        )
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_file("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
 
         solver = sys.modules["gaussgeom.solver"]
         original = solver.assemble
@@ -87,3 +91,44 @@ class TestBenchmarkTracer:
         finally:
             tracer.uninstall()
         assert solver.assemble is original
+
+    def test_traced_ops_succeed_and_count(self, monkeypatch):
+        # the certify and predicates ops of the benchmark, at n=2: a return
+        # type the tracer cannot read shows as a failed span or a zero counter
+        for module in MODULES:
+            importlib.import_module(module)
+        recheck = load_file("recheck_certificate", ROOT / "scripts" / "recheck_certificate.py")
+        monkeypatch.setitem(sys.modules, "recheck_certificate", recheck)
+        tracing = load_file("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        solver = sys.modules["gaussgeom.solver"]
+        connections = sys.modules["gaussgeom.connections"]
+
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            tracer.op = 0
+            payload = json.loads(solver.verify_theorem(2).to_json())
+            assert recheck.recheck(payload)
+            tracer.op = 1
+            assert connections.predicate_suite(connections.amari_difference(2)).all_true()
+            conn = connections.alpha_connection(2, 3)
+            same = connections.curvature(conn) == connections.curvature(
+                connections.conjugate(conn)
+            )
+            assert same is True
+        finally:
+            tracer.uninstall()
+
+        traced = {span[0] for span in tracer.spans}
+        assert {
+            "solver.assemble",
+            "solver.residuals",
+            "exact.echelon.kernel_basis",
+            "connections.predicate_suite",
+            "connections.curvature",
+        } <= traced
+        assert not [span for span in tracer.spans if span[5]]
+        counters = tracer.counters()
+        assert counters["rows"] > 0
+        assert counters["eliminations"] > 0
+        assert counters["max_bit_size"] > 0

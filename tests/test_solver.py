@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from conftest import qsqrt2s
 from gaussgeom.algebra import BasisIndex, basis_indices
 from gaussgeom.connections import amari_difference, lc_difference_derivative
-from gaussgeom.exact import HALF_SQRT2, ONE, SQRT2, ZERO, QSqrt2
+from gaussgeom.exact import HALF_SQRT2, ONE, SQRT2, ZERO, ExactArray, QSqrt2
 from gaussgeom.solver import (
     AMARI_SCALE,
     TheoremCertificate,
     assemble,
     expected_pattern,
-    perturbation_breaks_constraints,
     solve,
     solved_difference_tensor,
     verify_theorem,
@@ -55,6 +54,10 @@ SYSTEM_SHA256 = {
 
 def positions(n):
     return {idx: p for p, idx in enumerate(basis_indices(n))}
+
+
+def exact_vector(values) -> ExactArray:
+    return ExactArray.build((len(values),), lambda idx: values[idx[0]])
 
 
 def kernel_entry(cert, *parts: BasisIndex) -> QSqrt2:
@@ -154,11 +157,11 @@ class TestIntegerRows:
         for p in range(system.unknowns):
             perturbed = list(amari)
             perturbed[p] = perturbed[p] + SQRT2
-            assert not system.satisfied_by(perturbed)
+            assert not system.satisfied_by(exact_vector(perturbed))
 
     def test_residuals_reject_wrong_length(self):
         with pytest.raises(ValueError):
-            assemble(1).residuals([ONE])
+            assemble(1).residuals(exact_vector([ONE]))
 
     @given(
         st.lists(
@@ -190,8 +193,9 @@ class TestIntegerRows:
             )
             for row in system.rows
         ]
-        assert system.residuals(vector) == expected
-        assert system.satisfied_by(vector) == (not any(expected))
+        residuals = system.residuals(exact_vector(vector))
+        assert [residuals.item(r) for r in range(len(system.rows))] == expected
+        assert system.satisfied_by(exact_vector(vector)) == (not any(expected))
 
 
 class TestSystem:
@@ -208,7 +212,7 @@ class TestSystem:
     def test_amari_tensor_satisfies_every_row(self, n):
         system = assemble(n)
         amari = amari_difference(n)
-        assert system.satisfied_by(list(amari.values))
+        assert system.satisfied_by(exact_vector(list(amari.values)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_kernel_dim_one(self, n):
@@ -300,6 +304,17 @@ class TestKernelPattern:
             cert = solve(n)
             generator = solved_difference_tensor(cert)
             assert generator.scale(AMARI_SCALE) == amari_difference(n)
+
+
+def perturbation_breaks_constraints(system, vector, unit_positions) -> bool:
+    """True when adding any listed unit entry to ``vector`` violates at least
+    one constraint row."""
+    for p in unit_positions:
+        perturbed = list(vector)
+        perturbed[p] = perturbed[p] + ONE
+        if system.satisfied_by(exact_vector(perturbed)):
+            return False
+    return True
 
 
 class TestPerturbation:

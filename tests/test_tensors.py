@@ -12,6 +12,7 @@ from gaussgeom.exact import ONE, ZERO, ExactArray, QSqrt2
 from gaussgeom.tensors import (
     SymTensor3,
     basis_dimension,
+    basis_order,
     symmetric_triples,
     triple_positions,
 )
@@ -33,6 +34,15 @@ class TestTripleIndexing:
     @pytest.mark.parametrize("n,count", [(1, 4), (2, 35), (3, 165), (4, 560)])
     def test_counts(self, n, count):
         assert len(symmetric_triples(basis_dimension(n))) == count
+
+    def test_basis_order_inverts_basis_dimension(self):
+        for n in range(1, 30):
+            assert basis_order(basis_dimension(n)) == n
+
+    @pytest.mark.parametrize("dim", [-5, 0, 1, 3, 4, 6, 8, 13])
+    def test_basis_order_rejects_other_dimensions(self, dim):
+        with pytest.raises(ValueError, match="not a basis dimension"):
+            basis_order(dim)
 
     def test_lexicographic_order(self):
         triples = symmetric_triples(2)
