@@ -8,11 +8,15 @@ Torsion-free metric connections correspond to totally symmetric difference
 tensors K via coefficients = (Levi-Civita) + K, and every such structure
 carries a cubic form C = -2 <K(., .), .>.  This module implements
 conjugation, curvature, the covariant derivatives of K and C, and the
-conjugate-symmetry predicate, all in exact arithmetic.
+conjugate-symmetry predicate, all in exact arithmetic: ``predicate_suite``
+evaluates the four characterizations at one K, and ``alpha_family_verdicts``
+decides them along a whole line LC + alpha K from tensors that do not depend
+on alpha.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -147,3 +151,70 @@ def predicate_suite(k: SymTensor3) -> PredicateSuite:
             lc_difference_derivative(k)
         ),
     )
+
+
+@dataclass(frozen=True)
+class AlphaFamilyVerdicts:
+    """The predicate suites of LC + alpha K, one per alpha in the order given,
+    and whether LC + c K and LC - c K are flat."""
+
+    suites: tuple[PredicateSuite, ...]
+    dually_flat_plus: bool
+    dually_flat_minus: bool
+
+
+def alpha_family_verdicts(
+    k: SymTensor3, alphas: Sequence[QSqrt2 | Rational], flat_scale: QSqrt2 | Rational
+) -> AlphaFamilyVerdicts:
+    """``predicate_suite(k.scale(alpha))`` for every alpha, and the flatness of
+    ``from_difference(k.scale(c))`` and ``from_difference(k.scale(-c))`` for
+    c = ``flat_scale``, computed from two curvatures.
+
+    Write G(s) = LC + s K.  The Levi-Civita table is metric, i.e.
+    conjugate(LC) == LC (checked here exactly, never assumed), and K is
+    symmetric, so conjugate(G(s)) = G(-s) and R*(s) = R(-s).  The curvature
+    is quadratic in s, R(s) = R0 + s R1 + s^2 R2, hence
+    R(s) - R*(s) = R(s) - R(-s) = 2 s R1: conjugate symmetry holds at s = 0
+    and, at every s != 0, exactly when R1 = 0, that is when R(c) == R(-c).
+    Those two curvatures also decide the flatness verdicts.
+
+    The cubic derivative along G(s) of C(s) = -2 s K has first-pair
+    antisymmetric part s A1 + s^2 A2, with A1 that part of the Levi-Civita
+    cubic derivative of K and A2 that of the derivative of -2K along K; it
+    vanishes exactly when s = 0 or A1 + s A2 = 0.  Both Levi-Civita
+    derivatives are linear in s, so each is s times its value at K.  Every
+    verdict is exact at every alpha, including alpha = 0.
+    """
+    if not flat_scale:
+        raise ValueError("the flat scale must be nonzero")
+    hat = lie_algebra(k.n).levi_civita
+    if conjugate(hat) != hat:
+        raise ArithmeticError("Levi-Civita table is not metric: conjugate(LC) != LC")
+
+    # each d^4 array is dropped as soon as its verdicts are read
+    plus = curvature(from_difference(k.scale(flat_scale)))
+    minus = curvature(from_difference(k.scale(-flat_scale)))
+    flat_plus, flat_minus, r1_zero = plus.is_zero(), minus.is_zero(), plus == minus
+    del plus, minus
+    lc_difference_ok = _symmetric_in_first_pair(lc_difference_derivative(k))
+    dense = k.to_exact_array()
+    quadratic = _cubic_derivative(dense, dense.scale(-2))
+    if _symmetric_in_first_pair(quadratic):
+        # A2 = 0, so the verdict at every alpha != 0 is A1 = 0; this holds
+        # for every symmetric K on the orthonormal basis, but is not assumed
+        quadratic = None
+    linear = lc_cubic_derivative(k)
+    lc_cubic_ok = _symmetric_in_first_pair(linear)
+
+    suites = []
+    for alpha in alphas:
+        if not alpha:
+            suites.append(PredicateSuite(True, True, True, True))
+            continue
+        cubic_ok = (
+            lc_cubic_ok
+            if quadratic is None
+            else _symmetric_in_first_pair(linear + quadratic.scale(alpha))
+        )
+        suites.append(PredicateSuite(r1_zero, cubic_ok, lc_cubic_ok, lc_difference_ok))
+    return AlphaFamilyVerdicts(tuple(suites), flat_plus, flat_minus)

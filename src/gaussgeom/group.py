@@ -18,8 +18,9 @@ from scipy.linalg import solve_triangular
 from .algebra import basis_indices
 from .manifold import SYMMETRY_TOL, ManifoldPoint, TangentVector, _as_float_array
 
-#: squared-pivot threshold below which a matrix is rejected as not positive
-#: definite for factorization purposes
+#: squared-pivot threshold, relative to the largest diagonal entry of the
+#: matrix, below which it is rejected as not positive definite for
+#: factorization purposes
 PIVOT_TOL = 1e-12
 
 
@@ -83,7 +84,7 @@ def upper_cholesky(sigma: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not positive definite") from exc
     factor = reversed_factor[::-1, ::-1].copy()
-    if np.any(np.diag(factor) ** 2 < PIVOT_TOL):
+    if np.any(np.diag(factor) ** 2 < PIVOT_TOL * np.max(np.diag(sigma))):
         raise ValueError("matrix is numerically singular")
     return factor
 

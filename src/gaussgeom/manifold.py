@@ -40,7 +40,8 @@ def _checked_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if gap > SYMMETRY_TOL:
         raise ValueError(f"{name} is asymmetric by {gap:.3e}")
-    return (m + m.T) / 2.0
+    # m + m.T would overflow for entries past half the float range
+    return m + (m.T - m) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

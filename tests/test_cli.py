@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -179,6 +180,17 @@ class TestPointwise:
         assert result.exit_code == 0
         assert json.loads(result.output)["value"] == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_metric_at_sigma_past_half_the_float_range(self, runner):
+        # symmetrising sigma as (m + m.T) / 2 overflowed here and gave 0.0
+        tangent = '{"x": [[1]], "v": [1]}'
+        result = invoke(
+            runner, "metric", "--sigma", "[[1.7e308]]", "--mu", "[0]", "--s", tangent, "--t", tangent
+        )
+        assert result.exit_code == 0
+        value = json.loads(result.output)["value"]
+        assert value != 0.0 and math.isclose(value, 1 / 1.7e308, rel_tol=1e-9)
+
     def test_cubic_value(self, runner):
         result = invoke(
             runner,
@@ -305,6 +317,13 @@ class TestGroupCommand:
         payload = json.loads(result.output)
         assert payload["coefficients"]["Mean(1)"] == 1.0
         assert payload["coefficients"]["Cov(1,1)"] == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_phi_inv_factors_a_tiny_point(self, runner):
+        # a squared pivot of 1e-20 is small only in absolute terms
+        result = invoke(runner, "group", "--phi-inv", "--sigma", "[[1e-20]]", "--mu", "[0]")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {"a": [[1e-10]], "b": [0.0]}
 
     def test_requires_exactly_one_mode(self, runner):
         result = runner.invoke(main, ["group", "--act", "--phi"])
@@ -459,7 +478,8 @@ class TestInputErrors:
     @pytest.mark.parametrize(
         "args",
         [
-            ["--phi-inv", "--sigma", "[[1e-20]]", "--mu", "[0]"],
+            # numerically singular: the second pivot squared is about 1e-14
+            ["--phi-inv", "--sigma", "[[1, 1], [1, 1.00000000000001]]", "--mu", "[0, 0]"],
             ["--pullback", "--sigma", "[[1e-300]]", "--mu", "[0]", "--t", HUGE_TANGENT],
         ],
     )

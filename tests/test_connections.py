@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import qsqrt2s
+from conftest import fractions, qsqrt2s
+from gaussgeom import connections
 from gaussgeom.algebra import BasisIndex, basis_indices, lie_algebra
 from gaussgeom.connections import (
     alpha_connection,
+    alpha_family_verdicts,
     amari_difference,
     conjugate,
     curvature,
@@ -214,3 +216,67 @@ class TestPredicateSuite:
         rng = random.Random(99)
         for _ in range(5):
             assert predicate_suite(random_sym_tensor(rng, 3)).agree()
+
+
+@st.composite
+def family_lines(draw):
+    """(K, alphas, c): K a multiple of the Amari difference plus a few drawn
+    entries, alphas 0, rationals of both signs and one irrational, c a
+    nonzero scale, so that flat, symmetric and failing lines all occur."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    base = amari_difference(n).scale(draw(st.sampled_from([0, 1, -1, 2, Fraction(1, 3), SQRT2])))
+    entries = draw(
+        st.dictionaries(
+            st.sampled_from(symmetric_triples(basis_dimension(n))), qsqrt2s(max_num=3), max_size=3
+        )
+    )
+    k = base + SymTensor3.from_entries(n, entries)
+    rationals = draw(st.lists(fractions(max_num=5).filter(bool), min_size=1, max_size=3))
+    irrational = QSqrt2(draw(fractions(max_num=5)), draw(fractions(max_num=5).filter(bool)))
+    alphas = [0, *rationals, *(-a for a in rationals), irrational]
+    c = draw(st.sampled_from([1, -1, Fraction(1, 2), QSqrt2(0, Fraction(-1, 2)), QSqrt2(1, 1)]))
+    return k, alphas, c
+
+
+class TestAlphaFamilyVerdicts:
+    @given(family_lines())
+    def test_matches_predicate_suite_at_every_alpha(self, line):
+        k, alphas, c = line
+        family = alpha_family_verdicts(k, alphas, c)
+        assert len(family.suites) == len(alphas)
+        for alpha, suite in zip(alphas, family.suites):
+            assert suite.as_tuple() == predicate_suite(k.scale(alpha)).as_tuple(), alpha
+        assert family.dually_flat_plus == curvature(from_difference(k.scale(c))).is_zero()
+        assert family.dually_flat_minus == curvature(from_difference(k.scale(-c))).is_zero()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_amari_line_is_symmetric_and_dually_flat(self, n):
+        family = alpha_family_verdicts(amari_difference(n), [0, 1, -2, SQRT2], 1)
+        assert all(suite.all_true() for suite in family.suites)
+        assert family.dually_flat_plus and family.dually_flat_minus
+
+    def test_quadratic_cubic_term_is_decided_exactly(self, monkeypatch):
+        # For a symmetric K the quadratic term A2 vanishes; inject
+        # A2 = -A1 / root so that A1 + alpha A2 = 0 exactly at alpha = root.
+        k = random_sym_tensor(random.Random(3), 2)
+        hat = lie_algebra(2).levi_civita
+        original = connections._cubic_derivative
+        root = QSqrt2(1, 1)
+
+        def injected(gamma, cubic):
+            result = original(gamma, cubic)
+            if gamma is hat:
+                return result
+            return result + original(hat, cubic).scale(-root.inverse())
+
+        monkeypatch.setattr(connections, "_cubic_derivative", injected)
+        alphas = [0, root, -root, 1, Fraction(-1, 3)]
+        family = alpha_family_verdicts(k, alphas, 1)
+        assert not family.suites[1].lc_cubic_derivative_symmetric
+        assert [suite.cubic_derivative_symmetric for suite in family.suites] == [
+            True, True, False, False, False
+        ]
+
+    def test_rejects_zero_flat_scale(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            alpha_family_verdicts(amari_difference(1), [1], 0)

@@ -134,6 +134,16 @@ class TestIdentification:
         assert np.all(np.diag(a) > 0)
         assert np.max(np.abs(a @ a.T - sigma)) <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-20, 1e-300, 1e300])
+    def test_upper_cholesky_pivot_floor_is_relative(self, scale):
+        sigma = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+        a = upper_cholesky(sigma)
+        assert np.max(np.abs(a @ a.T - sigma)) <= 1e-12 * scale
+
+    def test_upper_cholesky_rejects_near_singular(self):
+        with pytest.raises(ValueError, match="numerically singular"):
+            upper_cholesky(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+
     def test_upper_cholesky_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             upper_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -12,8 +13,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import qsqrt2s
+from gaussgeom import connections, solver
 from gaussgeom.algebra import BasisIndex, basis_indices
-from gaussgeom.connections import amari_difference, lc_difference_derivative
+from gaussgeom.connections import (
+    amari_difference,
+    curvature,
+    from_difference,
+    lc_difference_derivative,
+    predicate_suite,
+)
 from gaussgeom.exact import HALF_SQRT2, ONE, SQRT2, ZERO, ExactArray, QSqrt2
 from gaussgeom.solver import (
     AMARI_SCALE,
@@ -395,3 +403,55 @@ class TestCertificate:
         schema = json.loads(schema_path.read_text())
         for n in (1, 2):
             jsonschema.validate(verify_theorem(n).to_json_dict(), schema)
+
+
+class TestAlphaFamilyChecks:
+    """``verify_theorem`` decides every alpha check from two curvatures."""
+
+    def test_generator_with_r1_nonzero_fails_at_every_alpha(self, monkeypatch):
+        solved = solved_difference_tensor
+
+        def perturbed(cert):
+            # the generator plus one entry: (Mean(1), Mean(1), Mean(1)) += 1
+            return solved(cert) + SymTensor3.from_entries(cert.n, {(0, 0, 0): ONE})
+
+        monkeypatch.setattr(solver, "solved_difference_tensor", perturbed)
+        cert = verify_theorem(2)
+        k = perturbed(solve(2))
+        # R(c) - R(-c) = 2c R1, so R1 != 0
+        step = k.scale(AMARI_SCALE)
+        assert curvature(from_difference(step)) != curvature(from_difference(step.scale(-1)))
+        for alpha in solver.VERIFY_ALPHAS:
+            assert not predicate_suite(k.scale(alpha)).conjugate_symmetric
+            assert cert.checks[f"conjugate_symmetric_alpha_{alpha}"] is False
+            assert cert.checks[f"predicates_agree_alpha_{alpha}"] is False
+        assert cert.to_json_dict()["status"] == "FAILED"
+
+    def test_non_metric_levi_civita_fails_loudly(self, monkeypatch):
+        real = connections.lie_algebra
+
+        def non_metric(n):
+            alg = real(n)
+            unit = ExactArray.zeros(alg.levi_civita.shape)
+            unit.rat[0, 1, 1] = 1
+            # symmetric in its last two slots, so conjugate(LC + unit) = LC - unit
+            return dataclasses.replace(alg, levi_civita=alg.levi_civita + unit)
+
+        monkeypatch.setattr(connections, "lie_algebra", non_metric)
+        with pytest.raises(ArithmeticError, match="not metric"):
+            verify_theorem(2)
+
+    def test_two_curvatures_and_no_predicate_suite(self, monkeypatch):
+        calls = {"curvature": 0, "predicate_suite": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(connections, name, counting(name, getattr(connections, name)))
+        assert verify_theorem(3).passed
+        assert calls == {"curvature": 2, "predicate_suite": 0}
