@@ -34,11 +34,11 @@ from .exact import QSqrt2
 from .group import GroupElement, act, act_tangent, phi, phi_inv, pull_back_to_identity
 from .manifold import (
     ManifoldPoint,
+    NonFiniteError,
     TangentVector,
     amari_cubic,
     fisher_metric,
-    mc_oracle_cubic,
-    mc_oracle_metric,
+    mc_oracle_metric_and_cubic,
 )
 from .solver import verify_theorem
 
@@ -134,12 +134,16 @@ def _scalar_payload(value: QSqrt2, render_float: bool) -> dict:
 
 def _in_float_range(compute, *args):
     """``compute(*args)``, or a usage error when finite input overflows to
-    inf or nan; numpy's overflow warnings are silenced, as the error says it."""
+    inf or nan; numpy's overflow warnings are silenced, as the error says it.
+    Any other ``ValueError`` is a usage error with its own message."""
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             result = compute(*args)
-        except ValueError as exc:
+        except NonFiniteError as exc:
+            # a constructor refused the inf or nan that an overflow produced
             raise click.UsageError(f"the result is out of the float range: {exc}") from exc
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
     if isinstance(result, float) and not math.isfinite(result):
         raise click.UsageError("the result is out of the float range")
     return result
@@ -360,19 +364,12 @@ def oracle(ctx, n, sigma, mu, samples, seed) -> None:
         return {**numbers, "within_3_stderr": abs(numbers["z"]) <= 3.0}
 
     with np.errstate(over="ignore", invalid="ignore"):
+        metric_est, cubic_est = mc_oracle_metric_and_cubic(point, s, t, w, samples, seed)
         report = {
             "samples": samples,
             "seed": seed,
-            "metric": compare(
-                "metric",
-                fisher_metric(point, s, t),
-                mc_oracle_metric(point, s, t, samples, seed),
-            ),
-            "cubic": compare(
-                "cubic",
-                amari_cubic(point, s, t, w),
-                mc_oracle_cubic(point, s, t, w, samples, seed),
-            ),
+            "metric": compare("metric", fisher_metric(point, s, t), metric_est),
+            "cubic": compare("cubic", amari_cubic(point, s, t, w), cubic_est),
         }
     _echo_json(report)
     if not (report["metric"]["within_3_stderr"] and report["cubic"]["within_3_stderr"]):

@@ -3,12 +3,18 @@
 Closed forms for the canonical metric and cubic form at an arbitrary point
 (Sigma, mu), together with a seeded Monte-Carlo oracle that estimates the same
 quantities from their defining expectations over the distribution itself.
+The oracle runs its shards on a thread pool of one thread per available CPU
+and draws and scores each shard in cache-sized blocks of rows; the estimate
+does not depend on the number of threads.
 Floating point lives here; all exact arithmetic stays in the algebra layer.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -18,9 +24,22 @@ from .algebra import BasisIndex, lie_algebra
 
 SYMMETRY_TOL = 1e-12
 
-#: samples per Monte-Carlo shard; each shard draws from its own child seed so
-#: a parallel reduction in shard order reproduces the serial result bit-for-bit
+#: samples per Monte-Carlo shard; shard k draws from its own child seed
+#: [seed, k] and the shards' partial sums are added in shard order, so running
+#: the shards on any number of threads reproduces the serial result bit-for-bit
 SHARD_SIZE = 1 << 16
+#: values per block: a shard is drawn and scored in blocks of the largest
+#: power-of-two number of rows whose rows * n is at most this (2048 rows at
+#: n = 16), so that the temporaries stay in cache. A generator's stream does
+#: not depend on how the shard is split, and a row's score depends only on the
+#: row wherever BLAS computes a product row the same way at any row count; a
+#: BLAS that picks its kernel by matrix size can change the last bits for some
+#: n (OpenBLAS 0.3.31 does for some n above 16), never with the thread count
+BLOCK_VALUES = 1 << 15
+
+
+class NonFiniteError(ValueError):
+    """An array that must hold finite numbers holds an inf or a nan."""
 
 
 def _as_float_array(values, shape_hint: str) -> np.ndarray:
@@ -28,18 +47,23 @@ def _as_float_array(values, shape_hint: str) -> np.ndarray:
         arr = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{shape_hint} must be an array of finite numbers") from exc
-    # numpy reads None as nan; inf and nan would pass every later check
-    if arr.ndim == 0 or not np.isfinite(arr).all():
+    if arr.ndim == 0:
         raise ValueError(f"{shape_hint} must be an array of finite numbers")
+    # numpy reads None as nan; inf and nan would pass every later check
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{shape_hint} must be an array of finite numbers")
     return arr
 
 
 def _checked_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    # m - m.T overflows for opposite-signed entries past half the float range
+    with np.errstate(over="ignore"):
+        gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if gap > SYMMETRY_TOL:
-        raise ValueError(f"{name} is asymmetric by {gap:.3e}")
+        size = f"{gap:.3e}" if math.isfinite(gap) else f"more than {sys.float_info.max:.3e}"
+        raise ValueError(f"{name} is asymmetric by {size}")
     # m + m.T would overflow for entries past half the float range
     return m + (m.T - m) / 2.0
 
@@ -177,25 +201,57 @@ def _shard_counts(samples: int) -> list[int]:
     return [SHARD_SIZE] * full + ([rest] if rest else [])
 
 
-def _mc_expectation(point, tangents, samples: int, seed: int) -> MCEstimate:
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _mc_expectations(point, tangents, samples: int, seed: int) -> list[MCEstimate]:
+    """Estimates of the expected product of the score values in the first 2,
+    3, ... tangents, all from the same samples."""
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    n = point.n
     chol_t = point.chol.T
     inv = point.sigma_inv
     consts = [-0.5 * float(np.trace(inv @ t.x)) for t in tangents]
-    total = 0.0
-    total_sq = 0.0
-    for shard, count in enumerate(_shard_counts(samples)):
+    block = max(1, BLOCK_VALUES >> (n - 1).bit_length())
+    # numpy's floating-point error handling is set per thread: the shards
+    # follow the caller's
+    errstate = {**np.geterr(), "call": np.geterrcall()}
+
+    def shard_sums(shard: int, count: int) -> list[tuple[float, float]]:
         rng = np.random.default_rng([seed, shard])
-        z = rng.standard_normal((count, point.n))
-        centered = z @ chol_t
-        w = centered @ inv
-        product = np.ones(count)
-        for t, const in zip(tangents, consts):
-            quad = 0.5 * ((w @ t.x) * w).sum(1)
-            product = product * (const + quad + w @ t.v)
-        total += float(product.sum())
-        total_sq += float((product * product).sum())
+        products = np.empty((len(tangents) - 1, count))
+        with np.errstate(**errstate):
+            for start in range(0, count, block):
+                stop = min(start + block, count)
+                w = (rng.standard_normal((stop - start, n)) @ chol_t) @ inv
+                product = np.ones(stop - start)
+                for k, (t, const) in enumerate(zip(tangents, consts)):
+                    quad = 0.5 * ((w @ t.x) * w).sum(1)
+                    product = product * (const + quad + w @ t.v)
+                    if k:
+                        products[k - 1, start:stop] = product
+            return [(float(p.sum()), float((p * p).sum())) for p in products]
+
+    counts = _shard_counts(samples)
+    with ThreadPoolExecutor(min(len(counts), _available_cpus())) as pool:
+        per_shard = list(pool.map(shard_sums, range(len(counts)), counts))
+    estimates = []
+    for sums in zip(*per_shard):
+        # added in shard order, one by one: sum() is compensated from Python 3.12
+        total = 0.0
+        total_sq = 0.0
+        for shard_total, shard_total_sq in sums:
+            total += shard_total
+            total_sq += shard_total_sq
+        estimates.append(_estimate(total, total_sq, samples))
+    return estimates
+
+
+def _estimate(total: float, total_sq: float, samples: int) -> MCEstimate:
     value = total / samples
     if samples == 1:
         return MCEstimate(value=value, stderr=math.inf, samples=1)
@@ -214,7 +270,8 @@ def mc_oracle_metric(
 ) -> MCEstimate:
     """Monte-Carlo estimate of the expected product of two directional score
     values; converges to fisher_metric."""
-    return _mc_expectation(point, (s, t), samples, seed)
+    (metric,) = _mc_expectations(point, (s, t), samples, seed)
+    return metric
 
 
 def mc_oracle_cubic(
@@ -227,7 +284,23 @@ def mc_oracle_cubic(
 ) -> MCEstimate:
     """Monte-Carlo estimate of the expected triple product of directional
     score values; converges to amari_cubic."""
-    return _mc_expectation(point, (s, t, w), samples, seed)
+    _, cubic = _mc_expectations(point, (s, t, w), samples, seed)
+    return cubic
+
+
+def mc_oracle_metric_and_cubic(
+    point: ManifoldPoint,
+    s: TangentVector,
+    t: TangentVector,
+    w: TangentVector,
+    samples: int,
+    seed: int,
+) -> tuple[MCEstimate, MCEstimate]:
+    """``mc_oracle_metric(point, s, t, ...)`` and ``mc_oracle_cubic(point, s,
+    t, w, ...)`` with the same seed, bit-for-bit, from one pass over the
+    samples: the cubic product is the metric product times the score in w."""
+    metric, cubic = _mc_expectations(point, (s, t, w), samples, seed)
+    return metric, cubic
 
 
 @lru_cache(maxsize=None)

@@ -191,6 +191,17 @@ class TestPointwise:
         value = json.loads(result.output)["value"]
         assert value != 0.0 and math.isclose(value, 1 / 1.7e308, rel_tol=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_metric_at_sigma_asymmetric_past_half_the_float_range(self, runner):
+        # measuring the asymmetry as |m - m.T| overflowed here and said "by inf"
+        tangent = '{"x": [[1, 0], [0, 1]], "v": [1, 0]}'
+        result = runner.invoke(
+            main,
+            ["metric", "--sigma", "[[1e308, -1e308], [1e308, 1e308]]", "--mu", "[0, 0]",
+             "--s", tangent, "--t", tangent],
+        )
+        assert_usage_error(result, "sigma is asymmetric by more than 1.798e+308")
+
     def test_cubic_value(self, runner):
         result = invoke(
             runner,
@@ -264,6 +275,21 @@ class TestOracle:
             runner, "oracle", "--n", "1", "--samples", "20000", "--seed", "7"
         )
         assert with_env.output == explicit.output
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (1, "186da2d86fb4b13b0c9346c869899e02738049fa5f0ab7457eb5dcd4e1caf968"),
+            (2, "8517a3bc376e720c694be828355aa8370d7374c950ba49db05dc6f05eea3d5be"),
+            (3, "4add0b6d8513e1e0bb40df29557d83e71a635fe5ff3d8bf3bc249aca8ab8b87b"),
+        ],
+    )
+    def test_output_is_pinned(self, runner, n, digest):
+        # SHA-256 of the stdout of the serial whole-shard estimator, which drew
+        # the samples once for the metric and again for the cubic
+        result = invoke(runner, "oracle", "--n", str(n), "--samples", "150000", "--seed", "5")
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 class TestGroupCommand:
@@ -475,17 +501,18 @@ class TestInputErrors:
         assert_usage_error(result, "the metric comparison is out of the float range")
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "args",
-        [
-            # numerically singular: the second pivot squared is about 1e-14
-            ["--phi-inv", "--sigma", "[[1, 1], [1, 1.00000000000001]]", "--mu", "[0, 0]"],
-            ["--pullback", "--sigma", "[[1e-300]]", "--mu", "[0]", "--t", HUGE_TANGENT],
-        ],
-    )
-    def test_group_factorization_out_of_float_range(self, runner, args):
+    def test_group_factorization_out_of_float_range(self, runner):
+        args = ["--pullback", "--sigma", "[[1e-300]]", "--mu", "[0]", "--t", HUGE_TANGENT]
         result = runner.invoke(main, ["group", *args])
         assert_usage_error(result, "the result is out of the float range")
+
+    @pytest.mark.filterwarnings("error")
+    def test_numerically_singular_point_keeps_its_message(self, runner):
+        # the second pivot squared is about 1e-14; nothing overflows, so the
+        # error is not reported as a float-range problem
+        args = ["--phi-inv", "--sigma", "[[1, 1], [1, 1.00000000000001]]", "--mu", "[0, 0]"]
+        result = runner.invoke(main, ["group", *args])
+        assert_usage_error(result, "Error: matrix is numerically singular")
 
     @pytest.mark.parametrize(
         "args",

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gaussgeom.manifold import (
     log_pdf_direction,
     mc_oracle_cubic,
     mc_oracle_metric,
+    mc_oracle_metric_and_cubic,
 )
 
 
@@ -241,6 +243,73 @@ class TestMonteCarloOracle:
         permuted = mc_oracle_cubic(p, w, s, t, 10_000, seed=9)
         assert reference.value == permuted.value
         assert reference.stderr == permuted.stderr
+
+
+#: (n, samples) -> float.hex of (value, stderr) of the metric and the cubic
+#: estimate at seed 11, as the serial estimator gave them when it drew and
+#: scored each shard whole; 2**18 + 5 samples are four full shards and a
+#: partial one, 70 000 are a full shard and a partial one with a partial block
+MC_PINS = {
+    (1, 2): (('0x1.5853a495a2458p-2', '0x1.65a2c44493e46p-2'), ('0x1.bbeffd11a5d5cp-4', '0x1.c5f9c79a112ecp-4')),
+    (1, 70000): (('0x1.455fdff9980e4p-2', '0x1.bcac0bbefde96p-10'), ('-0x1.1b66b421d3eefp-4', '0x1.62e1b9af5de91p-10')),
+    (1, 262149): (('0x1.4503b8cf5d542p-2', '0x1.cef7cb3d3b730p-11'), ('-0x1.12e8e75c9faaep-4', '0x1.6894d98e47acdp-11')),
+    (2, 2): (('0x1.bf67c9502fbe1p-3', '0x1.9351c84c69afdp-3'), ('0x1.1c18e48b22fc4p-5', '0x1.932d4d51407a6p-5')),
+    (2, 70000): (('0x1.cfd04b3441716p-7', '0x1.ca858d5970237p-9'), ('0x1.b8259eac36144p-3', '0x1.d955f41c0698ep-7')),
+    (2, 262149): (('0x1.590faa2a4d854p-7', '0x1.daf25bb70f1fep-10'), ('0x1.c094c9757ca31p-3', '0x1.efbb309580c9cp-8')),
+    (3, 2): (('0x1.21c41155de4dap-2', '0x1.450dcefd99b2fp-4'), ('-0x1.d6b6b600a6f1cp-8', '0x1.aecc1b0263666p-5')),
+    (3, 70000): (('0x1.c8d72a7472f77p-2', '0x1.c836542800556p-9'), ('0x1.59b61be61db1fp-6', '0x1.0f7a6bea1f33fp-8')),
+    (3, 262149): (('0x1.ce66bb12ffb81p-2', '0x1.df6ca7804239cp-10'), ('0x1.8442887351907p-6', '0x1.1b8b56af71701p-9')),
+    (8, 2): (('-0x1.b0edbdc13a7d6p-8', '0x1.905e73f5b1d05p-6'), ('-0x1.006c239685770p-10', '0x1.60d3f9723b741p-7')),
+    (8, 70000): (('-0x1.e530b011ac691p-4', '0x1.240f71a915000p-9'), ('0x1.e00843e6f7c7dp-5', '0x1.0b965ad256599p-9')),
+    (8, 262149): (('-0x1.e39ce09b8f580p-4', '0x1.30f75a5334d87p-10'), ('0x1.e79e8fe401652p-5', '0x1.202deb226405ap-10')),
+    (16, 2): (('-0x1.9c6972d8588b9p-3', '0x1.6b94304cf26c1p-3'), ('0x1.5bc8c1040b978p-3', '0x1.18bac57f169c5p-3')),
+    (16, 70000): (('0x1.ed835b7b22223p-10', '0x1.5ff57f0dc776dp-9'), ('0x1.2f975b72c07f3p-6', '0x1.27561d3c4ab40p-9')),
+    (16, 262149): (('0x1.319a3a275f7c4p-13', '0x1.6d3f06b173b80p-10'), ('0x1.5146382dfb766p-6', '0x1.3157b5656e3d5p-10')),
+}
+
+
+def pin_inputs(n):
+    rng = np.random.default_rng([2026, n])
+    p = random_point(rng, n)
+    s, t, w = (random_tangent(rng, n) for _ in range(3))
+    return p, s, t, w
+
+
+def hex_pair(estimate):
+    return estimate.value.hex(), estimate.stderr.hex()
+
+
+class TestMonteCarloPins:
+    @pytest.mark.parametrize("n,samples", list(MC_PINS))
+    def test_estimates_are_pinned_bit_for_bit(self, n, samples):
+        p, s, t, w = pin_inputs(n)
+        metric = mc_oracle_metric(p, s, t, samples, 11)
+        cubic = mc_oracle_cubic(p, s, t, w, samples, 11)
+        assert (hex_pair(metric), hex_pair(cubic)) == MC_PINS[n, samples]
+        assert mc_oracle_metric_and_cubic(p, s, t, w, samples, 11) == (metric, cubic)
+
+    @pytest.mark.parametrize("cpus", [1, 5])
+    def test_cpu_count_does_not_change_the_estimates(self, monkeypatch, cpus):
+        # five shards: one thread, or one thread per shard
+        p, s, t, w = pin_inputs(3)
+        samples = (1 << 18) + 5
+        default = mc_oracle_metric_and_cubic(p, s, t, w, samples, 11)
+        monkeypatch.setattr("gaussgeom.manifold._available_cpus", lambda: cpus)
+        assert mc_oracle_metric_and_cubic(p, s, t, w, samples, 11) == default
+
+    def test_shards_follow_the_callers_floating_point_error_handling(self):
+        # the squared products overflow; numpy's error state is per thread
+        p = ManifoldPoint([[1e-300]], [0.0])
+        t = TangentVector([[0.0]], [1.0])
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            mc_oracle_metric(p, t, t, 10, seed=1)
+
+    def test_no_thread_outlives_a_call(self):
+        p, s, t, w = pin_inputs(2)
+        before = threading.active_count()
+        mc_oracle_metric(p, s, t, (1 << 18) + 5, 11)
+        mc_oracle_cubic(p, s, t, w, (1 << 18) + 5, 11)
+        assert threading.active_count() == before
 
 
 class TestAlphaConnectionForm:
