@@ -22,10 +22,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from gaussgeom.algebra import basis_indices
-from gaussgeom.exact import ZERO, ExactArray, QSqrt2, SparseEchelon
+from gaussgeom.exact import ZERO, ExactArray, QSqrt2
 from gaussgeom.solver import assemble, expected_pattern
 from gaussgeom.tensors import basis_dimension, symmetric_triples, triple_positions
 
@@ -88,7 +86,7 @@ def recheck(payload: dict) -> bool:
     # counted over every emitted constraint, as each distinct row stands for
     # ``multiplicity`` of them
     nonzero = (residuals.rat != 0) | (residuals.irr != 0)
-    bad = int(np.array(system.multiplicities) @ nonzero)
+    bad = int(system.multiplicities @ nonzero)
     report("rows_annihilated", bad == 0, f"{system.row_count} rows, {bad} nonzero")
 
     pattern = expected_pattern(n)
@@ -101,10 +99,7 @@ def recheck(payload: dict) -> bool:
 
     # uniqueness is re-derived: the rank of the reassembled rows, not the
     # recorded one, must leave a one-dimensional kernel
-    echelon = SparseEchelon(system.unknowns)
-    for row in system.rows:
-        echelon.insert(dict(row))
-    rank = echelon.rank
+    rank = system.echelon().rank
     report(
         "rank_accounting",
         payload["unknowns"] == system.unknowns

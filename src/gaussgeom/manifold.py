@@ -58,10 +58,11 @@ def _as_float_array(values, shape_hint: str) -> np.ndarray:
 def _checked_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    # m - m.T overflows for opposite-signed entries past half the float range
+    # m - m.T overflows for opposite-signed entries past half the float range;
+    # the gap is relative to the largest entry, as rounding in A Sigma A^T is
     with np.errstate(over="ignore"):
-        gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if gap > SYMMETRY_TOL:
+        gap = float(np.max(np.abs(m - m.T), initial=0.0))
+    if gap > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(m), initial=0.0))):
         size = f"{gap:.3e}" if math.isfinite(gap) else f"more than {sys.float_info.max:.3e}"
         raise ValueError(f"{name} is asymmetric by {size}")
     # m + m.T would overflow for entries past half the float range

@@ -10,17 +10,17 @@ coefficient pattern: the line spanned by the Amari-Chentsov difference tensor.
 
 The system is assembled over the integers.  Each basis direction has a
 sqrt2-degree (``LieAlgebra.degrees``), 1 for Cov(i,i) and 0 otherwise, and
-every Levi-Civita
-coefficient is sqrt2 to the parity of its three degrees times a rational.
-In the graded unknowns y_t = K_t / sqrt2^{deg t} of the triples t, every
-constraint is therefore sqrt2^k times a rational row; the system keeps each
-distinct row once, as a primitive integer row.  The rows are assembled as
-integer numpy batches: every (a, b, g, d) term of the Levi-Civita derivative
-is emitted at once as a coordinate list, summed per row, made primitive and
-deduplicated.  Elimination is fraction-free over the integers.  The kernel, the residual check and
-the pattern checks work on 1-D ``ExactArray``s over the triples, and
-``QSqrt2`` scalars appear only at the certificate boundary, where the kernel
-is lifted back to K_t = sqrt2^{deg t} y_t and written as ``a/b + c/d*sqrt2``.
+every Levi-Civita coefficient is sqrt2 to the parity of its three degrees
+times a rational.  In the graded unknowns y_t = K_t / sqrt2^{deg t} of the
+triples t, every constraint is therefore sqrt2^k times a rational row; the
+system keeps each distinct row once, as a primitive integer row.  The rows
+are assembled as integer numpy batches (every (a, b, g, d) term of the
+Levi-Civita derivative at once, summed per row, made primitive and
+deduplicated) and stored only as int64 CSR arrays.  ``echelon()`` is their
+one fraction-free elimination, for the kernel here and the recheck's rank.
+The kernel, the residual check and the pattern checks work on 1-D
+``ExactArray``s over the triples; ``QSqrt2`` scalars appear only where the
+kernel is lifted back to K_t = sqrt2^{deg t} y_t and written as ``a/b + c/d*sqrt2``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -65,30 +64,31 @@ VERIFY_ALPHAS: tuple[Fraction, ...] = (
     Fraction(1, 3),
 )
 
-IntegerRow = tuple[tuple[int, int], ...]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSystem:
-    """Sparse integer linear system over the graded unknowns.
+    """Sparse integer linear system over the graded unknowns, as CSR arrays.
 
     Unknowns are indexed by unordered basis triples t in canonical order and
     enter as y_t = K_t / sqrt2^{degrees[t]}.  One constraint is emitted per
     (a < b, g, d), stating that the covariant derivatives (D_a K)(b, g) and
     (D_b K)(a, g) share their e_d component; it is symmetric in (g, d), so
-    only g <= d is assembled.  ``rows`` holds each distinct constraint once as
-    a primitive integer row (sorted (column, coefficient) pairs, first
-    coefficient positive), ``labels`` the first (a, b, g, d) that emitted it,
-    and ``multiplicities`` how many of the nonzero (a, b, g, d) with any order
-    of (g, d) emit it.
+    only g <= d is assembled.  Each distinct constraint is one primitive
+    integer row, in first-emission order: row r has sorted ``columns`` and
+    ``coefficients`` (first one positive) from ``starts[r]`` to the next
+    start.  ``labels[r]`` is the first (a, b, g, d) that emitted it and
+    ``multiplicities[r]`` how many nonzero (a, b, g, d) with any order of
+    (g, d) emit it.  All arrays are int64.
     """
 
     n: int
     unknown_triples: tuple[tuple[int, int, int], ...]
-    degrees: tuple[int, ...]
-    rows: tuple[IntegerRow, ...]
-    labels: tuple[tuple[int, int, int, int], ...]
-    multiplicities: tuple[int, ...]
+    degrees: np.ndarray
+    starts: np.ndarray
+    columns: np.ndarray
+    coefficients: np.ndarray
+    labels: np.ndarray
+    multiplicities: np.ndarray
 
     @property
     def unknowns(self) -> int:
@@ -97,15 +97,23 @@ class ConstraintSystem:
     @property
     def row_count(self) -> int:
         """Number of nonzero constraints over every (a < b, g, d)."""
-        return sum(self.multiplicities)
+        return int(self.multiplicities.sum())
 
     @cached_property
-    def _matrix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows in CSR form: row starts, columns, coefficients."""
-        lengths = np.fromiter(map(len, self.rows), dtype=np.intp, count=len(self.rows))
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(self.rows)), dtype=np.int64)
-        columns, coefficients = flat.reshape(-1, 2).T
-        return np.cumsum(lengths) - lengths, columns, coefficients
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Read-only view as sorted (column, coefficient) pairs; certification never builds it."""
+        pairs = tuple(zip(self.columns.tolist(), self.coefficients.tolist()))
+        bounds = self.starts.tolist() + [len(pairs)]
+        return tuple(pairs[i:j] for i, j in zip(bounds, bounds[1:]))
+
+    def echelon(self) -> SparseEchelon:
+        """The rows inserted in order into one fraction-free elimination."""
+        echelon = SparseEchelon(self.unknowns)
+        columns, coefficients = self.columns.tolist(), self.coefficients.tolist()
+        bounds = self.starts.tolist() + [len(columns)]
+        for i, j in zip(bounds, bounds[1:]):
+            echelon.insert(dict(zip(columns[i:j], coefficients[i:j])))
+        return echelon
 
     def residuals(self, vector: ExactArray) -> ExactArray:
         """Each distinct row applied to the graded coordinates of ``vector``.
@@ -116,8 +124,8 @@ class ConstraintSystem:
         """
         if vector.shape != (self.unknowns,):
             raise ValueError(f"expected {self.unknowns} entries, got {vector.shape}")
-        graded = vector.times_sqrt2_powers(-np.array(self.degrees))
-        return csr_matvec(*self._matrix, graded)
+        graded = vector.times_sqrt2_powers(-self.degrees)
+        return csr_matvec(self.starts, self.columns, self.coefficients, graded)
 
     def satisfied_by(self, vector: ExactArray) -> bool:
         return self.residuals(vector).is_zero()
@@ -212,18 +220,15 @@ def assemble(n: int) -> ConstraintSystem:
     in_kept = np.zeros(len(starts), dtype=bool)
     in_kept[kept] = True
     mask = in_kept[entry_row]
-    pairs = list(zip(column[mask].tolist(), value[mask].tolist()))
-    bounds = np.cumsum(length[kept]).tolist()
-    rows = tuple(tuple(pairs[i:j]) for i, j in zip([0] + bounds, bounds))
-    labels = tuple(zip(*(part[quad[kept]].tolist() for part in (a, b, g, out))))
-
     return ConstraintSystem(
         n=n,
         unknown_triples=triples,
-        degrees=tuple(unknown_degree.tolist()),
-        rows=rows,
-        labels=labels,
-        multiplicities=tuple(multiplicities.tolist()),
+        degrees=unknown_degree,
+        starts=np.cumsum(length[kept]) - length[kept],
+        columns=column[mask],
+        coefficients=value[mask],
+        labels=np.stack([part[quad[kept]] for part in (a, b, g, out)], axis=1),
+        multiplicities=multiplicities,
     )
 
 
@@ -309,13 +314,11 @@ def _kernel_basis(system: ConstraintSystem) -> tuple[list[ExactArray], int]:
     """Kernel basis in the entries K_t and the rank: the integer rows are
     eliminated over Q, then each graded kernel vector is lifted back through
     K_t = sqrt2^{deg t} y_t."""
-    echelon = SparseEchelon(system.unknowns)
-    for row in system.rows:
-        echelon.insert(dict(row))
+    echelon = system.echelon()
     basis = []
     for y in echelon.kernel_basis():
         graded = ExactArray.build((system.unknowns,), lambda idx: y[idx[0]])
-        basis.append(graded.times_sqrt2_powers(np.array(system.degrees)))
+        basis.append(graded.times_sqrt2_powers(system.degrees))
     return basis, echelon.rank
 
 

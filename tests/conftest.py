@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -16,6 +18,16 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """The environment with ``src`` first on PYTHONPATH, for subprocesses
+    that import gaussgeom from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 @st.composite

@@ -4,13 +4,18 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_spd, random_symmetric
+from gaussgeom.algebra import lie_algebra
 from gaussgeom.cli import main
 from gaussgeom.exact import QSqrt2
+from gaussgeom.group import pull_back_to_identity
+from gaussgeom.manifold import ManifoldPoint, TangentVector
 
 
 @pytest.fixture()
@@ -241,6 +246,33 @@ class TestPointwise:
         )
         assert result.exit_code == 2
 
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_values_match_the_exact_tables(self, n, seed):
+        # two independent paths: the closed forms at the point, and the exact
+        # identity tables contracted with the pulled-back coefficients
+        rng = np.random.default_rng(seed)
+        sigma, mu = random_spd(rng, n), rng.normal(size=n)
+        tangents = [TangentVector(random_symmetric(rng, n), rng.normal(size=n)) for _ in range(3)]
+        point_args = ["--sigma", json.dumps(sigma.tolist()), "--mu", json.dumps(mu.tolist())]
+        tangent_args = [
+            arg
+            for flag, t in zip(("--s", "--t", "--w"), tangents)
+            for arg in (flag, json.dumps({"x": t.x.tolist(), "v": t.v.tolist()}))
+        ]
+        point = ManifoldPoint(sigma, mu)
+        coeffs = [pull_back_to_identity(point, t) for t in tangents]
+        alg = lie_algebra(n)
+        for command, table in (("metric", alg.gram), ("cubic", alg.cubic)):
+            rank = len(table.shape)
+            result = invoke(CliRunner(), command, *point_args, *tangent_args[: 2 * rank])
+            assert result.exit_code == 0, result.output
+            value = json.loads(result.output)["value"]
+            want = table.to_float()
+            size = np.abs(want)
+            for c in reversed(coeffs[:rank]):
+                want, size = want @ c, size @ np.abs(c)
+            assert abs(value - want) <= 1e-9 * size, (command, value, want)
+
 
 class TestOracle:
     def test_estimates_agree_with_closed_forms(self, runner):
@@ -354,6 +386,26 @@ class TestGroupCommand:
     def test_requires_exactly_one_mode(self, runner):
         result = runner.invoke(main, ["group", "--act", "--phi"])
         assert result.exit_code == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_act_with_large_element(self, runner):
+        # A Sigma A^T rounds by about 5e-4 on entries near 3e13, past any
+        # absolute symmetry tolerance but not past a relative one
+        result = invoke(
+            runner,
+            "group",
+            "--act",
+            "--a",
+            "[[1e6, 3e6, 7e5], [0, 2e6, 1.3e6], [0, 0, 1.7e6]]",
+            "--b",
+            "[0, 0, 0]",
+            "--sigma",
+            "[[2, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.1]]",
+            "--mu",
+            "[0, 0, 0]",
+        )
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["sigma"]) == 3
 
 
 def assert_usage_error(result, message):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_spd, random_symmetric
 from gaussgeom.algebra import BasisIndex, basis_indices
@@ -224,3 +226,17 @@ class TestPullBack:
             )
             curved = fisher_metric(p, s, t)
             assert abs(flat - curved) <= 1e-9 * max(1.0, abs(curved))
+
+
+class TestLargeElements:
+    @given(st.integers(1, 4), st.floats(1.0, 1e6), st.integers(0, 2**32 - 1))
+    def test_act_accepts_valid_elements_up_to_1e6(self, n, scale, seed):
+        # the products round relative to their entries, up to about 1e12 here;
+        # the diagonal is at least a quarter of the scale, so they stay well
+        # conditioned and every failure would be a rejected valid input
+        rng = np.random.default_rng(seed)
+        a = np.triu(rng.uniform(-scale, scale, size=(n, n)))
+        np.fill_diagonal(a, rng.uniform(scale / 4, scale, size=n))
+        g = GroupElement(a, rng.uniform(-scale, scale, size=n))
+        act(g, random_point(rng, n))
+        act_tangent(g, TangentVector(random_symmetric(rng, n), rng.normal(size=n)))

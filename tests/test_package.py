@@ -5,15 +5,15 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
+
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
 
 MODULES = (
     "gaussgeom.algebra",
@@ -28,10 +28,8 @@ MODULES = (
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, check=False
+        [sys.executable, *args], capture_output=True, text=True, env=src_env(), check=False
     )
 
 

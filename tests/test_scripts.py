@@ -1,18 +1,51 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import src_env
+from gaussgeom import solver
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run(*args, **kwargs):
     return subprocess.run(
-        [sys.executable, *map(str, args)], capture_output=True, text=True, **kwargs
+        [sys.executable, *map(str, args)], capture_output=True, text=True, env=src_env(), **kwargs
+    )
+
+
+@pytest.fixture()
+def recheck_module():
+    spec = importlib.util.spec_from_file_location(
+        "recheck_certificate", SCRIPTS / "recheck_certificate.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def without_row(system, r):
+    """``system`` with distinct row ``r`` removed, built from its CSR arrays."""
+    ends = np.append(system.starts[1:], len(system.columns))
+    keep = np.ones(len(system.columns), dtype=bool)
+    keep[system.starts[r] : ends[r]] = False
+    starts = np.delete(system.starts, r)
+    starts[r:] -= ends[r] - system.starts[r]
+    return dataclasses.replace(
+        system,
+        starts=starts,
+        columns=system.columns[keep],
+        coefficients=system.coefficients[keep],
+        labels=np.delete(system.labels, r, axis=0),
+        multiplicities=np.delete(system.multiplicities, r),
     )
 
 
@@ -123,3 +156,34 @@ class TestRecheckCertificate:
         out = tmp_path / "certs"
         run(SCRIPTS / "run_verification.py", "--max-n", "1", "--out", out)
         return out / "certificate_n1.json"
+
+
+class TestRecheckInProcess:
+    def test_dropped_row_fails_rank_accounting(self, recheck_module, monkeypatch, capsys):
+        # the kernel vector still annihilates every remaining row, so only the
+        # recomputed rank can notice that a constraint is missing; from n=2 on
+        # every single row is implied by the others, at n=1 none is
+        n = 1
+        payload = json.loads(solver.verify_theorem(n).to_json())
+        system = solver.assemble(n)
+        rank = system.echelon().rank
+        dropped = next(
+            smaller
+            for smaller in (without_row(system, r) for r in range(len(system.starts)))
+            if smaller.echelon().rank < rank
+        )
+        assert dropped.row_count < system.row_count
+        monkeypatch.setattr(recheck_module, "assemble", lambda _: dropped)
+        assert recheck_module.recheck(payload) is False
+        out = capsys.readouterr().out
+        assert f"rows_annihilated: PASS ({dropped.row_count} rows, 0 nonzero)" in out
+        assert f"rank_accounting: FAIL (rank {rank - 1} of 4 unknowns)" in out
+
+    def test_certify_path_never_builds_the_row_view(self, recheck_module, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the tuple-of-tuples row view was built")
+
+        monkeypatch.setattr(solver.ConstraintSystem, "rows", property(refuse))
+        cert = solver.verify_theorem(3)
+        assert cert.passed
+        assert recheck_module.recheck(json.loads(cert.to_json())) is True
