@@ -79,15 +79,21 @@ def lc_difference_derivative(k: SymTensor3) -> ExactArray:
     dense = k.to_exact_array()
     t1 = dense.tensordot(hat, axes=([2], [1])).transpose((2, 0, 1, 3))
     t2 = hat.tensordot(dense, axes=([2], [0]))
-    t3 = hat.tensordot(dense, axes=([2], [1])).transpose((0, 2, 1, 3))
+    # K is symmetric, so hat contracted with K's slot 1 is t2 with its
+    # middle slots swapped
+    t3 = t2.transpose((0, 2, 1, 3))
     return (t1 - t2 - t3).reduced()
 
 
 def _cubic_derivative(gamma: ExactArray, cubic: ExactArray) -> ExactArray:
-    # (D_a C)(b, g, d) for a left-invariant (0,3)-tensor C
+    # (D_a C)(b, g, d) for a left-invariant, totally symmetric (0,3)-tensor
+    # C: gamma contracted with any slot of C is the same array t1, so the
+    # terms for slots 1 and 2 are transposes of it
+    if not cubic == cubic.transpose((1, 0, 2)) == cubic.transpose((0, 2, 1)):
+        raise ArithmeticError("cubic form is not totally symmetric")
     t1 = gamma.tensordot(cubic, axes=([2], [0]))
-    t2 = gamma.tensordot(cubic, axes=([2], [1])).transpose((0, 2, 1, 3))
-    t3 = gamma.tensordot(cubic, axes=([2], [2])).transpose((0, 2, 3, 1))
+    t2 = t1.transpose((0, 2, 1, 3))
+    t3 = t1.transpose((0, 2, 3, 1))
     return -(t1 + t2 + t3)
 
 

@@ -6,8 +6,9 @@ provides that scalar type, a fraction-free sparse echelon solver for integer
 rows whose nullspace it returns in that type (the one elimination routine of
 the package), and a dense multi-index array representation used for bulk
 tensor contractions.  The dense arrays store their integers as int64, falling
-back to arbitrary-precision Python ints only past 2^62, and contract in
-float64 BLAS while every partial sum stays below 2^53, where float64 is exact.
+back to arbitrary-precision Python ints only past 2^62.  Each Q(sqrt(2))
+contraction is one real product of the stacked integer parts, run in float64
+BLAS while every partial sum stays below 2^53, where float64 is exact.
 """
 
 from __future__ import annotations
@@ -291,7 +292,10 @@ def _storage(bound: int) -> type:
 
 def _peak(a: ExactArray) -> int:
     """Largest magnitude of an integer stored in ``a``."""
-    return max(int(np.abs(part).max(initial=0)) for part in (a.rat, a.irr))
+    # max and -min read the array without building a full-size abs temporary
+    return max(
+        max(int(part.max(initial=0)), -int(part.min(initial=0))) for part in (a.rat, a.irr)
+    )
 
 
 def _int_gcd_reduce(rat: np.ndarray, irr: np.ndarray, den: int):
@@ -426,20 +430,33 @@ class ExactArray:
         ).reduced()
 
     def tensordot(self, other: ExactArray, axes) -> ExactArray:
-        contracted = math.prod(self.shape[axis] for axis in axes[0])
+        """``np.tensordot`` of the entries over the list pair ``axes``, as one
+        real product [rat, irr] = [[l.r, 2 l.i], [l.i, l.r]] . [r.r, r.i]."""
+        left_axes, right_axes = axes
+        contracted = math.prod(self.shape[axis] for axis in left_axes)
         # rat = l.r * r.r + 2 l.i * r.i sums at most 3 * contracted products
-        # of two peaks; below 2^53 float64 computes every term exactly
+        # of two peaks; below 2^53 float64 computes every term and every
+        # partial sum exactly, in whatever order BLAS adds them
         exact_in_float = contracted * _peak(self) * _peak(other) * 3 < _FLOAT_EXACT_BOUND
         dtype = np.float64 if exact_in_float else object
         lr, li, rr, ri = (
             part.astype(dtype, copy=False)
             for part in (self.rat, self.irr, other.rat, other.irr)
         )
-        rat = np.tensordot(lr, rr, axes) + 2 * np.tensordot(li, ri, axes)
-        irr = np.tensordot(lr, ri, axes) + np.tensordot(li, rr, axes)
+        # left: [output part, input part, *self.shape]; right: [input part, *other.shape]
+        left = np.stack([np.stack([lr, 2 * li]), np.stack([li, lr])])
+        right = np.stack([rr, ri])
+        product = np.tensordot(
+            left,
+            right,
+            (
+                [1, *(axis % self.rat.ndim + 2 for axis in left_axes)],
+                [0, *(axis % other.rat.ndim + 1 for axis in right_axes)],
+            ),
+        )
         if exact_in_float:
-            rat, irr = rat.astype(np.int64), irr.astype(np.int64)
-        return ExactArray(rat, irr, self.den * other.den)
+            product = product.astype(np.int64)
+        return ExactArray(product[0], product[1], self.den * other.den)
 
     def transpose(self, axes: tuple[int, ...]) -> ExactArray:
         return ExactArray(

@@ -27,6 +27,13 @@ def invoke(runner, *args):
     return runner.invoke(main, list(args), catch_exceptions=False)
 
 
+#: 999 nines over 999 sevens: 9/7 in lowest terms
+NINES_OVER_SEVENS = "9" * 999 + "/" + "7" * 999
+#: coprime 999-digit terms, so every exact contraction at this alpha runs on
+#: object arrays of Python ints
+LONG_COPRIME = "9" * 999 + "/" + "7" * 998 + "8"
+
+
 class TestVerify:
     def test_single_n_passes(self, runner):
         result = invoke(runner, "verify", "--n", "2")
@@ -166,6 +173,22 @@ class TestConnection:
         assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == (
             "ab176faf76a38109e7733edc26920ebc419f287ca2c40e8b50fb83f1c8a34000"
         )
+
+    @pytest.mark.parametrize(
+        ("alpha", "what", "digest"),
+        [
+            (NINES_OVER_SEVENS, "predicates", "7f886253b9975a55973c313d1c1cd8b32794647a37a61bbc0239fd2845c0ebfa"),
+            (NINES_OVER_SEVENS, "curvature", "0da364859daea2c5577118c1041814fa6c06efabd6583e3535f7bb74b51eb368"),
+            (LONG_COPRIME, "predicates", "2fc78c1e54608008d74f7683a86386e84f5e35025d5630f660636b7056fcff53"),
+            (LONG_COPRIME, "curvature", "6da5f6e630e3ddc23f3ff2292a3e86c6f94bab5aa195c0c6d7ab81fd7bef819e"),
+        ],
+    )
+    def test_long_alpha_output_is_pinned(self, runner, alpha, what, digest):
+        # SHA-256 of stdout taken when each exact contraction was four
+        # tensordots and every cubic-form slot had its own contraction
+        result = invoke(runner, "connection", "--n", "3", "--alpha", alpha, "--what", what)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 class TestPointwise:

@@ -191,6 +191,90 @@ class TestDerivatives:
         assert lc_cubic_derivative(k) == lc_difference_derivative(k).scale(-2)
 
 
+def three_contraction_cubic_derivative(gamma: ExactArray, cubic: ExactArray) -> ExactArray:
+    """(D_a C)(b, g, d) with one contraction per slot of C: the reference
+    that the shared contraction must equal."""
+    t1 = gamma.tensordot(cubic, axes=([2], [0]))
+    t2 = gamma.tensordot(cubic, axes=([2], [1])).transpose((0, 2, 1, 3))
+    t3 = gamma.tensordot(cubic, axes=([2], [2])).transpose((0, 2, 3, 1))
+    return -(t1 + t2 + t3)
+
+
+def three_contraction_difference_derivative(k: SymTensor3) -> ExactArray:
+    """(D_a K)(b, g) with a separate contraction for each slot of K."""
+    hat = lie_algebra(k.n).levi_civita
+    dense = k.to_exact_array()
+    t1 = dense.tensordot(hat, axes=([2], [1])).transpose((2, 0, 1, 3))
+    t2 = hat.tensordot(dense, axes=([2], [0]))
+    t3 = hat.tensordot(dense, axes=([2], [1])).transpose((0, 2, 1, 3))
+    return (t1 - t2 - t3).reduced()
+
+
+@st.composite
+def wide_sym_tensors(draw):
+    """Symmetric K at n = 1..3 whose numerators have up to 3, 41 or 64 bits,
+    so the contractions run in float64, just past it and past int64."""
+    n = draw(st.integers(1, 3))
+    bits = draw(st.sampled_from([3, 41, 64]))
+    count = len(symmetric_triples(basis_dimension(n)))
+    nums = st.integers(-(2**bits), 2**bits)
+    dens = st.sampled_from([1, 2, 3])
+    values = draw(
+        st.lists(
+            st.builds(
+                lambda a, b, c, e: QSqrt2(Fraction(a, b), Fraction(c, e)), nums, dens, nums, dens
+            ),
+            min_size=count,
+            max_size=count,
+        )
+    )
+    return SymTensor3.from_vector(n, values)
+
+
+class TestSharedContractions:
+    @given(wide_sym_tensors())
+    @settings(max_examples=20)
+    def test_match_three_contraction_formulas(self, k):
+        hat = lie_algebra(k.n).levi_civita
+        dense = k.to_exact_array()
+        cubic = dense.scale(-2)
+        for gamma in (hat, from_difference(k), dense):
+            assert connections._cubic_derivative(gamma, cubic) == (
+                three_contraction_cubic_derivative(gamma, cubic)
+            )
+        assert lc_difference_derivative(k) == three_contraction_difference_derivative(k)
+
+    @pytest.mark.parametrize("index", [(0, 0, 1), (1, 4, 0), (4, 3, 3)])
+    def test_asymmetric_cubic_is_rejected(self, index):
+        # one entry off the symmetric value; the shortcut would read the
+        # other orderings of its triple from it
+        cubic = amari_difference(2).to_exact_array()
+        broken = ExactArray(cubic.rat.copy(), cubic.irr.copy(), cubic.den)
+        broken.rat[index] += 1
+        hat = lie_algebra(2).levi_civita
+        with pytest.raises(ArithmeticError, match="not totally symmetric"):
+            connections._cubic_derivative(hat, broken)
+
+    def test_eight_contractions_per_suite_and_per_line(self, monkeypatch):
+        # two per curvature, one per cubic derivative, two for the
+        # difference derivative: 2 * 2 + 1 + 1 + 2
+        k = random_sym_tensor(random.Random(5), 2)
+        lie_algebra(2)  # the cached tables are built outside the count
+        calls = []
+        original = ExactArray.tensordot
+
+        def counted(self, other, axes):
+            calls.append(axes)
+            return original(self, other, axes)
+
+        monkeypatch.setattr(ExactArray, "tensordot", counted)
+        predicate_suite(k)
+        assert len(calls) == 8
+        calls.clear()
+        alpha_family_verdicts(k, [0, 1, Fraction(-1, 3), SQRT2], 1)
+        assert len(calls) == 8
+
+
 class TestPredicateSuite:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_zero_and_amari_all_true(self, n):

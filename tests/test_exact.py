@@ -436,6 +436,44 @@ class TestStorageBounds:
         reference = np.tensordot(_as_objects(a), _as_objects(b), axes=([1], [1]))
         assert _same(result, reference)
 
+    @pytest.mark.parametrize(
+        ("left_axes", "right_axes"), [([0, 2], [0, 1]), ([2, 0], [1, 0]), ([-1, 0], [1, 0])]
+    )
+    @pytest.mark.parametrize(
+        ("peak", "dtype"), [("below", np.int64), ("above", object), (2**62 + 1, object)]
+    )
+    def test_tensordot_two_axes_of_3d_operands(self, left_axes, right_axes, peak, dtype):
+        # 8 contracted products; the entries fall from the peak by distinct
+        # small offsets, so a mispaired axis changes the sums
+        if isinstance(peak, str):
+            peak = _odd_near(-(-(2**53) // (3 * 8)), peak == "below")
+
+        def near_peak(shape, shift):
+            offsets = (np.arange(math.prod(shape)).reshape(shape) * 5 + shift) % 11
+            offsets.flat[0] = 0
+            values = peak - offsets.astype(object)
+            return values.astype(np.int64) if peak < 2**62 else values
+
+        a = ExactArray(near_peak((2, 3, 4), 0), near_peak((2, 3, 4), 3), 3)
+        b = ExactArray(near_peak((2, 4, 5), 1), near_peak((2, 4, 5), 7), 2)
+        result = a.tensordot(b, axes=(left_axes, right_axes))
+        reference = np.tensordot(_as_objects(a), _as_objects(b), axes=(left_axes, right_axes))
+        assert result.shape == (3, 5)
+        assert _same(result, reference)
+        assert result.rat.dtype == dtype and result.irr.dtype == dtype
+
+    @given(st.data(), st.integers(20, 30), st.permutations([0, 1, 2]), st.integers(1, 3))
+    def test_tensordot_3d_in_any_axis_order(self, data, bits, order, count):
+        # contract ``count`` axes of a 3-D array, taken in a drawn order, with
+        # axes of a second array listed back to front
+        a = data.draw(bounded_arrays((2, 3, 2), bits))
+        left_axes = list(order[:count])
+        b = data.draw(bounded_arrays((2, *(a.shape[axis] for axis in left_axes)), bits))
+        right_axes = list(range(1, count + 1))
+        axes = (left_axes[::-1], right_axes[::-1])
+        result = a.tensordot(b, axes=axes)
+        assert _same(result, np.tensordot(_as_objects(a), _as_objects(b), axes=axes))
+
     @given(st.data(), st.integers(56, 64), st.integers(56, 64))
     def test_sums_and_equality_match_object_reference(self, data, bits_a, bits_b):
         a = data.draw(bounded_arrays((2, 3), bits_a))
