@@ -95,19 +95,28 @@ def basis_indices(n: int) -> tuple[BasisIndex, ...]:
     return tuple(means + covs)
 
 
+@lru_cache(maxsize=None)
+def basis_units(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only int arrays (rows, cols, degrees) in canonical order: e_a is
+    E_a / sqrt2^degrees[a], E_a the 0/1 (n+1) x (n+1) matrix unit at
+    (rows[a], cols[a]); column n is the translation column."""
+    indices = basis_indices(n)
+    rows = np.array([idx.i - 1 for idx in indices])
+    cols = np.array([n if idx.is_mean else idx.j - 1 for idx in indices])
+    # degree 1 exactly on the diagonal units Cov(i,i)
+    degrees = (rows == cols).astype(np.int64)
+    for part in (rows, cols, degrees):
+        part.flags.writeable = False
+    return rows, cols, degrees
+
+
 class ClosureError(RuntimeError):
     """A computed matrix fell outside the span of the basis."""
 
 
 def _sqrt2_scaled(table: np.ndarray, power: np.ndarray) -> ExactArray:
-    """The integer ``table`` times sqrt2^``power`` (entrywise integer powers),
-    as a reduced ExactArray."""
-    # sqrt2^p = sqrt2^(p + 2m) / 2^m with every p + 2m nonnegative
-    m = (1 - int(power.min(initial=0))) // 2
-    shifted = power + 2 * m
-    scaled = table << (shifted >> 1)
-    odd = shifted % 2 == 1
-    return ExactArray(np.where(odd, 0, scaled), np.where(odd, scaled, 0), 2**m).reduced()
+    """The integer ``table`` times sqrt2^``power``, entrywise, reduced."""
+    return ExactArray(table, np.zeros_like(table), 1).times_sqrt2_powers(power)
 
 
 def _commutator_table(units: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -158,11 +167,7 @@ def lie_algebra(n: int) -> LieAlgebra:
         raise ValueError("n must be at least 1")
     indices = basis_indices(n)
     d = len(indices)
-    # e_a = E_a / sqrt2^deg(a), E_a the 0/1 matrix unit at (rows[a], cols[a])
-    degrees = tuple(int(idx.j == idx.i) for idx in indices)
-    deg = np.array(degrees, dtype=np.int8)
-    rows = np.array([idx.i - 1 for idx in indices])
-    cols = np.array([n if idx.is_mean else idx.j - 1 for idx in indices])
+    rows, cols, deg = basis_units(n)
     units = np.zeros((d, n + 1, n + 1), dtype=np.int64)
     units[np.arange(d), rows, cols] = 1
 
@@ -177,7 +182,7 @@ def lie_algebra(n: int) -> LieAlgebra:
     sym = units + units.transpose(0, 2, 1)
     pair_deg = deg[:, None] + deg
     gram = _sqrt2_scaled(np.einsum("aij,bji->ab", sym, sym), -2 - pair_deg)
-    if not gram == _sqrt2_scaled(np.eye(d, dtype=np.int64), np.zeros(d, dtype=np.int8)):
+    if not gram == ExactArray(np.eye(d, dtype=np.int64), np.zeros((d, d), dtype=np.int64), 1):
         raise RuntimeError("canonical basis failed orthonormality")
 
     # tr(A_a A_b A_c) = (A_a A_b)[cols c, rows c] + (A_a A_b)[rows c, cols c],
@@ -196,7 +201,7 @@ def lie_algebra(n: int) -> LieAlgebra:
     return LieAlgebra(
         n=n,
         indices=indices,
-        degrees=degrees,
+        degrees=tuple(deg.tolist()),
         commutators=commutators,
         structure=structure,
         gram=gram,

@@ -240,7 +240,6 @@ def connection(n, alpha, what, render_float) -> None:
     """Inspect a member of the alpha-family of statistical connections."""
     alpha_value = _parse_alpha(alpha)
     labels = [idx.label() for idx in basis_indices(n)]
-    conn = alpha_connection(n, alpha_value)
 
     if what == "predicates":
         suite = predicate_suite(amari_difference(n).scale(QSqrt2(alpha_value)))
@@ -256,6 +255,7 @@ def connection(n, alpha, what, render_float) -> None:
         )
         return
 
+    conn = alpha_connection(n, alpha_value)
     if what == "curvature":
         curv = curvature(conn)
         entries = [

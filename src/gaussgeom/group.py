@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .algebra import basis_indices
+from .algebra import basis_units
 from .manifold import SYMMETRY_TOL, ManifoldPoint, TangentVector, _as_float_array
 
 #: squared-pivot threshold, relative to the largest diagonal entry of the
@@ -60,7 +59,7 @@ def group_mul(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def group_inv(g: GroupElement) -> GroupElement:
-    a_inv = solve_triangular(g.a, np.eye(g.n), lower=False)
+    a_inv = np.linalg.solve(g.a, np.eye(g.n))
     return GroupElement(a_inv, -a_inv @ g.b)
 
 
@@ -108,17 +107,12 @@ def pull_back_to_identity(p: ManifoldPoint, t: TangentVector) -> np.ndarray:
 
     Transports t to the identity with the inverse of the group element sitting
     over p, then inverts the tangent identification: the triangular generator
-    has the strict upper part of the transported X and half its diagonal, and
-    diagonal coefficients pick up the 1/sqrt(2) basis normalization.
+    has the strict upper part of the transported X and half its diagonal, so
+    the coefficient of e_a = E_a / sqrt2^deg(a) is the entry of [X | v] under
+    the matrix unit E_a divided by sqrt2^deg(a).
     """
     g = group_inv(phi_inv(p))
     moved = act_tangent(g, t)
-    coeffs = np.zeros(len(basis_indices(p.n)))
-    for pos, idx in enumerate(basis_indices(p.n)):
-        if idx.is_mean:
-            coeffs[pos] = moved.v[idx.i - 1]
-        elif idx.i == idx.j:
-            coeffs[pos] = moved.x[idx.i - 1, idx.i - 1] / math.sqrt(2.0)
-        else:
-            coeffs[pos] = moved.x[idx.i - 1, idx.j - 1]
-    return coeffs
+    rows, cols, degrees = basis_units(p.n)
+    generator = np.hstack([moved.x, moved.v[:, None]])
+    return generator[rows, cols] / math.sqrt(2.0) ** degrees

@@ -145,11 +145,11 @@ def assemble(n: int) -> ConstraintSystem:
     # Levi-Civita coefficient [x, s, e] = q * sqrt2^p / den, q an integer and
     # p the parity of deg x + deg s + deg e; its nonzero entries are listed
     # in (x, s, e) order, so each (x, s) owns one contiguous run of them
-    lc = alg.levi_civita
     parity = (degree[:, None, None] + degree[:, None] + degree) % 2
-    if np.where(parity == 1, lc.rat, lc.irr).any():
+    graded = alg.levi_civita.times_sqrt2_powers(-parity)
+    if graded.irr.any():
         raise ArithmeticError("Levi-Civita table is not sqrt2-graded")
-    q_table = np.where(parity == 1, lc.irr, lc.rat).astype(np.int64)
+    q_table = graded.rat.astype(np.int64)
     lc_x, lc_s, lc_e = np.nonzero(q_table)
     lc_q, lc_p = q_table[lc_x, lc_s, lc_e], parity[lc_x, lc_s, lc_e]
     run_length = np.bincount(lc_x * d + lc_s, minlength=d * d)

@@ -228,6 +228,27 @@ class TestPullBack:
             assert abs(flat - curved) <= 1e-9 * max(1.0, abs(curved))
 
 
+class TestPullBackPin:
+    @given(st.integers(1, 16), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+    def test_matches_per_index_formula(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        p = ManifoldPoint(scale * random_spd(rng, n), rng.normal(size=n))
+        t = TangentVector(random_symmetric(rng, n), rng.normal(size=n))
+        g = group_inv(phi_inv(p))
+        assert np.array_equal(np.tril(g.a, -1), np.zeros((n, n)))
+        # the coefficient of each basis direction, read index by index
+        moved = act_tangent(g, t)
+        expected = np.zeros(len(basis_indices(n)))
+        for pos, idx in enumerate(basis_indices(n)):
+            if idx.is_mean:
+                expected[pos] = moved.v[idx.i - 1]
+            elif idx.i == idx.j:
+                expected[pos] = moved.x[idx.i - 1, idx.i - 1] / math.sqrt(2.0)
+            else:
+                expected[pos] = moved.x[idx.i - 1, idx.j - 1]
+        assert np.array_equal(pull_back_to_identity(p, t), expected)
+
+
 class TestLargeElements:
     @given(st.integers(1, 4), st.floats(1.0, 1e6), st.integers(0, 2**32 - 1))
     def test_act_accepts_valid_elements_up_to_1e6(self, n, scale, seed):

@@ -42,7 +42,9 @@ class TestImportSplit:
         assert public <= submodules
         assert gaussgeom.__version__ == "0.1.0"
 
-    @pytest.mark.parametrize("module", ["gaussgeom", "gaussgeom.solver"])
+    @pytest.mark.parametrize(
+        "module", ["gaussgeom", "gaussgeom.solver", "gaussgeom.group", "gaussgeom.cli"]
+    )
     def test_exact_stack_loads_without_scipy(self, module):
         result = run_python(
             "-c", f"import sys, {module}; print('scipy' in sys.modules)"
