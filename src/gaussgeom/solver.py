@@ -17,7 +17,10 @@ system keeps each distinct row once, as a primitive integer row.  The rows
 are assembled as integer numpy batches (every (a, b, g, d) term of the
 Levi-Civita derivative at once, summed per row, made primitive and
 deduplicated) and stored only as int64 CSR arrays.  ``echelon()`` is their
-one fraction-free elimination, for the kernel here and the recheck's rank.
+one elimination, for the kernel here and the recheck's rank: numpy rounds
+first peel every row with a single live entry off the CSR arrays (at n=4,
+530 of the 560 unknowns are forced to zero), then one fraction-free loop
+takes the unit rows of the peeled columns and the rows that remain.
 The kernel, the residual check and the pattern checks work on 1-D
 ``ExactArray``s over the triples; ``QSqrt2`` scalars appear only where the
 kernel is lifted back to K_t = sqrt2^{deg t} y_t and written as ``a/b + c/d*sqrt2``.
@@ -107,10 +110,41 @@ class ConstraintSystem:
         return tuple(pairs[i:j] for i, j in zip(bounds, bounds[1:]))
 
     def echelon(self) -> SparseEchelon:
-        """The rows inserted in order into one fraction-free elimination."""
+        """One fraction-free elimination of the rows, after peeling singletons.
+
+        Peeling works on the CSR arrays alone.  A column is zeroed when it is
+        the only live (not yet zeroed) entry of some row; rounds repeat until
+        one zeroes nothing.  The elimination then takes the unit row e_c of
+        each zeroed column c in column order, followed by every row that
+        keeps two or more live entries, stripped to them, in row order; rows
+        with no live entry are skipped.
+
+        The row space is unchanged, so the rank and the kernel are too.  By
+        induction over the rounds each e_c lies in the row space: a row whose
+        only live entry is v*e_c (v != 0) is v*e_c plus multiples of the e_c'
+        of columns zeroed earlier.  Each row is its stripped part plus
+        multiples of zeroed e_c, so every row lies in the span of the
+        inserted rows, and each inserted row in the row space.  With a
+        one-dimensional kernel, the normalized vector of ``kernel_basis`` is
+        determined by that space.
+        """
+        lengths = np.diff(self.starts, append=len(self.columns))
+        row_id = np.repeat(np.arange(len(self.starts)), lengths)
+        zeroed = np.zeros(self.unknowns, dtype=bool)
+        while True:
+            live = ~zeroed[self.columns]
+            count = np.bincount(row_id[live], minlength=len(self.starts))
+            lone = self.columns[live & (count[row_id] == 1)]
+            if not len(lone):
+                break
+            zeroed[lone] = True
+
         echelon = SparseEchelon(self.unknowns)
-        columns, coefficients = self.columns.tolist(), self.coefficients.tolist()
-        bounds = self.starts.tolist() + [len(columns)]
+        for c in np.flatnonzero(zeroed).tolist():
+            echelon.insert({c: 1})
+        # every live entry now shares its row with another live entry
+        columns, coefficients = self.columns[live].tolist(), self.coefficients[live].tolist()
+        bounds = np.flatnonzero(np.diff(row_id[live], prepend=-1)).tolist() + [len(columns)]
         for i, j in zip(bounds, bounds[1:]):
             echelon.insert(dict(zip(columns[i:j], coefficients[i:j])))
         return echelon

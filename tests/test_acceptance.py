@@ -9,13 +9,11 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import random
 import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from click.testing import CliRunner
 
 from conftest import random_spd, random_symmetric, rel_close
@@ -65,7 +63,7 @@ def random_point(rng, n):
 def test_criterion_1_theorem_verification():
     with criterion(1, "theorem verification (exact)"):
         started = time.perf_counter()
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             cert = verify_theorem(n)
             assert cert.passed, cert.failures
             assert cert.kernel_dim == 1
@@ -74,22 +72,8 @@ def test_criterion_1_theorem_verification():
             assert cert.checks["ratio_mixed_pair_is_half_sqrt2"]
             assert cert.checks["cubic_table_reproduced"]
         elapsed = time.perf_counter() - started
-        print(f"  verify n=1..3 took {elapsed:.2f}s")
+        print(f"  verify n=1..4 took {elapsed:.2f}s")
         assert elapsed < 5.0
-
-
-@pytest.mark.skipif(
-    not os.environ.get("GAUSSGEOM_ACCEPT_N4"),
-    reason="n=4 verification is opt-in (set GAUSSGEOM_ACCEPT_N4=1)",
-)
-def test_criterion_1_optional_n4():
-    with criterion(1, "theorem verification n=4 (optional)"):
-        started = time.perf_counter()
-        cert = verify_theorem(4)
-        elapsed = time.perf_counter() - started
-        assert cert.passed, cert.failures
-        print(f"  verify n=4 took {elapsed:.2f}s")
-        assert elapsed < 120.0
 
 
 def test_criterion_2_dual_flatness():

@@ -187,3 +187,51 @@ class TestRecheckInProcess:
         cert = solver.verify_theorem(3)
         assert cert.passed
         assert recheck_module.recheck(json.loads(cert.to_json())) is True
+
+
+class TestBenchSummary:
+    """``scripts/bench.py``'s summary of parent/change pairs, on made-up runs."""
+
+    @pytest.fixture()
+    def bench(self):
+        spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    @staticmethod
+    def result(failed, **values):
+        return {"failed": failed, "metrics": {k: {"unit": "", "value": v} for k, v in values.items()}}
+
+    def test_quartiles_medians_and_better_pairs(self, bench):
+        pairs = [
+            {
+                "parent": self.result(0, ops_per_s=p, peak_rss_mb=40.0),
+                "change": self.result(f, ops_per_s=c, peak_rss_mb=r),
+            }
+            for p, c, r, f in [
+                (10, 20, 41.0, 0),
+                (12, 24, 40.0, 1),
+                (11, 9, 39.0, 0),
+                (13, 30, 40.0, 2),
+                (9, 18, 42.0, 0),
+            ]
+        ]
+        summary = bench.summarize(pairs, {"ops_per_s": "higher", "peak_rss_mb": "lower"})
+        assert summary["pairs"] == 5
+        assert summary["failed_ops"] == {"parent": 0, "change": 3}
+        assert summary["ops_per_s"] == {
+            "parent_q1_median_q3": [10, 11, 12],
+            "change_q1_median_q3": [18, 20, 24],
+            "change_better_pairs": 4,
+            "median_ratio_change_over_parent": round(20 / 11, 4),
+        }
+        # a tie is not better; lower is better for peak RSS
+        assert summary["peak_rss_mb"]["change_better_pairs"] == 1
+        assert summary["peak_rss_mb"]["change_q1_median_q3"] == [40.0, 40.0, 41.0]
+
+    def test_single_pair(self, bench):
+        pairs = [{"parent": self.result(0, setup_s=0.2), "change": self.result(0, setup_s=0.1)}]
+        summary = bench.summarize(pairs, {"setup_s": "lower"})
+        assert summary["setup_s"]["parent_q1_median_q3"] == [0.2, 0.2, 0.2]
+        assert summary["setup_s"]["change_better_pairs"] == 1

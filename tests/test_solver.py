@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 from pathlib import Path
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -22,7 +24,7 @@ from gaussgeom.connections import (
     lc_difference_derivative,
     predicate_suite,
 )
-from gaussgeom.exact import HALF_SQRT2, ONE, SQRT2, ZERO, ExactArray, QSqrt2
+from gaussgeom.exact import HALF_SQRT2, ONE, SQRT2, ZERO, ExactArray, QSqrt2, SparseEchelon
 from gaussgeom.solver import (
     AMARI_SCALE,
     TheoremCertificate,
@@ -212,6 +214,124 @@ class TestIntegerRows:
         residuals = system.residuals(exact_vector(vector))
         assert [residuals.item(r) for r in range(len(system.rows))] == expected
         assert system.satisfied_by(exact_vector(vector)) == (not any(expected))
+
+
+def csr_system(cols: int, rows: list[dict[int, int]]) -> solver.ConstraintSystem:
+    """A system on ``cols`` unknowns whose CSR arrays hold ``rows`` in order."""
+    lengths = [len(row) for row in rows]
+    return dataclasses.replace(
+        assemble(1),
+        unknown_triples=((0, 0, 0),) * cols,
+        degrees=np.zeros(cols, dtype=np.int64),
+        starts=np.cumsum([0] + lengths, dtype=np.int64)[:-1],
+        columns=np.array([c for row in rows for c in sorted(row)], dtype=np.int64),
+        coefficients=np.array([row[c] for row in rows for c in sorted(row)], dtype=np.int64),
+        labels=np.zeros((len(rows), 4), dtype=np.int64),
+        multiplicities=np.ones(len(rows), dtype=np.int64),
+    )
+
+
+COEFFICIENTS = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def csr_systems(draw):
+    """Small systems: singleton chains whose extra rows vanish once the chain
+    is peeled, all-singleton rows, rows of two or more entries only, or any
+    mix, in shuffled row order."""
+    cols = draw(st.integers(2, 8))
+
+    def rows(lo, hi, among=None):
+        return st.dictionaries(
+            st.sampled_from(among or range(cols)), COEFFICIENTS, min_size=lo, max_size=hi
+        )
+
+    shape = draw(st.sampled_from(["chain", "singletons", "no_singletons", "mixed"]))
+    if shape == "chain":
+        # {c0}, {c0, c1}, {c1, c2}, ...: one column is peeled per round
+        chain = draw(st.permutations(range(cols)))[: draw(st.integers(1, cols))]
+        drawn = [{chain[0]: draw(COEFFICIENTS)}]
+        drawn += [{p: draw(COEFFICIENTS), c: draw(COEFFICIENTS)} for p, c in zip(chain, chain[1:])]
+        drawn += draw(st.lists(rows(1, len(chain), chain), max_size=4))
+        drawn += draw(st.lists(rows(2, cols), max_size=4))
+    elif shape == "singletons":
+        drawn = draw(st.lists(rows(1, 1), max_size=10))
+    elif shape == "no_singletons":
+        drawn = draw(st.lists(rows(2, cols), max_size=10))
+    else:
+        drawn = draw(st.lists(rows(1, cols), max_size=12))
+    return csr_system(cols, draw(st.permutations(drawn)))
+
+
+def straight_echelon(system: solver.ConstraintSystem) -> SparseEchelon:
+    """Reference: every row inserted whole, in row order, without peeling."""
+    echelon = SparseEchelon(system.unknowns)
+    columns, coefficients = system.columns.tolist(), system.coefficients.tolist()
+    bounds = system.starts.tolist() + [len(columns)]
+    for i, j in zip(bounds, bounds[1:]):
+        echelon.insert(dict(zip(columns[i:j], coefficients[i:j])))
+    return echelon
+
+
+def reduced_basis(vectors: list[list[QSqrt2]]) -> list[tuple[Fraction, ...]]:
+    """Reduced row echelon form over Q of rational vectors: equal exactly when
+    the vectors span the same space."""
+    assert all(not v.b for vector in vectors for v in vector)
+    pending = [[v.a for v in vector] for vector in vectors]
+    reduced = []
+    for col in range(len(pending[0]) if pending else 0):
+        pivot = next((row for row in pending if row[col]), None)
+        if pivot is None:
+            continue
+        pending.remove(pivot)
+        pivot = [x / pivot[col] for x in pivot]
+
+        def eliminate(row):
+            return [x - row[col] * p for x, p in zip(row, pivot)]
+
+        pending = [eliminate(row) for row in pending]
+        reduced = [eliminate(row) for row in reduced] + [pivot]
+    return sorted(map(tuple, reduced))
+
+
+class TestPeeledEchelon:
+    """``echelon()`` peels singleton rows and keeps the straight loop's row space."""
+
+    @given(csr_systems())
+    def test_matches_straight_elimination(self, system):
+        peeled, straight = system.echelon(), straight_echelon(system)
+        assert peeled.rank == straight.rank
+        assert reduced_basis(peeled.kernel_basis()) == reduced_basis(straight.kernel_basis())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_straight_elimination_on_assembled_rows(self, n):
+        system = assemble(n)
+        peeled, straight = system.echelon(), straight_echelon(system)
+        assert peeled.rank == straight.rank == system.unknowns - 1
+        # a one-dimensional kernel has one normalized generator
+        assert peeled.kernel_basis() == straight.kernel_basis()
+
+    def test_peeled_inserts_at_n4(self, monkeypatch):
+        # 530 of the 560 columns are peeled; 197 rows keep two live entries,
+        # against 5 078 rows inserted one by one without peeling
+        system = assemble(4)
+        inserted = []
+        original = SparseEchelon.insert
+
+        def counted(self, row):
+            inserted.append(dict(row))
+            return original(self, row)
+
+        monkeypatch.setattr(SparseEchelon, "insert", counted)
+        system.echelon()
+        units = list(itertools.takewhile(lambda row: len(row) == 1, inserted))
+        others = inserted[len(units) :]
+        peeled = [c for row in units for c in row]
+        assert len(units) == 530
+        assert all(row == {c: 1} for row, c in zip(units, peeled))
+        assert peeled == sorted(set(peeled))
+        assert len(others) <= 197 and len(inserted) < 800
+        assert all(len(row) >= 2 and not row.keys() & set(peeled) for row in others)
 
 
 class TestSystem:
