@@ -85,7 +85,7 @@ def recheck(payload: dict) -> bool:
     residuals = system.residuals(vector)
     # counted over every emitted constraint, as each distinct row stands for
     # ``multiplicity`` of them
-    nonzero = (residuals.rat != 0) | (residuals.irr != 0)
+    nonzero = residuals.parts.any(axis=0)
     bad = int(system.multiplicities @ nonzero)
     report("rows_annihilated", bad == 0, f"{system.row_count} rows, {bad} nonzero")
 

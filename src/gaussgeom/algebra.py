@@ -116,7 +116,7 @@ class ClosureError(RuntimeError):
 
 def _sqrt2_scaled(table: np.ndarray, power: np.ndarray) -> ExactArray:
     """The integer ``table`` times sqrt2^``power``, entrywise, reduced."""
-    return ExactArray(table, np.zeros_like(table), 1).times_sqrt2_powers(power)
+    return ExactArray(np.stack([table, np.zeros_like(table)]), 1).times_sqrt2_powers(power)
 
 
 def _commutator_table(units: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -182,7 +182,7 @@ def lie_algebra(n: int) -> LieAlgebra:
     sym = units + units.transpose(0, 2, 1)
     pair_deg = deg[:, None] + deg
     gram = _sqrt2_scaled(np.einsum("aij,bji->ab", sym, sym), -2 - pair_deg)
-    if not gram == ExactArray(np.eye(d, dtype=np.int64), np.zeros((d, d), dtype=np.int64), 1):
+    if not gram == _sqrt2_scaled(np.eye(d, dtype=np.int64), 0):
         raise RuntimeError("canonical basis failed orthonormality")
 
     # tr(A_a A_b A_c) = (A_a A_b)[cols c, rows c] + (A_a A_b)[rows c, cols c],

@@ -5,15 +5,17 @@ package is a number of the form a + b*sqrt(2) with rational a, b.  This module
 provides that scalar type, a fraction-free sparse echelon solver for integer
 rows whose nullspace it returns in that type (the one elimination routine of
 the package), and a dense multi-index array representation used for bulk
-tensor contractions.  The dense arrays store their integers as int64, falling
-back to arbitrary-precision Python ints only past 2^62.  Each Q(sqrt(2))
-contraction is one real product of the stacked integer parts, run in float64
-BLAS while every partial sum stays below 2^53, where float64 is exact.
+tensor contractions.  A dense array is one integer array ``parts`` of shape
+(2, *shape), the rational and sqrt(2) coefficients over a shared denominator,
+stored as int64 and falling back to arbitrary-precision Python ints only past
+2^62.  Each Q(sqrt(2)) contraction is one real product on ``parts``, run in
+float64 BLAS while every partial sum stays below 2^53, where float64 is exact.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -23,6 +25,9 @@ import numpy as np
 _SQRT2_FLOAT = math.sqrt(2.0)
 
 Rational = int | Fraction
+
+#: the ``a/b + c/d*sqrt2`` form of :meth:`QSqrt2.to_string`
+_LITERAL = re.compile(r"(-?[0-9]+)/([0-9]+) \+ (-?[0-9]+)/([0-9]+)\*sqrt2")
 
 
 class QSqrt2:
@@ -141,10 +146,14 @@ class QSqrt2:
 
     @classmethod
     def parse(cls, text: str) -> QSqrt2:
-        rational, _, irrational = text.partition(" + ")
-        if not irrational.endswith("*sqrt2"):
+        """Read the :meth:`to_string` form; ValueError on anything else."""
+        match = _LITERAL.fullmatch(text)
+        if match is None:
             raise ValueError(f"not a Q(sqrt2) literal: {text!r}")
-        return cls(Fraction(rational), Fraction(irrational[: -len("*sqrt2")]))
+        a_num, a_den, b_num, b_den = map(int, match.groups())
+        if a_den == 0 or b_den == 0:
+            raise ValueError(f"zero denominator in Q(sqrt2) literal: {text!r}")
+        return cls(Fraction(a_num, a_den), Fraction(b_num, b_den))
 
     def to_json(self) -> list[str]:
         return [str(self._a), str(self._b)]
@@ -274,7 +283,7 @@ class SparseEchelon:
 
 
 # ---------------------------------------------------------------------------
-# Dense exact arrays: integer-pair storage with a shared denominator.
+# Dense exact arrays: one integer array of both parts over a shared denominator.
 # ---------------------------------------------------------------------------
 
 #: int64 storage holds integers below this in magnitude, so the sum or
@@ -290,46 +299,46 @@ def _storage(bound: int) -> type:
     return np.int64 if bound < _INT64_BOUND else object
 
 
-def _peak(a: ExactArray) -> int:
-    """Largest magnitude of an integer stored in ``a``."""
+def _peak(values) -> int:
+    """Largest magnitude of an integer in ``values``, an integer or array."""
     # max and -min read the array without building a full-size abs temporary
-    return max(
-        max(int(part.max(initial=0)), -int(part.min(initial=0))) for part in (a.rat, a.irr)
-    )
+    values = np.asarray(values)
+    return max(int(values.max(initial=0)), -int(values.min(initial=0)))
 
 
-def _int_gcd_reduce(rat: np.ndarray, irr: np.ndarray, den: int):
+def _int_gcd_reduce(parts: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     g = den
-    for part in (rat.ravel(), irr.ravel()):
+    for part in parts.reshape(2, -1):
         if g == 1:
             break
         # a dense array usually reaches gcd 1 within its first entries; a
-        # sparse one is scanned over its nonzero entries only
+        # sparse one is scanned over its nonzero entries only, one part at
+        # a time, so the sqrt2 part is skipped once the first gives 1
         g = math.gcd(g, int(np.gcd.reduce(part[:64])))
         if g != 1:
             g = math.gcd(g, int(np.gcd.reduce(part[part.nonzero()])))
     if g == 1:
-        return rat, irr, den
-    if g == den and not (rat.any() or irr.any()):
+        return parts, den
+    if g == den and not parts.any():
         # only an all-zero array can have a g too large for int64 division
-        return rat, irr, 1
-    return rat // g, irr // g, den // g
+        return parts, 1
+    return parts // g, den // g
 
 
 @dataclass(frozen=True)
 class ExactArray:
-    """Dense array of Q(sqrt2) scalars stored as (rat + irr*sqrt2) / den.
+    """Dense array of Q(sqrt2) scalars stored as (parts[0] + parts[1]*sqrt2) / den.
 
-    ``rat`` and ``irr`` are integer ndarrays and ``den`` a positive int.  Each
-    operation bounds the magnitude of the integers it produces from the peaks
-    of its operands: below 2^62 they are stored as int64, otherwise as
-    object arrays of arbitrary-precision Python ints, so every result stays
-    exact.  Contractions whose products and partial sums all stay below 2^53
-    run in float64 (BLAS), where those integers are exact.
+    ``parts`` is one integer ndarray of shape (2, *shape), the rational part
+    then the sqrt2 part, and ``den`` a positive int.  Each operation bounds
+    the magnitude of the integers it produces from the peaks of its
+    operands: below 2^62 they are stored as int64, otherwise as an object
+    array of arbitrary-precision Python ints, so every result stays exact.
+    Contractions whose products and partial sums all stay below 2^53 run in
+    float64 (BLAS), where those integers are exact.
     """
 
-    rat: np.ndarray
-    irr: np.ndarray
+    parts: np.ndarray
     den: int
 
     def __post_init__(self) -> None:
@@ -338,11 +347,11 @@ class ExactArray:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.rat.shape
+        return self.parts.shape[1:]
 
     @classmethod
     def zeros(cls, shape: tuple[int, ...]) -> ExactArray:
-        return cls(np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64), 1)
+        return cls(np.zeros((2, *shape), dtype=np.int64), 1)
 
     @classmethod
     def build(
@@ -350,67 +359,63 @@ class ExactArray:
     ) -> ExactArray:
         values = [entry(idx) for idx in np.ndindex(*shape)]
         den = math.lcm(*(q.a.denominator for q in values), *(q.b.denominator for q in values))
-        rat = [q.a.numerator * (den // q.a.denominator) for q in values]
-        irr = [q.b.numerator * (den // q.b.denominator) for q in values]
-        dtype = _storage(max(map(abs, rat + irr), default=0))
-        return cls(
-            np.array(rat, dtype=dtype).reshape(shape),
-            np.array(irr, dtype=dtype).reshape(shape),
-            den,
-        )
+        ints = [q.a.numerator * (den // q.a.denominator) for q in values] + [
+            q.b.numerator * (den // q.b.denominator) for q in values
+        ]
+        dtype = _storage(max(map(abs, ints), default=0))
+        return cls(np.array(ints, dtype=dtype).reshape((2, *shape)), den)
 
     def item(self, *idx: int) -> QSqrt2:
-        return QSqrt2(
-            Fraction(int(self.rat[idx]), self.den),
-            Fraction(int(self.irr[idx]), self.den),
-        )
+        a, b = self.parts[(slice(None), *idx)]
+        return QSqrt2(Fraction(int(a), self.den), Fraction(int(b), self.den))
 
     def nonzero_items(self) -> list[tuple[tuple[int, ...], QSqrt2]]:
         """(index, value) of every nonzero entry, in C order."""
-        support = np.argwhere((self.rat != 0) | (self.irr != 0))
+        support = np.argwhere(self.parts.any(axis=0))
         return [(tuple(idx), self.item(*idx)) for idx in support.tolist()]
 
     def reduced(self) -> ExactArray:
-        rat, irr, den = _int_gcd_reduce(self.rat, self.irr, self.den)
-        return ExactArray(rat, irr, den)
+        return ExactArray(*_int_gcd_reduce(self.parts, self.den))
 
-    def _common(self, other: ExactArray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """Both operands over their common denominator, in the one storage
-        dtype that also holds their sum or difference."""
+    def _common(self, other: ExactArray) -> tuple[np.ndarray, np.ndarray, int]:
+        """Both operands' parts over their common denominator, in the one
+        storage dtype that also holds their sum or difference."""
         den = math.lcm(self.den, other.den)
         s, o = den // self.den, den // other.den
         # max(peak, 1): the factor itself must fit the dtype where the peak is 0
-        dtype = _storage(max(_peak(self), 1) * s + max(_peak(other), 1) * o)
-        parts = []
-        for arr, factor in ((self.rat, s), (self.irr, s), (other.rat, o), (other.irr, o)):
-            arr = arr.astype(dtype, copy=False)
-            parts.append(arr if factor == 1 else arr * factor)
-        return (*parts, den)
+        dtype = _storage(max(_peak(self.parts), 1) * s + max(_peak(other.parts), 1) * o)
+        scaled = []
+        for parts, factor in ((self.parts, s), (other.parts, o)):
+            parts = parts.astype(dtype, copy=False)
+            scaled.append(parts if factor == 1 else parts * factor)
+        return (*scaled, den)
 
     def __add__(self, other: ExactArray) -> ExactArray:
-        ra, ia, rb, ib, den = self._common(other)
-        return ExactArray(ra + rb, ia + ib, den)
+        a, b, den = self._common(other)
+        return ExactArray(a + b, den)
 
     def __sub__(self, other: ExactArray) -> ExactArray:
-        ra, ia, rb, ib, den = self._common(other)
-        return ExactArray(ra - rb, ia - ib, den)
+        a, b, den = self._common(other)
+        return ExactArray(a - b, den)
 
     def __neg__(self) -> ExactArray:
-        return ExactArray(-self.rat, -self.irr, self.den)
+        return ExactArray(-self.parts, self.den)
+
+    def _times(self, p, q, den: int) -> ExactArray:
+        """Each entry times p + q*sqrt2, over ``den``, reduced; ``p`` and
+        ``q`` are integers or integer arrays of the entry shape."""
+        dtype = _storage(max(_peak(self.parts), 1) * max(_peak(p) + 2 * _peak(q), 1))
+        p, q = (np.asarray(v).astype(dtype, copy=False) for v in (p, q))
+        a, b = self.parts.astype(dtype, copy=False)
+        # (a + b*sqrt2)(p + q*sqrt2) = (a*p + 2*b*q) + (a*q + b*p)*sqrt2
+        return ExactArray(np.stack([a * p + b * (2 * q), a * q + b * p]), den).reduced()
 
     def scale(self, factor: QSqrt2 | Rational) -> ExactArray:
         q = as_qsqrt2(factor)
-        p_num, p_den = q.a.numerator, q.a.denominator
-        r_num, r_den = q.b.numerator, q.b.denominator
-        den = self.den * p_den * r_den
-        pa = p_num * r_den
-        pb = r_num * p_den
-        # (rat + irr*sqrt2)(pa + pb*sqrt2) = (rat*pa + 2*irr*pb) + (rat*pb + irr*pa)*sqrt2
-        dtype = _storage(max(_peak(self), 1) * max(abs(pa) + 2 * abs(pb), 1))
-        rat, irr = self.rat.astype(dtype, copy=False), self.irr.astype(dtype, copy=False)
-        return ExactArray(
-            rat * pa + irr * (2 * pb), rat * pb + irr * pa, den
-        ).reduced()
+        a_den, b_den = q.a.denominator, q.b.denominator
+        return self._times(
+            q.a.numerator * b_den, q.b.numerator * a_den, self.den * a_den * b_den
+        )
 
     def times_sqrt2_powers(self, powers: np.ndarray) -> ExactArray:
         """Each entry times sqrt2^k, k the integer at its position in
@@ -419,66 +424,54 @@ class ExactArray:
         half, odd = np.divmod(np.asarray(powers, dtype=np.int64), 2)
         low = min(int(half.min(initial=0)), 0)
         factor = np.left_shift(1, half - low)
-        # (rat + irr*sqrt2) * sqrt2 = 2*irr + rat*sqrt2
-        dtype = _storage(max(_peak(self), 1) * 2 * int(factor.max(initial=1)))
-        rat, irr = self.rat.astype(dtype, copy=False), self.irr.astype(dtype, copy=False)
-        odd = odd.astype(bool)
-        return ExactArray(
-            np.where(odd, 2 * irr, rat) * factor,
-            np.where(odd, rat, irr) * factor,
-            self.den << -low,
-        ).reduced()
+        return self._times(factor * (1 - odd), factor * odd, self.den << -low)
 
     def tensordot(self, other: ExactArray, axes) -> ExactArray:
         """``np.tensordot`` of the entries over the list pair ``axes``, as one
-        real product [rat, irr] = [[l.r, 2 l.i], [l.i, l.r]] . [r.r, r.i]."""
+        real product parts = [[l.r, 2 l.i], [l.i, l.r]] . other.parts."""
         left_axes, right_axes = axes
         contracted = math.prod(self.shape[axis] for axis in left_axes)
-        # rat = l.r * r.r + 2 l.i * r.i sums at most 3 * contracted products
-        # of two peaks; below 2^53 float64 computes every term and every
-        # partial sum exactly, in whatever order BLAS adds them
-        exact_in_float = contracted * _peak(self) * _peak(other) * 3 < _FLOAT_EXACT_BOUND
+        # parts[0] = l.r * r.r + 2 l.i * r.i sums at most 3 * contracted
+        # products of two peaks; below 2^53 float64 computes every term and
+        # every partial sum exactly, in whatever order BLAS adds them
+        exact_in_float = contracted * _peak(self.parts) * _peak(other.parts) * 3 < _FLOAT_EXACT_BOUND
         dtype = np.float64 if exact_in_float else object
-        lr, li, rr, ri = (
-            part.astype(dtype, copy=False)
-            for part in (self.rat, self.irr, other.rat, other.irr)
-        )
-        # left: [output part, input part, *self.shape]; right: [input part, *other.shape]
-        left = np.stack([np.stack([lr, 2 * li]), np.stack([li, lr])])
-        right = np.stack([rr, ri])
+        lr, li = self.parts.astype(dtype, copy=False)
+        # [output part, input part, *self.shape]
+        left = np.stack([lr, 2 * li, li, lr]).reshape((2, 2, *self.shape))
         product = np.tensordot(
             left,
-            right,
+            other.parts.astype(dtype, copy=False),
             (
-                [1, *(axis % self.rat.ndim + 2 for axis in left_axes)],
-                [0, *(axis % other.rat.ndim + 1 for axis in right_axes)],
+                [1, *(axis % len(self.shape) + 2 for axis in left_axes)],
+                [0, *(axis % len(other.shape) + 1 for axis in right_axes)],
             ),
         )
         if exact_in_float:
             product = product.astype(np.int64)
-        return ExactArray(product[0], product[1], self.den * other.den)
+        return ExactArray(product, self.den * other.den)
 
     def transpose(self, axes: tuple[int, ...]) -> ExactArray:
+        ndim = len(self.shape)
         return ExactArray(
-            self.rat.transpose(axes), self.irr.transpose(axes), self.den
+            self.parts.transpose((0, *(axis % ndim + 1 for axis in axes))), self.den
         )
 
     def is_zero(self) -> bool:
-        return bool((self.rat == 0).all() and (self.irr == 0).all())
+        return not self.parts.any()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactArray):
             return NotImplemented
         if self.shape != other.shape:
             return False
-        ra, ia, rb, ib, _ = self._common(other)
-        return bool((ra == rb).all() and (ia == ib).all())
+        a, b, _ = self._common(other)
+        # part by part, so a difference in the rational part ends the scan
+        return all((x == y).all() for x, y in zip(a, b))
 
     def to_float(self) -> np.ndarray:
-        return (
-            self.rat.astype(np.float64)
-            + self.irr.astype(np.float64) * _SQRT2_FLOAT
-        ) / self.den
+        a, b = self.parts.astype(np.float64)
+        return (a + b * _SQRT2_FLOAT) / self.den
 
 
 def csr_matvec(
@@ -487,10 +480,8 @@ def csr_matvec(
     """Integer matrix in CSR form (row starts, columns, coefficients; no empty
     row) times a 1-D exact vector."""
     row_bound = int(np.add.reduceat(np.abs(coefficients), starts).max(initial=0))
-    dtype = _storage(max(_peak(vector), 1) * row_bound)
-    coefficients = coefficients.astype(dtype)
-    rat, irr = (
-        np.add.reduceat(coefficients * part.astype(dtype, copy=False)[columns], starts)
-        for part in (vector.rat, vector.irr)
+    dtype = _storage(max(_peak(vector.parts), 1) * row_bound)
+    gathered = vector.parts.astype(dtype, copy=False)[:, columns]
+    return ExactArray(
+        np.add.reduceat(coefficients.astype(dtype) * gathered, starts, axis=1), vector.den
     )
-    return ExactArray(rat, irr, vector.den)

@@ -181,9 +181,10 @@ def assemble(n: int) -> ConstraintSystem:
     # in (x, s, e) order, so each (x, s) owns one contiguous run of them
     parity = (degree[:, None, None] + degree[:, None] + degree) % 2
     graded = alg.levi_civita.times_sqrt2_powers(-parity)
-    if graded.irr.any():
+    rational, irrational = graded.parts
+    if irrational.any():
         raise ArithmeticError("Levi-Civita table is not sqrt2-graded")
-    q_table = graded.rat.astype(np.int64)
+    q_table = rational.astype(np.int64)
     lc_x, lc_s, lc_e = np.nonzero(q_table)
     lc_q, lc_p = q_table[lc_x, lc_s, lc_e], parity[lc_x, lc_s, lc_e]
     run_length = np.bincount(lc_x * d + lc_s, minlength=d * d)

@@ -10,6 +10,7 @@ plain dense ``ExactArray``s of shape (d, d, d) and (d, d, d, d); see
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,10 +55,11 @@ def triple_positions(dim: int) -> dict[tuple[int, int, int], int]:
 @lru_cache(maxsize=None)
 def dense_positions(dim: int) -> np.ndarray:
     """(dim, dim, dim) table of the canonical position of each index's triple."""
-    pos = triple_positions(dim)
+    triples = np.array(symmetric_triples(dim))
+    # every index is one of the 6 orderings of its sorted triple
+    orderings = triples[:, list(itertools.permutations(range(3)))]
     table = np.empty((dim,) * 3, dtype=np.intp)
-    for idx in np.ndindex(*table.shape):
-        table[idx] = pos[tuple(sorted(idx))]
+    table[tuple(orderings.T)] = np.arange(len(triples))
     table.flags.writeable = False
     return table
 
@@ -112,9 +114,7 @@ class SymTensor3:
     @classmethod
     def from_dense(cls, n: int, dense: ExactArray) -> SymTensor3:
         i, j, k = np.array(symmetric_triples(basis_dimension(n))).T
-        return cls(
-            n, ExactArray(dense.rat[i, j, k], dense.irr[i, j, k], dense.den).reduced()
-        )
+        return cls(n, ExactArray(dense.parts[:, i, j, k], dense.den).reduced())
 
     def get(self, i: int, j: int, k: int) -> QSqrt2:
         return self.canonical.item(triple_positions(self.dim)[tuple(sorted((i, j, k)))])
@@ -134,8 +134,7 @@ class SymTensor3:
     def to_exact_array(self) -> ExactArray:
         """Dense (d, d, d) array, gathered from the canonical entries."""
         table = dense_positions(self.dim)
-        c = self.canonical
-        return ExactArray(c.rat[table], c.irr[table], c.den)
+        return ExactArray(self.canonical.parts[:, table], self.canonical.den)
 
     def is_zero(self) -> bool:
         return self.canonical.is_zero()

@@ -249,8 +249,8 @@ class TestSharedContractions:
         # one entry off the symmetric value; the shortcut would read the
         # other orderings of its triple from it
         cubic = amari_difference(2).to_exact_array()
-        broken = ExactArray(cubic.rat.copy(), cubic.irr.copy(), cubic.den)
-        broken.rat[index] += 1
+        broken = ExactArray(cubic.parts.copy(), cubic.den)
+        broken.parts[(0, *index)] += 1
         hat = lie_algebra(2).levi_civita
         with pytest.raises(ArithmeticError, match="not totally symmetric"):
             connections._cubic_derivative(hat, broken)

@@ -108,6 +108,17 @@ class TestRecheckCertificate:
         assert len(result.stderr.strip().splitlines()) == 1
         assert "Bogus(1)|Mean(1)|Cov(1,1)" in result.stderr
 
+    def test_zero_denominator_value_exits_2(self, tmp_path):
+        path = self._certificate(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["kernel"]["Mean(1)|Mean(1)|Cov(1,1)"] = "1/0 + 0/1*sqrt2"
+        path.write_text(json.dumps(payload))
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert result.stderr.startswith("error:")
+
     def test_bad_n_exits_2(self, tmp_path):
         path = self._certificate(tmp_path)
         payload = json.loads(path.read_text())

@@ -561,7 +561,7 @@ class TestAlphaFamilyChecks:
         def non_metric(n):
             alg = real(n)
             unit = ExactArray.zeros(alg.levi_civita.shape)
-            unit.rat[0, 1, 1] = 1
+            unit.parts[0, 0, 1, 1] = 1
             # symmetric in its last two slots, so conjugate(LC + unit) = LC - unit
             return dataclasses.replace(alg, levi_civita=alg.levi_civita + unit)
 

@@ -13,6 +13,7 @@ from gaussgeom.tensors import (
     SymTensor3,
     basis_dimension,
     basis_order,
+    dense_positions,
     symmetric_triples,
     triple_positions,
 )
@@ -53,6 +54,14 @@ class TestTripleIndexing:
         pos = triple_positions(dim)
         for p, t in enumerate(symmetric_triples(dim)):
             assert pos[t] == p
+
+    @pytest.mark.parametrize("dim", [2, 5, 14, 44])
+    def test_dense_positions_match_sorted_triples(self, dim):
+        table = dense_positions(dim)
+        positions = triple_positions(dim)
+        assert table.shape == (dim,) * 3
+        for idx in np.ndindex(*table.shape):
+            assert table[idx] == positions[tuple(sorted(idx))]
 
     def test_dimension_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -99,7 +108,7 @@ class TestSymTensor3:
         reference = ExactArray.build((k.dim,) * 3, lambda idx: k.get(*idx))
         dense = k.to_exact_array()
         assert dense.den == reference.den
-        assert (dense.rat == reference.rat).all() and (dense.irr == reference.irr).all()
+        assert (dense.parts == reference.parts).all()
 
     def test_round_trip_through_dense(self):
         k = SymTensor3.from_entries(2, {(0, 2, 3): QSqrt2(1, 2)})
