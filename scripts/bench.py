@@ -20,9 +20,11 @@ build or test leftovers. The output has four parts:
 - ``perfbench_trace``: the JSON line of one 10 s ``--trace 1`` run per
   workload and side;
 - ``stages``: per side and n, fresh-process seconds of ``lie_algebra``,
-  ``assemble``, ``ConstraintSystem.echelon``, ``solve`` and ``verify_theorem``
-  (``verify_theorem`` includes its own ``solve``), the rank and the process's
-  peak RSS;
+  ``assemble``, ``solve`` and ``verify_theorem`` (``verify_theorem`` includes
+  its own ``solve``), the certificate's rank and the process's peak RSS. Only
+  calls that both sides have are made; the elimination (on the live block
+  left by peeling singleton rows, rank = peeled count + block rank) shows
+  per op as perfbench's ``exact.echelon.s`` under ``--trace 1``;
 - ``machine`` and ``method``: what the runs were made on and how.
 
 Runs are made one process at a time with BLAS pools capped at one thread.
@@ -65,14 +67,13 @@ def timed(name, fn):
     return out
 timed("lie_algebra_s", lambda: lie_algebra(n))
 system = timed("assemble_s", lambda: assemble(n))
-echelon = timed("echelon_s", system.echelon)
 timed("solve_s", lambda: solve(n))
 cert = timed("verify_s", lambda: verify_theorem(n))
 print(json.dumps({
     "module": gaussgeom.__file__,
     "unknowns": system.unknowns,
     "rows_distinct": len(system.starts),
-    "rank": echelon.rank,
+    "rank": cert.rank,
     "passed": cert.passed,
     **seconds,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

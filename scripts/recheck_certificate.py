@@ -99,7 +99,7 @@ def recheck(payload: dict) -> bool:
 
     # uniqueness is re-derived: the rank of the reassembled rows, not the
     # recorded one, must leave a one-dimensional kernel
-    rank = system.echelon().rank
+    rank, _ = system.kernel()
     report(
         "rank_accounting",
         payload["unknowns"] == system.unknowns

@@ -221,12 +221,6 @@ def cubic(n: int, x: BasisIndex, y: BasisIndex, z: BasisIndex) -> QSqrt2:
     return alg.cubic.item(alg.position(x), alg.position(y), alg.position(z))
 
 
-def u_map(n: int, x: BasisIndex, y: BasisIndex) -> list[QSqrt2]:
-    alg = lie_algebra(n)
-    a, b = alg.position(x), alg.position(y)
-    return [alg.u_coeffs.item(a, b, g) for g in range(alg.dim)]
-
-
 def derived_series_dims(n: int) -> list[int]:
     """Dimensions of the derived series; ends at zero iff solvable.
 

@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -154,14 +154,6 @@ class QSqrt2:
         if a_den == 0 or b_den == 0:
             raise ValueError(f"zero denominator in Q(sqrt2) literal: {text!r}")
         return cls(Fraction(a_num, a_den), Fraction(b_num, b_den))
-
-    def to_json(self) -> list[str]:
-        return [str(self._a), str(self._b)]
-
-    @classmethod
-    def from_json(cls, pair: Sequence[str]) -> QSqrt2:
-        a, b = pair
-        return cls(Fraction(a), Fraction(b))
 
 
 ZERO = QSqrt2(0)

@@ -16,11 +16,12 @@ triples t, every constraint is therefore sqrt2^k times a rational row; the
 system keeps each distinct row once, as a primitive integer row.  The rows
 are assembled as integer numpy batches (every (a, b, g, d) term of the
 Levi-Civita derivative at once, summed per row, made primitive and
-deduplicated) and stored only as int64 CSR arrays.  ``echelon()`` is their
+deduplicated) and stored only as int64 CSR arrays.  ``kernel()`` is their
 one elimination, for the kernel here and the recheck's rank: numpy rounds
 first peel every row with a single live entry off the CSR arrays (at n=4,
 530 of the 560 unknowns are forced to zero), then one fraction-free loop
-takes the unit rows of the peeled columns and the rows that remain.
+eliminates the rows that remain on the live block of columns; the rank is
+the peeled count plus the block rank.
 The kernel, the residual check and the pattern checks work on 1-D
 ``ExactArray``s over the triples; ``QSqrt2`` scalars appear only where the
 kernel is lifted back to K_t = sqrt2^{deg t} y_t and written as ``a/b + c/d*sqrt2``.
@@ -109,24 +110,19 @@ class ConstraintSystem:
         bounds = self.starts.tolist() + [len(pairs)]
         return tuple(pairs[i:j] for i, j in zip(bounds, bounds[1:]))
 
-    def echelon(self) -> SparseEchelon:
-        """One fraction-free elimination of the rows, after peeling singletons.
+    def kernel(self) -> tuple[int, list[ExactArray]]:
+        """The rank and a kernel basis in the entries K_t.
 
-        Peeling works on the CSR arrays alone.  A column is zeroed when it is
-        the only live (not yet zeroed) entry of some row; rounds repeat until
-        one zeroes nothing.  The elimination then takes the unit row e_c of
-        each zeroed column c in column order, followed by every row that
-        keeps two or more live entries, stripped to them, in row order; rows
-        with no live entry are skipped.
-
-        The row space is unchanged, so the rank and the kernel are too.  By
-        induction over the rounds each e_c lies in the row space: a row whose
-        only live entry is v*e_c (v != 0) is v*e_c plus multiples of the e_c'
-        of columns zeroed earlier.  Each row is its stripped part plus
-        multiples of zeroed e_c, so every row lies in the span of the
-        inserted rows, and each inserted row in the row space.  With a
-        one-dimensional kernel, the normalized vector of ``kernel_basis`` is
-        determined by that space.
+        Singleton rows are peeled first, on the CSR arrays alone: a column is
+        zeroed when it is the only live (not yet zeroed) entry of some row, in
+        rounds until one zeroes nothing.  By induction over the rounds, e_c
+        lies in the row space for each zeroed c (a row whose only live entry
+        is v*e_c is v*e_c plus multiples of earlier e_c'), and each row is its
+        stripped live part plus multiples of zeroed e_c.  So the rank is the
+        peeled count plus the rank of the stripped rows on the live columns,
+        renumbered 0..s-1, and every kernel vector vanishes off them.  Each
+        block kernel vector is scattered back and lifted through
+        K_t = sqrt2^{deg t} y_t.
         """
         lengths = np.diff(self.starts, append=len(self.columns))
         row_id = np.repeat(np.arange(len(self.starts)), lengths)
@@ -139,15 +135,22 @@ class ConstraintSystem:
                 break
             zeroed[lone] = True
 
-        echelon = SparseEchelon(self.unknowns)
-        for c in np.flatnonzero(zeroed).tolist():
-            echelon.insert({c: 1})
+        peeled = int(zeroed.sum())
+        block = np.cumsum(~zeroed) - 1
+        echelon = SparseEchelon(self.unknowns - peeled)
         # every live entry now shares its row with another live entry
-        columns, coefficients = self.columns[live].tolist(), self.coefficients[live].tolist()
+        columns, coefficients = block[self.columns[live]].tolist(), self.coefficients[live].tolist()
         bounds = np.flatnonzero(np.diff(row_id[live], prepend=-1)).tolist() + [len(columns)]
         for i, j in zip(bounds, bounds[1:]):
             echelon.insert(dict(zip(columns[i:j], coefficients[i:j])))
-        return echelon
+
+        basis = []
+        for y in echelon.kernel_basis():
+            graded = ExactArray.build((len(y),), lambda idx: y[idx[0]])
+            parts = np.zeros((2, self.unknowns), dtype=graded.parts.dtype)
+            parts[:, ~zeroed] = graded.parts
+            basis.append(ExactArray(parts, graded.den).times_sqrt2_powers(self.degrees))
+        return peeled + echelon.rank, basis
 
     def residuals(self, vector: ExactArray) -> ExactArray:
         """Each distinct row applied to the graded coordinates of ``vector``.
@@ -345,22 +348,10 @@ class TheoremCertificate:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def _kernel_basis(system: ConstraintSystem) -> tuple[list[ExactArray], int]:
-    """Kernel basis in the entries K_t and the rank: the integer rows are
-    eliminated over Q, then each graded kernel vector is lifted back through
-    K_t = sqrt2^{deg t} y_t."""
-    echelon = system.echelon()
-    basis = []
-    for y in echelon.kernel_basis():
-        graded = ExactArray.build((system.unknowns,), lambda idx: y[idx[0]])
-        basis.append(graded.times_sqrt2_powers(system.degrees))
-    return basis, echelon.rank
-
-
 def solve(n: int) -> TheoremCertificate:
     """Compute the kernel and check it against the certified pattern."""
     system = assemble(n)
-    basis_vectors, rank = _kernel_basis(system)
+    rank, basis_vectors = system.kernel()
     cert = TheoremCertificate(
         n=n,
         dim=basis_dimension(n),

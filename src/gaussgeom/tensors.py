@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .exact import ZERO, ExactArray, QSqrt2, Rational, as_qsqrt2
+from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2
 
 
 def basis_dimension(n: int) -> int:
@@ -98,14 +98,14 @@ class SymTensor3:
     def from_entries(
         cls, n: int, entries: Mapping[tuple[int, int, int], QSqrt2 | Rational]
     ) -> SymTensor3:
+        """Zero except at the given entries, whose triples may be in any order."""
         pos = triple_positions(basis_dimension(n))
-        by_position = {pos[tuple(sorted(t))]: value for t, value in entries.items()}
-        return cls(
-            n,
-            ExactArray.build(
-                (len(pos),), lambda idx: as_qsqrt2(by_position.get(idx[0], ZERO))
-            ),
-        )
+        by_position = {pos[tuple(sorted(t))]: as_qsqrt2(v) for t, v in entries.items()}
+        values = list(by_position.values())
+        given = ExactArray.build((len(values),), lambda idx: values[idx[0]])
+        parts = np.zeros((2, len(pos)), dtype=given.parts.dtype)
+        parts[:, list(by_position)] = given.parts
+        return cls(n, ExactArray(parts, given.den))
 
     @classmethod
     def from_vector(cls, n: int, vector: Sequence[QSqrt2]) -> SymTensor3:

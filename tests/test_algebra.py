@@ -11,7 +11,6 @@ from gaussgeom.algebra import (
     derived_series_dims,
     inner,
     lie_algebra,
-    u_map,
 )
 from gaussgeom.exact import ONE, SQRT2, ZERO, ExactArray, QSqrt2
 
@@ -303,13 +302,14 @@ class TestInnerAndCubic:
 class TestUMap:
     def test_examples(self):
         alg = lie_algebra(2)
-        coeffs = u_map(2, mean(1), mean(1))
-        assert coeffs[alg.position(cov(1, 1))] == INV_SQRT2
-        coeffs = u_map(2, cov(1, 2), cov(1, 2))
-        assert coeffs[alg.position(cov(1, 1))] == INV_SQRT2
-        assert coeffs[alg.position(cov(2, 2))] == -INV_SQRT2
-        coeffs = u_map(2, mean(1), mean(2))
-        assert coeffs[alg.position(cov(1, 2))] == HALF
+
+        def u(x, y, g):
+            return alg.u_coeffs.item(alg.position(x), alg.position(y), alg.position(g))
+
+        assert u(mean(1), mean(1), cov(1, 1)) == INV_SQRT2
+        assert u(cov(1, 2), cov(1, 2), cov(1, 1)) == INV_SQRT2
+        assert u(cov(1, 2), cov(1, 2), cov(2, 2)) == -INV_SQRT2
+        assert u(mean(1), mean(2), cov(1, 2)) == HALF
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_full_table_matches_closed_form(self, n):

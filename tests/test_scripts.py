@@ -32,6 +32,14 @@ def recheck_module():
     return module
 
 
+@pytest.fixture()
+def bench():
+    spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def without_row(system, r):
     """``system`` with distinct row ``r`` removed, built from its CSR arrays."""
     ends = np.append(system.starts[1:], len(system.columns))
@@ -177,11 +185,11 @@ class TestRecheckInProcess:
         n = 1
         payload = json.loads(solver.verify_theorem(n).to_json())
         system = solver.assemble(n)
-        rank = system.echelon().rank
+        rank, _ = system.kernel()
         dropped = next(
             smaller
             for smaller in (without_row(system, r) for r in range(len(system.starts)))
-            if smaller.echelon().rank < rank
+            if smaller.kernel()[0] < rank
         )
         assert dropped.row_count < system.row_count
         monkeypatch.setattr(recheck_module, "assemble", lambda _: dropped)
@@ -200,15 +208,19 @@ class TestRecheckInProcess:
         assert recheck_module.recheck(json.loads(cert.to_json())) is True
 
 
+class TestBenchStageProbe:
+    def test_stage_probe_on_the_working_tree(self, bench):
+        # the probe calls only what the parent side also has, in a fresh
+        # interpreter that must import this checkout's package
+        record = bench.stages(bench.ROOT, 2)
+        assert record["passed"] is True
+        assert record["rank"] == record["unknowns"] - 1 == 34
+        assert {"lie_algebra_s", "assemble_s", "solve_s", "verify_s"} <= record.keys()
+        assert "echelon_s" not in record
+
+
 class TestBenchSummary:
     """``scripts/bench.py``'s summary of parent/change pairs, on made-up runs."""
-
-    @pytest.fixture()
-    def bench(self):
-        spec = importlib.util.spec_from_file_location("bench", SCRIPTS / "bench.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module
 
     @staticmethod
     def result(failed, **values):

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 from pathlib import Path
@@ -295,25 +294,33 @@ def reduced_basis(vectors: list[list[QSqrt2]]) -> list[tuple[Fraction, ...]]:
 
 
 class TestPeeledEchelon:
-    """``echelon()`` peels singleton rows and keeps the straight loop's row space."""
+    """``kernel()`` peels singleton rows, eliminates the live block and keeps the
+    straight loop's rank and kernel."""
 
     @given(csr_systems())
     def test_matches_straight_elimination(self, system):
-        peeled, straight = system.echelon(), straight_echelon(system)
-        assert peeled.rank == straight.rank
-        assert reduced_basis(peeled.kernel_basis()) == reduced_basis(straight.kernel_basis())
+        (rank, basis), straight = system.kernel(), straight_echelon(system)
+        assert rank == straight.rank
+        # every degree is 0, so the kernel vectors are rational and unlifted
+        vectors = [[v.item(p) for p in range(system.unknowns)] for v in basis]
+        assert reduced_basis(vectors) == reduced_basis(straight.kernel_basis())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_straight_elimination_on_assembled_rows(self, n):
         system = assemble(n)
-        peeled, straight = system.echelon(), straight_echelon(system)
-        assert peeled.rank == straight.rank == system.unknowns - 1
+        (rank, basis), straight = system.kernel(), straight_echelon(system)
+        assert rank == straight.rank == system.unknowns - 1
         # a one-dimensional kernel has one normalized generator
-        assert peeled.kernel_basis() == straight.kernel_basis()
+        lifted = [
+            exact_vector(y).times_sqrt2_powers(system.degrees)
+            for y in straight.kernel_basis()
+        ]
+        assert basis == lifted
 
     def test_peeled_inserts_at_n4(self, monkeypatch):
-        # 530 of the 560 columns are peeled; 197 rows keep two live entries,
-        # against 5 078 rows inserted one by one without peeling
+        # 530 of the 560 columns are peeled and inserted as nothing; at most
+        # 197 rows keep two live entries, each eliminated on the block of the
+        # 30 live columns, against 5 078 rows inserted one by one without peeling
         system = assemble(4)
         inserted = []
         original = SparseEchelon.insert
@@ -323,15 +330,11 @@ class TestPeeledEchelon:
             return original(self, row)
 
         monkeypatch.setattr(SparseEchelon, "insert", counted)
-        system.echelon()
-        units = list(itertools.takewhile(lambda row: len(row) == 1, inserted))
-        others = inserted[len(units) :]
-        peeled = [c for row in units for c in row]
-        assert len(units) == 530
-        assert all(row == {c: 1} for row, c in zip(units, peeled))
-        assert peeled == sorted(set(peeled))
-        assert len(others) <= 197 and len(inserted) < 800
-        assert all(len(row) >= 2 and not row.keys() & set(peeled) for row in others)
+        rank, basis = system.kernel()
+        assert rank == system.unknowns - 1 and len(basis) == 1
+        assert 0 < len(inserted) <= 197
+        assert all(len(row) >= 2 for row in inserted)
+        assert all(0 <= c < 30 for row in inserted for c in row)
 
 
 class TestSystem:

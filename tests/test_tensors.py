@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import qsqrt2s
-from gaussgeom.exact import ONE, ZERO, ExactArray, QSqrt2
+from gaussgeom.exact import ONE, ZERO, ExactArray, QSqrt2, as_qsqrt2
 from gaussgeom.tensors import (
     SymTensor3,
     basis_dimension,
@@ -78,6 +78,34 @@ class TestSymTensor3:
     def test_from_entries_accepts_unsorted_keys(self):
         k = SymTensor3.from_entries(1, {(1, 0, 0): 2})
         assert k.get(0, 0, 1) == QSqrt2(2)
+
+    @given(
+        st.integers(1, 2).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.dictionaries(
+                    st.tuples(*[st.integers(0, basis_dimension(n) - 1)] * 3),
+                    mixed_qsqrt2s | st.integers(-5, 5) | st.fractions(max_denominator=6),
+                    max_size=8,
+                ),
+            )
+        )
+    )
+    @example((1, {}))
+    @example((1, {(0, 0, 1): QSqrt2(3), (1, 0, 0): Fraction(1, 2), (0, 1, 0): 2**70}))
+    def test_from_entries_matches_dense_per_entry_build(self, case):
+        # reference: the per-entry build over every triple, where a triple
+        # given in several orders takes its last value
+        n, entries = case
+        positions = triple_positions(basis_dimension(n))
+        by_position = {positions[tuple(sorted(t))]: value for t, value in entries.items()}
+        reference = ExactArray.build(
+            (len(positions),), lambda idx: as_qsqrt2(by_position.get(idx[0], ZERO))
+        )
+        built = SymTensor3.from_entries(n, entries).canonical
+        assert built.den == reference.den
+        assert built.parts.dtype == reference.parts.dtype
+        assert (built.parts == reference.parts).all()
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
