@@ -1,15 +1,22 @@
 #!/usr/bin/env python3
 """Independently re-check a saved certificate.
 
-Reassembles the constraint system from scratch, rebuilds the kernel vector
-recorded in the certificate, and confirms that (a) the vector annihilates
-every constraint row exactly, (b) its entries match the certified nonzero
-pattern, and (c) the recorded rank equals the rank of the reassembled rows,
-recomputed by exact elimination, with a kernel of dimension exactly 1.
+Reassembles the constraint system from scratch, reads the kernel recorded
+in the certificate, and confirms that (a) it annihilates every constraint
+row exactly, (b) its entries match the certified nonzero pattern, and (c)
+the recorded rank equals the rank of the reassembled rows, recomputed by
+exact elimination, with a kernel of dimension exactly 1.
+
+The kernel is read by ``SymTensor3.from_labels``, the one reader of the
+``Label|Label|Label -> a/b + c/d*sqrt2`` map that ``SymTensor3.labelled``
+writes: the three parts of a label may come in any order, and each
+unordered triple may be named at most once, so a second label of one
+triple is an error, never a silent overwrite.  A file holds one
+certificate object or a non-empty list of them.
 
 Exit codes: 0 every certificate passes, 1 a check failed, 2 a certificate
-could not be read (bad JSON, ``n``, kernel label or value, or a missing
-rank/kernel_dim/unknowns field).
+could not be read (bad JSON, an empty list, ``n``, a kernel label or value,
+a repeated triple, or a missing rank/kernel_dim/unknowns field).
 
 Example:
     python3 scripts/recheck_certificate.py certificates/certificate_n3.json
@@ -22,37 +29,23 @@ import json
 import sys
 from pathlib import Path
 
-from gaussgeom.algebra import basis_indices
-from gaussgeom.exact import ZERO, ExactArray, QSqrt2
 from gaussgeom.solver import assemble, expected_pattern
-from gaussgeom.tensors import basis_dimension, symmetric_triples, triple_positions
+from gaussgeom.tensors import SymTensor3
 
 
-def kernel_vector(payload: dict) -> list[QSqrt2]:
-    """The certificate's kernel as a vector over the canonical triples.
+def kernel_tensor(payload: dict) -> SymTensor3:
+    """The certificate's kernel, read by ``SymTensor3.from_labels``.
 
-    Raises ValueError on a bad ``n``, kernel label or kernel value.
+    Raises ValueError on a bad ``n``, kernel label or kernel value, or on a
+    triple that the kernel names twice.
     """
     n = payload.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
-    dim = basis_dimension(n)
-    positions = triple_positions(dim)
-    label_position = {idx.label(): p for p, idx in enumerate(basis_indices(n))}
-
     kernel = payload.get("kernel")
     if not isinstance(kernel, dict):
         raise ValueError("kernel must be an object of label -> value")
-    vector = [ZERO] * len(positions)
-    for label, text in kernel.items():
-        parts = label.split("|")
-        if len(parts) != 3 or any(part not in label_position for part in parts):
-            raise ValueError(f"not a kernel label for n={n}: {label!r}")
-        if not isinstance(text, str):
-            raise ValueError(f"kernel value of {label} is not a string: {text!r}")
-        key = tuple(sorted(label_position[part] for part in parts))
-        vector[positions[key]] = QSqrt2.parse(text)
-    return vector
+    return SymTensor3.from_labels(n, kernel)
 
 
 def validate(payload: object) -> None:
@@ -64,14 +57,12 @@ def validate(payload: object) -> None:
         value = payload.get(key)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"{key} must be an integer, got {value!r}")
-    kernel_vector(payload)
+    kernel_tensor(payload)
 
 
 def recheck(payload: dict) -> bool:
-    values = kernel_vector(payload)
-    vector = ExactArray.build((len(values),), lambda idx: values[idx[0]])
-    n = payload["n"]
-    triples = symmetric_triples(basis_dimension(n))
+    kernel = kernel_tensor(payload)
+    n = kernel.n
 
     ok = True
 
@@ -82,20 +73,16 @@ def recheck(payload: dict) -> bool:
         print(f"  {name}: {'PASS' if passed else 'FAIL'}{suffix}")
 
     system = assemble(n)
-    residuals = system.residuals(vector)
+    residuals = system.residuals(kernel.canonical)
     # counted over every emitted constraint, as each distinct row stands for
     # ``multiplicity`` of them
     nonzero = residuals.parts.any(axis=0)
     bad = int(system.multiplicities @ nonzero)
     report("rows_annihilated", bad == 0, f"{system.row_count} rows, {bad} nonzero")
 
-    pattern = expected_pattern(n)
-    mismatched = [
-        p
-        for p, triple in enumerate(triples)
-        if values[p] != pattern.get(triple, ZERO)
-    ]
-    report("pattern_match", not mismatched, f"{len(mismatched)} mismatches")
+    expected = SymTensor3.from_entries(n, expected_pattern(n))
+    mismatched = len((kernel + expected.scale(-1)).nonzero_items())
+    report("pattern_match", not mismatched, f"{mismatched} mismatches")
 
     # uniqueness is re-derived: the rank of the reassembled rows, not the
     # recorded one, must leave a one-dimensional kernel
@@ -121,6 +108,8 @@ def main() -> int:
         try:
             blob = json.loads(path.read_text(encoding="utf-8"))
             entries = blob if isinstance(blob, list) else [blob]
+            if not entries:
+                raise ValueError("the certificate list is empty")
             for payload in entries:
                 validate(payload)
         except (OSError, ValueError) as exc:

@@ -16,16 +16,13 @@ test suite.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .exact import ExactArray, QSqrt2, SparseEchelon
-
-_LABEL_RE = re.compile(r"^(Mean|Cov)\((\d+)(?:,(\d+))?\)$")
+from .exact import ExactArray, SparseEchelon
 
 
 @dataclass(frozen=True)
@@ -66,20 +63,6 @@ class BasisIndex:
         if self.is_mean:
             return f"Mean({self.i})"
         return f"Cov({self.i},{self.j})"
-
-    @classmethod
-    def parse(cls, label: str) -> BasisIndex:
-        m = _LABEL_RE.match(label.strip())
-        if m is None:
-            raise ValueError(f"not a basis label: {label!r}")
-        kind, i, j = m.group(1), int(m.group(2)), m.group(3)
-        if kind == "Mean":
-            if j is not None:
-                raise ValueError(f"not a basis label: {label!r}")
-            return cls.mean(i)
-        if j is None:
-            raise ValueError(f"not a basis label: {label!r}")
-        return cls.cov(i, int(j))
 
 
 def basis_indices(n: int) -> tuple[BasisIndex, ...]:
@@ -209,16 +192,6 @@ def lie_algebra(n: int) -> LieAlgebra:
         u_coeffs=u_coeffs,
         levi_civita=levi.reduced(),
     )
-
-
-def inner(n: int, x: BasisIndex, y: BasisIndex) -> QSqrt2:
-    alg = lie_algebra(n)
-    return alg.gram.item(alg.position(x), alg.position(y))
-
-
-def cubic(n: int, x: BasisIndex, y: BasisIndex, z: BasisIndex) -> QSqrt2:
-    alg = lie_algebra(n)
-    return alg.cubic.item(alg.position(x), alg.position(y), alg.position(z))
 
 
 def derived_series_dims(n: int) -> list[int]:

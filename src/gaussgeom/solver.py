@@ -22,9 +22,11 @@ first peel every row with a single live entry off the CSR arrays (at n=4,
 530 of the 560 unknowns are forced to zero), then one fraction-free loop
 eliminates the rows that remain on the live block of columns; the rank is
 the peeled count plus the block rank.
-The kernel, the residual check and the pattern checks work on 1-D
-``ExactArray``s over the triples; ``QSqrt2`` scalars appear only where the
-kernel is lifted back to K_t = sqrt2^{deg t} y_t and written as ``a/b + c/d*sqrt2``.
+The kernel, the residual check and the pattern checks work on ``SymTensor3``s,
+1-D ``ExactArray``s over the triples.  The certificate records the kernel as
+``Label|Label|Label -> a/b + c/d*sqrt2``, written by ``SymTensor3.labelled``
+and read back by ``SymTensor3.from_labels`` (``solved_difference_tensor``),
+the one writer and the one reader of that map.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .algebra import BasisIndex, basis_indices, lie_algebra
+from .algebra import BasisIndex, lie_algebra
 from .connections import alpha_connection, alpha_family_verdicts, from_difference
 from .exact import (
     HALF_SQRT2,
@@ -51,7 +54,7 @@ from .tensors import (
     basis_dimension,
     dense_positions,
     symmetric_triples,
-    triple_positions,
+    triple_label,
 )
 
 SCHEMA_VERSION = "1"
@@ -270,17 +273,19 @@ def assemble(n: int) -> ConstraintSystem:
     )
 
 
+def _basis_positions(n: int) -> tuple[Callable[[int], int], Callable[[int, int], int]]:
+    """Canonical basis positions of Mean(i) and of Cov(i, j)."""
+    position = lie_algebra(n).position
+    return (
+        lambda i: position(BasisIndex.mean(i)),
+        lambda i, j: position(BasisIndex.cov(i, j)),
+    )
+
+
 def expected_pattern(n: int) -> dict[tuple[int, int, int], QSqrt2]:
     """Nonzero certified kernel entries, normalized so every
     (Mean(i), Mean(i), Cov(i,i)) entry equals 1."""
-    position = {idx: p for p, idx in enumerate(basis_indices(n))}
-
-    def mean(i: int) -> int:
-        return position[BasisIndex.mean(i)]
-
-    def cov(i: int, j: int) -> int:
-        return position[BasisIndex.cov(i, j)]
-
+    mean, cov = _basis_positions(n)
     two = QSqrt2(2)
     pattern: dict[tuple[int, int, int], QSqrt2] = {}
     for i in range(1, n + 1):
@@ -296,11 +301,6 @@ def expected_pattern(n: int) -> dict[tuple[int, int, int], QSqrt2]:
             for k in range(j + 1, n + 1):
                 pattern[tuple(sorted((cov(i, j), cov(j, k), cov(i, k))))] = HALF_SQRT2
     return pattern
-
-
-def _triple_label(n: int, triple: tuple[int, int, int]) -> str:
-    indices = basis_indices(n)
-    return "|".join(indices[p].label() for p in triple)
 
 
 @dataclass
@@ -366,45 +366,35 @@ def solve(n: int) -> TheoremCertificate:
     if len(basis_vectors) != 1:
         return cert
 
-    vector = basis_vectors[0]
-    positions = triple_positions(basis_dimension(n))
-    # Mean(1), Mean(1), Cov(1,1): Cov(1,1) follows the n mean directions
-    anchor = vector.item(positions[(0, 0, n)])
+    kernel = SymTensor3(n, basis_vectors[0])
+    mean, cov = _basis_positions(n)
+    anchor = kernel.get(mean(1), mean(1), cov(1, 1))
     if not anchor:
         cert.record("anchor_entry_nonzero", False, "normalizing entry vanishes")
         return cert
     cert.record("anchor_entry_nonzero", True)
-    vector = vector.scale(anchor.inverse())
+    kernel = kernel.scale(anchor.inverse())
 
-    cert.record("kernel_in_row_space_kernel", system.satisfied_by(vector))
+    cert.record("kernel_in_row_space_kernel", system.satisfied_by(kernel.canonical))
 
-    expected = SymTensor3.from_entries(n, expected_pattern(n)).canonical
-    mismatches = []
-    if vector != expected:
-        for p, triple in enumerate(system.unknown_triples):
-            got, want = vector.item(p), expected.item(p)
-            if got != want:
-                mismatches.append(f"{_triple_label(n, triple)}: got {got}, want {want}")
+    expected = SymTensor3.from_entries(n, expected_pattern(n))
+    mismatches = [
+        f"{triple_label(n, t)}: got {kernel.get(*t)}, want {expected.get(*t)}"
+        for t, _ in (kernel + expected.scale(-1)).nonzero_items()
+    ]
     cert.record("nonzero_pattern", not mismatches, "; ".join(mismatches[:5]))
 
-    indices = basis_indices(n)
-    position = {idx: p for p, idx in enumerate(indices)}
-
-    def entry(*parts: BasisIndex) -> QSqrt2:
-        key = tuple(sorted(position[part] for part in parts))
-        return vector.item(positions[key])
+    def anchored(i: int) -> QSqrt2:
+        return kernel.get(mean(i), mean(i), cov(i, i))
 
     ratio_double = all(
-        entry(BasisIndex.cov(i, i), BasisIndex.cov(i, i), BasisIndex.cov(i, i))
-        == entry(BasisIndex.mean(i), BasisIndex.mean(i), BasisIndex.cov(i, i)) * 2
+        kernel.get(cov(i, i), cov(i, i), cov(i, i)) == anchored(i) * 2
         for i in range(1, n + 1)
     )
     cert.record("ratio_diagonal_cube_is_doubled", ratio_double)
 
     ratio_mixed = all(
-        entry(BasisIndex.mean(i), BasisIndex.mean(j), BasisIndex.cov(i, j))
-        == entry(BasisIndex.mean(i), BasisIndex.mean(i), BasisIndex.cov(i, i))
-        * HALF_SQRT2
+        kernel.get(mean(i), mean(j), cov(i, j)) == anchored(i) * HALF_SQRT2
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     )
@@ -412,26 +402,16 @@ def solve(n: int) -> TheoremCertificate:
 
     # scaling the generator by -sqrt2/2 must reproduce the cubic table
     # through the pairing C = -2 <K(., .), .>
-    cubic = SymTensor3.from_dense(n, lie_algebra(n).cubic).canonical
-    cert.record("cubic_table_reproduced", vector.scale(AMARI_SCALE * -2) == cubic)
+    cubic = SymTensor3.from_dense(n, lie_algebra(n).cubic)
+    cert.record("cubic_table_reproduced", kernel.scale(AMARI_SCALE * -2) == cubic)
 
-    cert.kernel = {
-        _triple_label(n, system.unknown_triples[p]): value.to_string()
-        for (p,), value in vector.nonzero_items()
-    }
+    cert.kernel = kernel.labelled()
     return cert
 
 
 def solved_difference_tensor(cert: TheoremCertificate) -> SymTensor3:
     """Reconstruct the normalized kernel generator recorded in a certificate."""
-    n = cert.n
-    indices = basis_indices(n)
-    position = {idx.label(): p for p, idx in enumerate(indices)}
-    entries: dict[tuple[int, int, int], QSqrt2] = {}
-    for label, value in cert.kernel.items():
-        triple = tuple(sorted(position[part] for part in label.split("|")))
-        entries[triple] = QSqrt2.parse(value)
-    return SymTensor3.from_entries(n, entries)
+    return SymTensor3.from_labels(cert.n, cert.kernel)
 
 
 def verify_theorem(n: int) -> TheoremCertificate:

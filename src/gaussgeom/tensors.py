@@ -3,9 +3,11 @@
 Indices are integer basis positions in the canonical order (mean directions
 first, then covariance directions); the algebra module owns the labelling.
 A symmetric rank-3 tensor keeps one ``ExactArray`` entry per unordered triple
-and expands to the dense array by a gather.  Connections and curvatures are
-plain dense ``ExactArray``s of shape (d, d, d) and (d, d, d, d); see
-``connections``.
+and expands to the dense array by a gather.  Its text form, the certificate's
+kernel map ``Label|Label|Label -> a/b + c/d*sqrt2``, is written only by
+``SymTensor3.labelled`` and read only by ``SymTensor3.from_labels``.
+Connections and curvatures are plain dense ``ExactArray``s of shape (d, d, d)
+and (d, d, d, d); see ``connections``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .algebra import basis_indices
 from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2
 
 
@@ -64,6 +67,17 @@ def dense_positions(dim: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _basis_labels(n: int) -> tuple[str, ...]:
+    return tuple(idx.label() for idx in basis_indices(n))
+
+
+def triple_label(n: int, triple: Sequence[int]) -> str:
+    """``Label|Label|Label`` of a basis triple, in the given order."""
+    labels = _basis_labels(n)
+    return "|".join(labels[p] for p in triple)
+
+
 @dataclass(frozen=True)
 class SymTensor3:
     """Totally symmetric rank-3 tensor stored once per unordered triple.
@@ -106,6 +120,35 @@ class SymTensor3:
         parts = np.zeros((2, len(pos)), dtype=given.parts.dtype)
         parts[:, list(by_position)] = given.parts
         return cls(n, ExactArray(parts, given.den))
+
+    @classmethod
+    def from_labels(cls, n: int, labelled: Mapping[str, str]) -> SymTensor3:
+        """Read a ``labelled()`` map, zero at every triple it leaves out.
+
+        The three parts of a label may come in any order.  Raises ValueError,
+        naming the label, on an unknown or ill-formed label, a value that is
+        not a ``QSqrt2.parse`` string, or a second label of one triple.
+        """
+        position = {label: p for p, label in enumerate(_basis_labels(n))}
+        entries: dict[tuple[int, int, int], QSqrt2] = {}
+        for label, text in labelled.items():
+            parts = label.split("|")
+            if len(parts) != 3 or any(part not in position for part in parts):
+                raise ValueError(f"not a kernel label for n={n}: {label!r}")
+            triple = tuple(sorted(position[part] for part in parts))
+            if triple in entries:
+                raise ValueError(f"kernel label {label} repeats a triple named before it")
+            if not isinstance(text, str):
+                raise ValueError(f"kernel value of {label} is not a string: {text!r}")
+            try:
+                entries[triple] = QSqrt2.parse(text)
+            except ValueError as exc:
+                raise ValueError(f"kernel value of {label}: {exc}") from None
+        return cls.from_entries(n, entries)
+
+    def labelled(self) -> dict[str, str]:
+        """Each nonzero entry as canonical ``Label|Label|Label`` -> ``a/b + c/d*sqrt2``."""
+        return {triple_label(self.n, t): v.to_string() for t, v in self.nonzero_items()}
 
     @classmethod
     def from_vector(cls, n: int, vector: Sequence[QSqrt2]) -> SymTensor3:

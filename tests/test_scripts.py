@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 from conftest import src_env
 from gaussgeom import solver
+from gaussgeom.exact import ExactArray
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -116,6 +118,30 @@ class TestRecheckCertificate:
         assert len(result.stderr.strip().splitlines()) == 1
         assert "Bogus(1)|Mean(1)|Cov(1,1)" in result.stderr
 
+    def test_repeated_triple_exits_2(self, tmp_path):
+        # a second label of the Mean(1)|Mean(1)|Cov(1,1) triple must not
+        # silently replace the recorded value
+        path = self._certificate(tmp_path)
+        payload = json.loads(path.read_text())
+        payload["kernel"]["Cov(1,1)|Mean(1)|Mean(1)"] = "7/1 + 0/1*sqrt2"
+        path.write_text(json.dumps(payload))
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "Cov(1,1)|Mean(1)|Mean(1)" in result.stderr
+        assert "RECHECK" not in result.stdout
+
+    def test_empty_certificate_list_exits_2(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert result.stderr.startswith("error:")
+        assert "RECHECK" not in result.stdout
+
     def test_zero_denominator_value_exits_2(self, tmp_path):
         path = self._certificate(tmp_path)
         payload = json.loads(path.read_text())
@@ -206,6 +232,22 @@ class TestRecheckInProcess:
         cert = solver.verify_theorem(3)
         assert cert.passed
         assert recheck_module.recheck(json.loads(cert.to_json())) is True
+
+
+    def test_recheck_builds_no_full_length_vector(self, recheck_module, monkeypatch):
+        # the kernel and the pattern are read at their 30 nonzero triples,
+        # never as a per-entry build over all 560
+        payload = json.loads(solver.verify_theorem(4).to_json())
+        sizes = []
+        build = ExactArray.build.__func__
+
+        def counted(cls, shape, entry):
+            sizes.append(math.prod(shape))
+            return build(cls, shape, entry)
+
+        monkeypatch.setattr(ExactArray, "build", classmethod(counted))
+        assert recheck_module.recheck(payload) is True
+        assert sizes and max(sizes) < payload["unknowns"] == 560
 
 
 class TestBenchStageProbe:

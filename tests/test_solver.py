@@ -373,6 +373,20 @@ class TestKernelPattern:
         assert cert.checks["nonzero_pattern"]
         assert cert.checks["cubic_table_reproduced"]
 
+    def test_pattern_mismatch_names_each_triple(self, monkeypatch):
+        real = solver.expected_pattern
+
+        def wrong(n):
+            return {**real(n), (0, 0, n): QSqrt2(3)}
+
+        monkeypatch.setattr(solver, "expected_pattern", wrong)
+        cert = solve(1)
+        assert cert.checks["nonzero_pattern"] is False
+        assert (
+            "nonzero_pattern: Mean(1)|Mean(1)|Cov(1,1): got 1/1 + 0/1*sqrt2, want 3/1 + 0/1*sqrt2"
+            in cert.failures
+        )
+
     def test_mean_cov_cov_entries_vanish(self):
         # any entry pairing one mean direction with two covariance directions
         cert = solve(3)

@@ -15,6 +15,7 @@ from gaussgeom.tensors import (
     basis_order,
     dense_positions,
     symmetric_triples,
+    triple_label,
     triple_positions,
 )
 
@@ -28,6 +29,18 @@ mixed_qsqrt2s = st.one_of(
         st.integers(-(2**70), 2**70),
     ),
     qsqrt2s(),
+)
+
+#: (n, entries) with up to 8 entries over index triples in any order
+sparse_entries = st.integers(1, 2).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, basis_dimension(n) - 1)] * 3),
+            mixed_qsqrt2s | st.integers(-5, 5) | st.fractions(max_denominator=6),
+            max_size=8,
+        ),
+    )
 )
 
 
@@ -79,18 +92,7 @@ class TestSymTensor3:
         k = SymTensor3.from_entries(1, {(1, 0, 0): 2})
         assert k.get(0, 0, 1) == QSqrt2(2)
 
-    @given(
-        st.integers(1, 2).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.dictionaries(
-                    st.tuples(*[st.integers(0, basis_dimension(n) - 1)] * 3),
-                    mixed_qsqrt2s | st.integers(-5, 5) | st.fractions(max_denominator=6),
-                    max_size=8,
-                ),
-            )
-        )
-    )
+    @given(sparse_entries)
     @example((1, {}))
     @example((1, {(0, 0, 1): QSqrt2(3), (1, 0, 0): Fraction(1, 2), (0, 1, 0): 2**70}))
     def test_from_entries_matches_dense_per_entry_build(self, case):
@@ -156,3 +158,60 @@ class TestSymTensor3:
         triples = triple_positions(k.dim)
         for idx in np.ndindex(*dense.shape):
             assert dense.item(*idx) == left[triples[tuple(sorted(idx))]]
+
+
+class TestLabelCodec:
+    """``SymTensor3.labelled`` writes the certificate's kernel map and
+    ``SymTensor3.from_labels`` reads it."""
+
+    @given(sparse_entries)
+    @example((1, {}))
+    @example((2, {(0, 2, 3): QSqrt2(2**70, Fraction(-1, 3)), (4, 4, 4): 2**63}))
+    def test_round_trip(self, case):
+        n, entries = case
+        k = SymTensor3.from_entries(n, entries)
+        labelled = k.labelled()
+        assert SymTensor3.from_labels(n, labelled) == k
+        # canonical labels, one per nonzero entry
+        assert labelled == {triple_label(n, t): v.to_string() for t, v in k.nonzero_items()}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_zero_tensor_has_no_labels(self, n):
+        assert SymTensor3.zeros(n).labelled() == {}
+        assert SymTensor3.from_labels(n, {}) == SymTensor3.zeros(n)
+
+    def test_labels_are_in_canonical_basis_order(self):
+        k = SymTensor3.from_entries(2, {(4, 0, 2): QSqrt2(1, 1)})
+        assert k.labelled() == {"Mean(1)|Cov(1,1)|Cov(2,2)": "1/1 + 1/1*sqrt2"}
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "Mean(1)|Mean(1)|Cov(1,1)",
+            "Mean(1)|Cov(1,1)|Mean(1)",
+            "Cov(1,1)|Mean(1)|Mean(1)",
+        ],
+    )
+    def test_parts_read_in_any_order(self, label):
+        k = SymTensor3.from_labels(1, {label: "1/2 + -3/1*sqrt2"})
+        assert k == SymTensor3.from_entries(1, {(0, 0, 1): QSqrt2(Fraction(1, 2), -3)})
+
+    @pytest.mark.parametrize(
+        "kernel, message",
+        [
+            ({"Mean(1)|Cov(1,1)": "1/1 + 0/1*sqrt2"}, "not a kernel label for n=1: 'Mean(1)|Cov(1,1)'"),
+            ({"Mean(1)|Mean(2)|Cov(1,1)": "1/1 + 0/1*sqrt2"}, "not a kernel label for n=1"),
+            ({"Mean(1)|Mean(1)|Cov(1,1)|": "1/1 + 0/1*sqrt2"}, "not a kernel label"),
+            ({"Mean(1)|Mean(1)|Cov(1,1)": 1}, "kernel value of Mean(1)|Mean(1)|Cov(1,1) is not a string"),
+            ({"Mean(1)|Mean(1)|Cov(1,1)": "1"}, "kernel value of Mean(1)|Mean(1)|Cov(1,1): not a Q"),
+            (
+                {"Mean(1)|Mean(1)|Cov(1,1)": "1/1 + 0/1*sqrt2", "Cov(1,1)|Mean(1)|Mean(1)": "7/1 + 0/1*sqrt2"},
+                "kernel label Cov(1,1)|Mean(1)|Mean(1) repeats a triple named before it",
+            ),
+        ],
+        ids=["two_parts", "unknown_part", "empty_part", "not_a_string", "not_a_literal", "repeated_triple"],
+    )
+    def test_rejects_bad_entries(self, kernel, message):
+        with pytest.raises(ValueError) as info:
+            SymTensor3.from_labels(1, kernel)
+        assert message in str(info.value)
