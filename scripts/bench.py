@@ -19,12 +19,13 @@ build or test leftovers. The output has four parts:
   end-to-end metric as ``parent_q1_median_q3`` / ``change_q1_median_q3``;
 - ``perfbench_trace``: the JSON line of one 10 s ``--trace 1`` run per
   workload and side;
-- ``stages``: per side and n, fresh-process seconds of ``lie_algebra``,
-  ``assemble``, ``solve`` and ``verify_theorem`` (``verify_theorem`` includes
-  its own ``solve``), the certificate's rank and the process's peak RSS. Only
-  calls that both sides have are made; the elimination (on the live block
-  left by peeling singleton rows, rank = peeled count + block rank) shows
-  per op as perfbench's ``exact.echelon.s`` under ``--trace 1``;
+- ``stages``: per side and n, fresh-process seconds (``<stage>_s``) and minor
+  page faults (``<stage>_minor_faults``, from ``ru_minflt``) of
+  ``lie_algebra``, ``assemble``, ``solve`` and ``verify_theorem`` (``verify``,
+  which includes its own ``solve``), the certificate's rank and the process's
+  peak RSS. Only calls that both sides have are made; the elimination (on
+  the live block left by peeling singleton rows, rank = peeled count + block
+  rank) shows per op as perfbench's ``exact.echelon.s`` under ``--trace 1``;
 - ``machine`` and ``method``: what the runs were made on and how.
 
 Runs are made one process at a time with BLAS pools capped at one thread.
@@ -59,23 +60,25 @@ from gaussgeom.algebra import lie_algebra
 from gaussgeom.solver import assemble, solve, verify_theorem
 
 n = int(sys.argv[1])
-seconds = {}
+stages = {}
 def timed(name, fn):
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     out = fn()
-    seconds[name] = time.perf_counter() - start
+    stages[name + "_s"] = time.perf_counter() - start
+    stages[name + "_minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     return out
-timed("lie_algebra_s", lambda: lie_algebra(n))
-system = timed("assemble_s", lambda: assemble(n))
-timed("solve_s", lambda: solve(n))
-cert = timed("verify_s", lambda: verify_theorem(n))
+timed("lie_algebra", lambda: lie_algebra(n))
+system = timed("assemble", lambda: assemble(n))
+timed("solve", lambda: solve(n))
+cert = timed("verify", lambda: verify_theorem(n))
 print(json.dumps({
     "module": gaussgeom.__file__,
     "unknowns": system.unknowns,
     "rows_distinct": len(system.starts),
     "rank": cert.rank,
     "passed": cert.passed,
-    **seconds,
+    **stages,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """

@@ -8,10 +8,11 @@ Torsion-free metric connections correspond to totally symmetric difference
 tensors K via coefficients = (Levi-Civita) + K, and every such structure
 carries a cubic form C = -2 <K(., .), .>.  This module implements
 conjugation, curvature, the covariant derivatives of K and C, and the
-conjugate-symmetry predicate, all in exact arithmetic: ``predicate_suite``
-evaluates the four characterizations at one K, and ``alpha_family_verdicts``
-decides them along a whole line LC + alpha K from tensors that do not depend
-on alpha.
+conjugate-symmetry predicate, all in exact arithmetic, each (d, d, d, d)
+formula as one ``exact.contraction_sum`` of transposed products:
+``predicate_suite`` evaluates the four characterizations at one K, and
+``alpha_family_verdicts`` decides them along a whole line LC + alpha K from
+tensors that do not depend on alpha.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import lie_algebra
-from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2
+from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2, contraction_sum
 from .tensors import SymTensor3, basis_order
 
 
@@ -57,11 +58,17 @@ def curvature(gamma: ExactArray) -> ExactArray:
     """Curvature R(x, y)z = D_x D_y z - D_y D_x z - D_[x,y] z on
     left-invariant fields, as exact coefficients."""
     structure = lie_algebra(basis_order(gamma.shape[0])).structure
-    prod = gamma.tensordot(gamma, axes=([2], [1]))  # [x,y,z,w] = G[x,y,e) G[z,e,w]
-    term_xy = prod.transpose((2, 0, 1, 3))  # [a,b,g,d] = prod[b,g,a,d]
-    term_yx = prod.transpose((0, 2, 1, 3))  # [a,b,g,d] = prod[a,g,b,d]
-    term_bracket = structure.tensordot(gamma, axes=([2], [0]))
-    return (term_xy - term_yx - term_bracket).reduced()
+    return contraction_sum(
+        [
+            (gamma, gamma, ([2], [1])),  # prod[x,y,z,w] = G[x,y,e] G[z,e,w]
+            (structure, gamma, ([2], [0])),  # the bracket term
+        ],
+        [
+            (-1, 1, None),
+            (1, 0, (2, 0, 1, 3)),  # [a,b,g,d] = prod[b,g,a,d]
+            (-1, 0, (0, 2, 1, 3)),  # [a,b,g,d] = prod[a,g,b,d]
+        ],
+    )
 
 
 def is_conjugate_symmetric(gamma: ExactArray) -> bool:
@@ -77,24 +84,24 @@ def lc_difference_derivative(k: SymTensor3) -> ExactArray:
     """
     hat = lie_algebra(k.n).levi_civita
     dense = k.to_exact_array()
-    t1 = dense.tensordot(hat, axes=([2], [1])).transpose((2, 0, 1, 3))
-    t2 = hat.tensordot(dense, axes=([2], [0]))
-    # K is symmetric, so hat contracted with K's slot 1 is t2 with its
-    # middle slots swapped
-    t3 = t2.transpose((0, 2, 1, 3))
-    return (t1 - t2 - t3).reduced()
+    # K is symmetric, so hat contracted with K's slot 1 is hat contracted
+    # with its slot 0, middle slots swapped
+    return contraction_sum(
+        [(dense, hat, ([2], [1])), (hat, dense, ([2], [0]))],
+        [(-1, 1, None), (1, 0, (2, 0, 1, 3)), (-1, 1, (0, 2, 1, 3))],
+    )
 
 
 def _cubic_derivative(gamma: ExactArray, cubic: ExactArray) -> ExactArray:
     # (D_a C)(b, g, d) for a left-invariant, totally symmetric (0,3)-tensor
-    # C: gamma contracted with any slot of C is the same array t1, so the
-    # terms for slots 1 and 2 are transposes of it
+    # C: gamma contracted with any slot of C is the same product, so the
+    # terms for slots 1 and 2 are transposes of the term for slot 0
     if not cubic == cubic.transpose((1, 0, 2)) == cubic.transpose((0, 2, 1)):
         raise ArithmeticError("cubic form is not totally symmetric")
-    t1 = gamma.tensordot(cubic, axes=([2], [0]))
-    t2 = t1.transpose((0, 2, 1, 3))
-    t3 = t1.transpose((0, 2, 3, 1))
-    return -(t1 + t2 + t3)
+    return contraction_sum(
+        [(gamma, cubic, ([2], [0]))],
+        [(-1, 0, None), (-1, 0, (0, 2, 1, 3)), (-1, 0, (0, 2, 3, 1))],
+    )
 
 
 def connection_cubic_derivative(k: SymTensor3) -> ExactArray:
@@ -102,7 +109,7 @@ def connection_cubic_derivative(k: SymTensor3) -> ExactArray:
     from k itself."""
     gamma = from_difference(k)
     cubic = k.to_exact_array().scale(-2)
-    return _cubic_derivative(gamma, cubic).reduced()
+    return _cubic_derivative(gamma, cubic)
 
 
 def lc_cubic_derivative(k: SymTensor3) -> ExactArray:
@@ -110,7 +117,7 @@ def lc_cubic_derivative(k: SymTensor3) -> ExactArray:
     connection."""
     hat = lie_algebra(k.n).levi_civita
     cubic = k.to_exact_array().scale(-2)
-    return _cubic_derivative(hat, cubic).reduced()
+    return _cubic_derivative(hat, cubic)
 
 
 def _symmetric_in_first_pair(t: ExactArray) -> bool:

@@ -9,13 +9,17 @@ tensor contractions.  A dense array is one integer array ``parts`` of shape
 (2, *shape), the rational and sqrt(2) coefficients over a shared denominator,
 stored as int64 and falling back to arbitrary-precision Python ints only past
 2^62.  Each Q(sqrt(2)) contraction is one real product on ``parts``, run in
-float64 BLAS while every partial sum stays below 2^53, where float64 is exact.
+float64 BLAS while every partial sum stays below 2^53, where float64 is exact,
+and a signed sum of transposed contractions (``contraction_sum``, the shape of
+every (d, d, d, d) formula in ``connections``) is one pass over a float64
+workspace that each thread reuses from call to call.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -283,6 +287,8 @@ class SparseEchelon:
 _INT64_BOUND = 2**62
 #: float64 holds every integer below this in magnitude exactly
 _FLOAT_EXACT_BOUND = 2**53
+#: entries per gcd scan step of ``_int_gcd_reduce``; its temporaries stay small
+_GCD_BLOCK = 8192
 
 
 def _storage(bound: int) -> type:
@@ -298,23 +304,34 @@ def _peak(values) -> int:
     return max(int(values.max(initial=0)), -int(values.min(initial=0)))
 
 
-def _int_gcd_reduce(parts: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    g = den
-    for part in parts.reshape(2, -1):
-        if g == 1:
-            break
-        # a dense array usually reaches gcd 1 within its first entries; a
-        # sparse one is scanned over its nonzero entries only, one part at
-        # a time, so the sqrt2 part is skipped once the first gives 1
-        g = math.gcd(g, int(np.gcd.reduce(part[:64])))
-        if g != 1:
-            g = math.gcd(g, int(np.gcd.reduce(part[part.nonzero()])))
+def _int_gcd_reduce(
+    parts: np.ndarray, den: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """``parts`` and ``den`` divided by the gcd of ``den`` and every entry,
+    the quotient written into ``out`` when it is given (``parts`` itself, when
+    the caller owns them); an all-zero array comes back over 1."""
+    bits = int(np.bitwise_or.reduce(parts, axis=None))
+    if bits == 0:
+        # only here can the gcd be too large for int64 division
+        return parts, 1
+    # an entry's power of two is its lowest set bit, in two's complement as
+    # well, so the lowest set bit of the or of all entries is the shared one
+    g = math.gcd(den, bits & -bits)
+    odd = den // (den & -den)
+    if odd > 1:
+        # a gcd scan over the nonzero entries of one block at a time, which is
+        # quick on a sparse array, up to the block that brings it to 1, which
+        # comes soon on a dense one
+        flat = parts.reshape(-1)
+        for start in range(0, flat.size, _GCD_BLOCK):
+            block = flat[start : start + _GCD_BLOCK]
+            odd = math.gcd(odd, int(np.gcd.reduce(block[block != 0])))
+            if odd == 1:
+                break
+    g *= odd
     if g == 1:
         return parts, den
-    if g == den and not parts.any():
-        # only an all-zero array can have a g too large for int64 division
-        return parts, 1
-    return parts // g, den // g
+    return np.floor_divide(parts, g, out=out), den // g
 
 
 @dataclass(frozen=True)
@@ -419,29 +436,10 @@ class ExactArray:
         return self._times(factor * (1 - odd), factor * odd, self.den << -low)
 
     def tensordot(self, other: ExactArray, axes) -> ExactArray:
-        """``np.tensordot`` of the entries over the list pair ``axes``, as one
-        real product parts = [[l.r, 2 l.i], [l.i, l.r]] . other.parts."""
-        left_axes, right_axes = axes
-        contracted = math.prod(self.shape[axis] for axis in left_axes)
-        # parts[0] = l.r * r.r + 2 l.i * r.i sums at most 3 * contracted
-        # products of two peaks; below 2^53 float64 computes every term and
-        # every partial sum exactly, in whatever order BLAS adds them
-        exact_in_float = contracted * _peak(self.parts) * _peak(other.parts) * 3 < _FLOAT_EXACT_BOUND
-        dtype = np.float64 if exact_in_float else object
-        lr, li = self.parts.astype(dtype, copy=False)
-        # [output part, input part, *self.shape]
-        left = np.stack([lr, 2 * li, li, lr]).reshape((2, 2, *self.shape))
-        product = np.tensordot(
-            left,
-            other.parts.astype(dtype, copy=False),
-            (
-                [1, *(axis % len(self.shape) + 2 for axis in left_axes)],
-                [0, *(axis % len(other.shape) + 1 for axis in right_axes)],
-            ),
-        )
-        if exact_in_float:
-            product = product.astype(np.int64)
-        return ExactArray(product, self.den * other.den)
+        """``np.tensordot`` of the entries over the list pair ``axes``, over
+        ``self.den * other.den``: the one-term case of ``contraction_sum``,
+        left unreduced."""
+        return ExactArray(*_signed_contractions([(self, other, axes)], [(1, 0, None)]))
 
     def transpose(self, axes: tuple[int, ...]) -> ExactArray:
         ndim = len(self.shape)
@@ -457,13 +455,113 @@ class ExactArray:
             return NotImplemented
         if self.shape != other.shape:
             return False
-        a, b, _ = self._common(other)
+        a, b = (self.parts, other.parts) if self.den == other.den else self._common(other)[:2]
         # part by part, so a difference in the rational part ends the scan
         return all((x == y).all() for x, y in zip(a, b))
 
     def to_float(self) -> np.ndarray:
         a, b = self.parts.astype(np.float64)
         return (a + b * _SQRT2_FLOAT) / self.den
+
+
+#: float64 product buffers of this thread's latest contraction in float64
+_WORKSPACE = threading.local()
+
+
+def _workspace(count: int, size: int) -> list[np.ndarray]:
+    """``count`` flat float64 buffers of ``size`` entries, held by this thread
+    for its later calls of the same size; a call of another size drops them.
+
+    A d^4 product is written here rather than into a fresh array because a
+    fresh one costs more than its arithmetic: glibc hands large freed blocks
+    back to the OS, so every new one page-faults all of its pages in again.
+    """
+    held = getattr(_WORKSPACE, "buffers", [])
+    if held and held[0].size != size:
+        held = []
+    held += [np.empty(size) for _ in range(count - len(held))]
+    _WORKSPACE.buffers = held
+    return held[:count]
+
+
+def _matrices(
+    left: ExactArray, right: ExactArray, axes, factor: int, dtype: type
+) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Matrices a, b whose product a @ b is ``factor`` times the parts of
+    ``left.tensordot(right, axes)``, and the shape of those parts."""
+    left_axes = [axis % len(left.shape) for axis in axes[0]]
+    right_axes = [axis % len(right.shape) for axis in axes[1]]
+    left_free = [axis for axis in range(len(left.shape)) if axis not in left_axes]
+    right_free = [axis for axis in range(len(right.shape)) if axis not in right_axes]
+    lr, li = left.parts.astype(dtype, copy=False) * factor
+    # parts = [[l.r, 2 l.i], [l.i, l.r]] . right.parts: the rows of a run
+    # over (output part, *left_free), its columns over (input part, *left_axes)
+    block = np.stack([lr, 2 * li, li, lr]).reshape((2, 2, *left.shape))
+    a = block.transpose((0, *(axis + 2 for axis in left_free), 1, *(axis + 2 for axis in left_axes)))
+    b = right.parts.astype(dtype, copy=False).transpose(
+        (0, *(axis + 1 for axis in right_axes), *(axis + 1 for axis in right_free))
+    )
+    inner = 2 * math.prod(left.shape[axis] for axis in left_axes)
+    shape = (2, *(left.shape[axis] for axis in left_free), *(right.shape[axis] for axis in right_free))
+    return a.reshape(-1, inner), b.reshape(inner, -1), shape
+
+
+def _signed_contractions(products, terms) -> tuple[np.ndarray, int]:
+    """The parts, fresh, and the common denominator of ``contraction_sum``'s
+    sum, before its gcd division."""
+    dens = [left.den * right.den for left, right, _ in products]
+    den = math.lcm(*dens)
+    factors = [den // d for d in dens]
+    # an entry of a product sums 3 * contracted products of two peaks, times
+    # its factor; while the terms' bounds add up to less than 2^53, float64
+    # computes every product, partial sum and signed sum exactly, in whatever
+    # order BLAS adds them (max(peak, 1): the factor must be exact as well)
+    bounds = [
+        3
+        * math.prod(left.shape[axis] for axis in axes[0])
+        * max(_peak(left.parts), 1)
+        * max(_peak(right.parts), 1)
+        * factor
+        for (left, right, axes), factor in zip(products, factors)
+    ]
+    exact_in_float = sum(bounds[index] for _, index, _ in terms) < _FLOAT_EXACT_BOUND
+    dtype = np.float64 if exact_in_float else object
+    operands = [_matrices(*product, factor, dtype) for product, factor in zip(products, factors)]
+    # one buffer per product and one for the sum, all of one size since the
+    # terms add up; float64 ones are this thread's workspace, object ones fresh
+    size, count = math.prod(operands[0][2]), len(operands) + 1
+    if exact_in_float:
+        *buffers, total = _workspace(count, size)
+    else:
+        *buffers, total = (np.empty(size, dtype=object) for _ in range(count))
+    values = [
+        np.matmul(a, b, out=buffer.reshape(len(a), -1)).reshape(shape)
+        for (a, b, shape), buffer in zip(operands, buffers)
+    ]
+    for position, (sign, index, perm) in enumerate(terms):
+        view = values[index] if perm is None else values[index].transpose((0, *(axis + 1 for axis in perm)))
+        total = total.reshape(view.shape)
+        {1: np.add, -1: np.subtract}[sign](total if position else 0, view, out=total)
+    # the one cast to integers, into a fresh array that the caller owns
+    return (total.astype(np.int64) if exact_in_float else total), den
+
+
+def contraction_sum(products, terms) -> ExactArray:
+    """The reduced sum over ``terms`` of ``sign *
+    left.tensordot(right, axes).transpose(perm)``, ``products`` listing
+    (left, right, axes) and each term being (sign, index of its product,
+    perm), with sign 1 or -1 and perm None for no transpose.  Each product
+    is computed once, however many terms read it.
+
+    Every term is put over one common denominator.  While one bound from the
+    operands' peaks shows that float64 is exact, each distinct product is one
+    BLAS matrix product into this thread's workspace, the signed transposed
+    views of the products are added into one more workspace buffer, and that
+    sum is cast once into a fresh int64 array, divided by its gcd in place.
+    Past the bound the same steps run on fresh object arrays.
+    """
+    parts, den = _signed_contractions(products, terms)
+    return ExactArray(*_int_gcd_reduce(parts, den, out=parts))
 
 
 def csr_matvec(

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fractions, qsqrt2s
-from gaussgeom import connections
+from gaussgeom import connections, exact
 from gaussgeom.algebra import BasisIndex, basis_indices, lie_algebra
 from gaussgeom.connections import (
     alpha_connection,
@@ -256,23 +260,100 @@ class TestSharedContractions:
             connections._cubic_derivative(hat, broken)
 
     def test_eight_contractions_per_suite_and_per_line(self, monkeypatch):
-        # two per curvature, one per cubic derivative, two for the
-        # difference derivative: 2 * 2 + 1 + 1 + 2
+        # two distinct products per curvature, one per cubic derivative, two
+        # for the difference derivative: 2 * 2 + 1 + 1 + 2
         k = random_sym_tensor(random.Random(5), 2)
         lie_algebra(2)  # the cached tables are built outside the count
-        calls = []
-        original = ExactArray.tensordot
+        products = []
+        original = connections.contraction_sum
 
-        def counted(self, other, axes):
-            calls.append(axes)
-            return original(self, other, axes)
+        def counted(given, terms):
+            products.extend(given)
+            return original(given, terms)
 
-        monkeypatch.setattr(ExactArray, "tensordot", counted)
+        monkeypatch.setattr(connections, "contraction_sum", counted)
         predicate_suite(k)
-        assert len(calls) == 8
-        calls.clear()
+        assert len(products) == 8
+        products.clear()
         alpha_family_verdicts(k, [0, 1, Fraction(-1, 3), SQRT2], 1)
-        assert len(calls) == 8
+        assert len(products) == 8
+
+    @given(wide_sym_tensors())
+    @settings(max_examples=20)
+    def test_curvature_matches_separate_terms(self, k):
+        gamma = from_difference(k)
+        structure = lie_algebra(k.n).structure
+        prod = gamma.tensordot(gamma, axes=([2], [1]))
+        term_bracket = structure.tensordot(gamma, axes=([2], [0]))
+        reference = prod.transpose((2, 0, 1, 3)) - prod.transpose((0, 2, 1, 3)) - term_bracket
+        assert curvature(gamma) == reference
+
+
+class TestWorkspace:
+    """The d^4 formulas share one float64 workspace per thread."""
+
+    @pytest.mark.parametrize("second_n", [3, 2])
+    def test_results_own_their_memory(self, second_n):
+        first = curvature(alpha_connection(3, Fraction(1, 3)))
+        kept = first.parts.copy()
+        second = curvature(from_difference(random_sym_tensor(random.Random(2), second_n)))
+        assert not np.shares_memory(first.parts, second.parts)
+        assert np.array_equal(first.parts, kept)
+        for buffer in exact._WORKSPACE.buffers:
+            assert not np.shares_memory(first.parts, buffer)
+            assert not np.shares_memory(second.parts, buffer)
+
+    def test_threads_match_runs_alone(self):
+        def run(k):
+            gamma = from_difference(k)
+            return (
+                predicate_suite(k).as_tuple(),
+                curvature(gamma),
+                curvature(conjugate(gamma)),
+                lc_difference_derivative(k),
+                connections.connection_cubic_derivative(k),
+            )
+
+        rng = random.Random(11)
+        inputs = [random_sym_tensor(rng, n) for n in (2, 3, 2, 3)]
+        alone = [run(k) for k in inputs]
+        results = [[] for _ in inputs]
+
+        def worker(index):
+            for _ in range(5):
+                results[index].append(run(inputs[index]))
+
+        # more threads than cores, switching often, so the formulas of one
+        # thread interleave with another's at another size
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for expected, got in zip(alone, results):
+            assert len(got) == 5
+            for run_result in got:
+                assert run_result[0] == expected[0]
+                for array, reference in zip(run_result[1:], expected[1:]):
+                    assert array.den == reference.den
+                    assert np.array_equal(array.parts, reference.parts)
+
+    def test_warm_curvature_allocates_little_beyond_its_result(self):
+        gamma = alpha_connection(4, Fraction(1, 3))
+        result = curvature(gamma)  # warms the tables and the workspace
+        tracemalloc.start()
+        try:
+            result = curvature(gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * result.parts.nbytes
 
 
 class TestPredicateSuite:

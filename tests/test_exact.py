@@ -17,6 +17,9 @@ from gaussgeom.exact import (
     ExactArray,
     QSqrt2,
     SparseEchelon,
+    _WORKSPACE,
+    _int_gcd_reduce,
+    contraction_sum,
 )
 
 
@@ -316,6 +319,25 @@ class TestExactArray:
         assert reduced.den == 4
         assert reduced.parts.tolist() == (parts // 2).tolist()
 
+    @pytest.mark.parametrize("dtypes", [(np.int64, np.int64), (np.int64, object), (object, object)])
+    def test_equality_over_equal_and_unequal_denominators(self, dtypes, monkeypatch):
+        left, right = dtypes
+        a = _array([1, -2, 0], [0, 3, 4], 6, left)
+        equal = [_array([1, -2, 0], [0, 3, 4], 6, right), _array([2, -4, 0], [0, 6, 8], 12, right)]
+        unequal = [_array([1, -2, 0], [0, 3, 5], 6, right), _array([2, -4, 0], [0, 6, 9], 12, right)]
+        for b in equal:
+            assert a == b and b == a
+        for b in unequal:
+            assert not (a == b) and not (b == a)
+
+        # equal denominators compare the parts as they are, with no rescaling
+        def no_common(self, other):
+            raise AssertionError("_common called for equal denominators")
+
+        monkeypatch.setattr(ExactArray, "_common", no_common)
+        assert a == equal[0]
+        assert not (a == unequal[0])
+
     def test_tensordot_survives_huge_entries(self):
         # entries around 2^40 force the arbitrary-precision path; the result
         # must stay exact far beyond the int64 range
@@ -527,3 +549,86 @@ class TestStorageBounds:
         assert a.nonzero_items() == expected
         assert [idx for idx, _ in expected] == [(0, 1), (1, 1), (2, 0)]
         assert ExactArray.zeros((2, 2)).nonzero_items() == []
+
+
+class TestGcdReduce:
+    """``reduced`` and ``_int_gcd_reduce`` against ``math.gcd`` over every entry."""
+
+    @given(
+        st.data(),
+        st.sampled_from([0, 1, 63, 64, 65, 8191, 8192, 8193, 20000]),
+        st.sampled_from([np.int64, object]),
+        st.integers(0, 6),
+        st.integers(0, 3),
+    )
+    def test_matches_gcd_of_every_entry(self, data, zeros, dtype, twos, threes):
+        # a zero prefix, as long as whole scan blocks or longer, then entries
+        # that share a drawn factor 2^a 3^b with the denominator
+        limit = 2**40 if dtype is np.int64 else 2**70
+        values = data.draw(st.lists(st.integers(-limit, limit), max_size=40))
+        factor = 2 ** data.draw(st.integers(0, twos)) * 3 ** data.draw(st.integers(0, threes))
+        flat = [0] * zeros + [value * factor for value in values]
+        flat += [0] * (len(flat) % 2)
+        parts = np.array(flat, dtype=dtype).reshape(2, -1)
+        den = 2**twos * 3**threes * data.draw(st.sampled_from([1, 5, 7]))
+        g = math.gcd(den, *flat)
+        nonzero = any(flat)
+
+        reduced = ExactArray(parts.copy(), den).reduced()
+        assert reduced.den == (den // g if nonzero else 1)
+        assert reduced.parts.tolist() == ((parts // g).tolist() if nonzero else parts.tolist())
+
+        in_place = parts.copy()
+        quotient, new_den = _int_gcd_reduce(in_place, den, out=in_place)
+        assert new_den == reduced.den
+        assert quotient.tolist() == in_place.tolist() == reduced.parts.tolist()
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    @pytest.mark.parametrize("den", [1, 12, 3**50, 2**64 * 3])
+    def test_all_zero_array_comes_back_over_one(self, dtype, den):
+        reduced = ExactArray(np.zeros((2, 5, 3), dtype=dtype), den).reduced()
+        assert reduced.den == 1
+        assert reduced.is_zero()
+
+
+class TestContractionSum:
+    """``contraction_sum`` against signed sums of transposed object-array
+    ``np.tensordot`` products."""
+
+    @given(
+        st.data(),
+        st.integers(20, 26),
+        st.lists(
+            st.tuples(st.sampled_from([1, -1]), st.integers(0, 1), st.permutations(range(4))),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_matches_object_reference(self, data, bits, terms):
+        # 3 * 3 * 2^(2*bits) times the factor that puts both products over
+        # one denominator straddles 2^53, and the drawn denominators go past
+        # int64, so both dtypes are reached
+        a = data.draw(bounded_arrays((3, 3, 3), bits))
+        b = data.draw(bounded_arrays((3, 3, 3), bits))
+        c = data.draw(bounded_arrays((3, 3, 3), bits))
+        products = [(a, b, ([2], [1])), (c, a, ([0], [2]))]
+        result = contraction_sum(products, [(s, i, tuple(p)) for s, i, p in terms])
+
+        objects = [
+            np.tensordot(_as_objects(x), _as_objects(y), axes=axes) for x, y, axes in products
+        ]
+        reference = sum(sign * np.transpose(objects[i], perm) for sign, i, perm in terms)
+        assert _same(result, reference)
+        if result.is_zero():
+            assert result.den == 1
+        else:
+            assert math.gcd(result.den, *result.parts.ravel().tolist()) == 1
+
+    def test_shared_product_without_transpose_and_fresh_result(self):
+        a = _array([[1, 2], [3, 4]], [[0, 1], [1, 0]], 2)
+        prod = a.tensordot(a, axes=([1], [0]))
+        result = contraction_sum([(a, a, ([1], [0]))], [(1, 0, None), (-1, 0, (1, 0))])
+        assert result == prod - prod.transpose((1, 0))
+        # the sum never aliases a buffer the next call overwrites
+        buffers = list(_WORKSPACE.buffers)
+        assert buffers and not any(np.shares_memory(result.parts, buffer) for buffer in buffers)

@@ -257,7 +257,11 @@ class TestBenchStageProbe:
         record = bench.stages(bench.ROOT, 2)
         assert record["passed"] is True
         assert record["rank"] == record["unknowns"] - 1 == 34
-        assert {"lie_algebra_s", "assemble_s", "solve_s", "verify_s"} <= record.keys()
+        stages = ("lie_algebra", "assemble", "solve", "verify")
+        assert {f"{stage}_s" for stage in stages} <= record.keys()
+        for stage in stages:
+            assert isinstance(record[f"{stage}_minor_faults"], int)
+            assert record[f"{stage}_minor_faults"] >= 0
         assert "echelon_s" not in record
 
 
