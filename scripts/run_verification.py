@@ -28,7 +28,10 @@ def main() -> int:
     if args.max_n < 1:
         parser.error("--max-n must be at least 1")
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out: cannot create directory {str(args.out)!r}: {exc.strerror}")
     all_passed = True
     for n in range(1, args.max_n + 1):
         started = time.perf_counter()

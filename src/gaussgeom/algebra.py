@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -140,8 +140,12 @@ class LieAlgebra:
     def dim(self) -> int:
         return len(self.indices)
 
+    @cached_property
+    def _positions(self) -> dict[BasisIndex, int]:
+        return {index: p for p, index in enumerate(self.indices)}
+
     def position(self, index: BasisIndex) -> int:
-        return self.indices.index(index)
+        return self._positions[index]
 
 
 @lru_cache(maxsize=None)

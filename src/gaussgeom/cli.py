@@ -185,9 +185,14 @@ def verify(ctx, single_n, max_n, emit_certificate, fmt) -> None:
     if emit_certificate:
         blobs = [c.to_json_dict() for c in certificates]
         payload = blobs[0] if len(blobs) == 1 else blobs
-        with open(emit_certificate, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(emit_certificate, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise click.UsageError(
+                f"--emit-certificate: cannot write {emit_certificate!r}: {exc.strerror}"
+            ) from exc
     if not all(c.passed for c in certificates):
         ctx.exit(1)
 

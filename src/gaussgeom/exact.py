@@ -4,8 +4,9 @@ Every structure constant, connection coefficient and certificate entry in this
 package is a number of the form a + b*sqrt(2) with rational a, b.  This module
 provides that scalar type, a fraction-free sparse echelon solver for integer
 rows whose nullspace it returns in that type (the one elimination routine of
-the package), and a dense multi-index array representation used for bulk
-tensor contractions.  A dense array is one integer array ``parts`` of shape
+the package, built on one row operation that clears a pivot column and
+divides by the gcd), and a dense multi-index array representation used for
+bulk tensor contractions.  A dense array is one integer array ``parts`` of shape
 (2, *shape), the rational and sqrt(2) coefficients over a shared denominator,
 stored as int64 and falling back to arbitrary-precision Python ints only past
 2^62.  Each Q(sqrt(2)) contraction is one real product on ``parts``, run in
@@ -177,84 +178,67 @@ def as_qsqrt2(value: QSqrt2 | Rational) -> QSqrt2:
 SparseRow = dict[int, int]
 
 
-def _primitive(row: SparseRow) -> SparseRow:
-    """``row`` divided by the gcd of its entries."""
+def _eliminate(row: SparseRow, stored: SparseRow, col: int) -> None:
+    """Clear ``col`` from ``row``, in place, with ``stored``, the row whose pivot
+    is ``col``: ``row`` becomes ``stored[col]*row - row[col]*stored``, both
+    coefficients first divided by their gcd, then divided by the gcd of its
+    entries.  The one fraction-free row operation of :class:`SparseEchelon`."""
+    g = math.gcd(stored[col], row[col])
+    scale, factor = stored[col] // g, row.pop(col) // g
+    if scale != 1:
+        for c in row:
+            row[c] *= scale
+    for c, v in stored.items():
+        if c != col:
+            acc = row.get(c, 0) - factor * v
+            if acc:
+                row[c] = acc
+            else:
+                row.pop(c, None)
     g = math.gcd(*row.values())
-    return row if g <= 1 else {c: v // g for c, v in row.items()}
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
 
 class SparseEchelon:
     """Incrementally maintained reduced row echelon form of integer rows.
 
-    Rows are sparse column->int maps.  Elimination is fraction-free: each
-    stored row is a primitive integer row whose pivot coefficient is positive
-    and which contains no other pivot column, and a row is reduced against it
-    as ``pivot*row - factor*stored`` followed by a gcd division, in a single
-    pass over the row's pivot columns.  Rationals appear only in the
-    nullspace returned by :meth:`kernel_basis`.
+    Rows are sparse column->int maps.  Each stored row is a primitive integer
+    row whose pivot coefficient is positive and which contains no other pivot
+    column.  Elimination is fraction-free and has one row operation,
+    ``_eliminate``: a new row is cleared on each pivot column it holds, and its
+    own pivot is then cleared from every stored row holding it.  Rationals
+    appear only in the nullspace returned by :meth:`kernel_basis`.
     """
 
     def __init__(self, cols: int) -> None:
         self.cols = cols
         self._pivot_rows: dict[int, SparseRow] = {}
-        # column -> pivot columns of stored rows whose support contains it
-        self._occurrences: dict[int, set[int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._pivot_rows)
 
-    def reduce(self, row: SparseRow) -> SparseRow:
-        """``row`` reduced to zero on every pivot column and made primitive."""
-        out = {c: v for c, v in row.items() if v}
-        for col in [c for c in out if c in self._pivot_rows]:
-            stored = self._pivot_rows[col]
-            g = math.gcd(stored[col], out[col])
-            scale, factor = stored[col] // g, out.pop(col) // g
-            if scale != 1:
-                out = {c: scale * v for c, v in out.items()}
-            for c, v in stored.items():
-                if c == col:
-                    continue
-                acc = out.get(c, 0) - factor * v
-                if acc:
-                    out[c] = acc
-                else:
-                    out.pop(c, None)
-        return _primitive(out)
-
     def insert(self, row: SparseRow) -> bool:
         """Reduce ``row`` against the basis; absorb it if independent."""
-        new = self.reduce(row)
+        new = {c: v for c, v in row.items() if v}
+        for col in [c for c in new if c in self._pivot_rows]:
+            _eliminate(new, self._pivot_rows[col], col)
         if not new:
             return False
+        # the least |entry| (then least column) is the pivot; dividing by the
+        # gcd signed like it makes the row primitive with a positive pivot
         pivot = min(new, key=lambda c: (abs(new[c]), c))
+        g = math.gcd(*new.values())
         if new[pivot] < 0:
-            new = {c: -v for c, v in new.items()}
-        # eliminate the new pivot column from every stored row containing it
-        for holder in list(self._occurrences.get(pivot, ())):
-            stored = self._pivot_rows[holder]
-            self._occurrences[pivot].discard(holder)
-            g = math.gcd(new[pivot], stored[pivot])
-            scale, factor = new[pivot] // g, stored.pop(pivot) // g
-            if scale != 1:
-                for c in stored:
-                    stored[c] *= scale
-            for c, v in new.items():
-                if c == pivot:
-                    continue
-                acc = stored.get(c, 0) - factor * v
-                if acc:
-                    if c not in stored:
-                        self._occurrences.setdefault(c, set()).add(holder)
-                    stored[c] = acc
-                elif c in stored:
-                    del stored[c]
-                    self._occurrences[c].discard(holder)
-            self._pivot_rows[holder] = _primitive(stored)
+            g = -g
+        if g != 1:
+            new = {c: v // g for c, v in new.items()}
+        for stored in self._pivot_rows.values():
+            if pivot in stored:
+                _eliminate(stored, new, pivot)
         self._pivot_rows[pivot] = new
-        for c in new:
-            self._occurrences.setdefault(c, set()).add(pivot)
         return True
 
     def kernel_basis(self) -> list[list[QSqrt2]]:
@@ -263,15 +247,16 @@ class SparseEchelon:
         Each vector is rescaled so its first nonzero coordinate (in column
         order) equals 1, which makes the output deterministic.
         """
-        free = [c for c in range(self.cols) if c not in self._pivot_rows]
         basis = []
-        for f in free:
+        for f in range(self.cols):
+            if f in self._pivot_rows:
+                continue
             # x_f = the lcm of the pivots of the rows holding f makes each
             # x_p = -row[f] * x_f / row[p] an integer
-            rows = {p: self._pivot_rows[p] for p in self._occurrences.get(f, ())}
+            rows = [(p, row) for p, row in self._pivot_rows.items() if f in row]
             vec = [0] * self.cols
-            vec[f] = math.lcm(*(row[p] for p, row in rows.items()))
-            for p, row in rows.items():
+            vec[f] = math.lcm(*(row[p] for p, row in rows))
+            for p, row in rows:
                 vec[p] = -row[f] * vec[f] // row[p]
             lead = next(v for v in vec if v)
             basis.append([QSqrt2(Fraction(v, lead)) if v else ZERO for v in vec])

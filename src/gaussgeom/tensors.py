@@ -51,11 +51,6 @@ def symmetric_triples(dim: int) -> tuple[tuple[int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def triple_positions(dim: int) -> dict[tuple[int, int, int], int]:
-    return {t: p for p, t in enumerate(symmetric_triples(dim))}
-
-
-@lru_cache(maxsize=None)
 def dense_positions(dim: int) -> np.ndarray:
     """(dim, dim, dim) table of the canonical position of each index's triple."""
     triples = np.array(symmetric_triples(dim))
@@ -113,11 +108,12 @@ class SymTensor3:
         cls, n: int, entries: Mapping[tuple[int, int, int], QSqrt2 | Rational]
     ) -> SymTensor3:
         """Zero except at the given entries, whose triples may be in any order."""
-        pos = triple_positions(basis_dimension(n))
-        by_position = {pos[tuple(sorted(t))]: as_qsqrt2(v) for t, v in entries.items()}
+        dim = basis_dimension(n)
+        table = dense_positions(dim)
+        by_position = {int(table[t]): as_qsqrt2(v) for t, v in entries.items()}
         values = list(by_position.values())
         given = ExactArray.build((len(values),), lambda idx: values[idx[0]])
-        parts = np.zeros((2, len(pos)), dtype=given.parts.dtype)
+        parts = np.zeros((2, len(symmetric_triples(dim))), dtype=given.parts.dtype)
         parts[:, list(by_position)] = given.parts
         return cls(n, ExactArray(parts, given.den))
 
@@ -160,7 +156,7 @@ class SymTensor3:
         return cls(n, ExactArray(dense.parts[:, i, j, k], dense.den).reduced())
 
     def get(self, i: int, j: int, k: int) -> QSqrt2:
-        return self.canonical.item(triple_positions(self.dim)[tuple(sorted((i, j, k)))])
+        return self.canonical.item(dense_positions(self.dim)[i, j, k])
 
     def scale(self, factor: QSqrt2 | Rational) -> SymTensor3:
         return SymTensor3(self.n, self.canonical.scale(factor))

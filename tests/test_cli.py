@@ -454,6 +454,13 @@ class TestInputErrors:
         result = runner.invoke(main, ["oracle", "--n", "1", "--samples", "10"])
         assert_usage_error(result, "GAUSSGEOM_SEED")
 
+    def test_certificate_path_in_missing_directory(self, runner, tmp_path):
+        # the table is printed, then the write fails: a usage error, not a
+        # failed mathematical check
+        path = tmp_path / "missing" / "c.json"
+        result = runner.invoke(main, ["verify", "--n", "1", "--emit-certificate", str(path)])
+        assert_usage_error(result, str(path))
+
     def test_negative_seed_option(self, runner):
         result = runner.invoke(main, ["oracle", "--n", "1", "--samples", "10", "--seed", "-1"])
         assert_usage_error(result, "--seed")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import qsqrt2s
@@ -148,12 +148,17 @@ def reference_kernel(rows, cols):
 
 @st.composite
 def small_matrices(draw):
-    """Integer matrices; the large entries (some past 2^62) and the small
-    non-unit ones reach non-unit pivots and the gcd division."""
-    rows = draw(st.integers(min_value=1, max_value=4))
-    cols = draw(st.integers(min_value=1, max_value=5))
-    entries = st.integers(min_value=-6, max_value=6) | st.integers(
-        min_value=-(2**70), max_value=2**70
+    """Integer matrices up to 8 x 8, mostly zeros; the large entries (some
+    past 2^62) and the small non-unit ones reach non-unit pivots and the gcd
+    division, and with sparse rows a new pivot is often cleared from two or
+    more stored rows."""
+    rows = draw(st.integers(min_value=1, max_value=8))
+    cols = draw(st.integers(min_value=1, max_value=8))
+    entries = st.one_of(
+        st.just(0),
+        st.just(0),
+        st.integers(min_value=-6, max_value=6),
+        st.integers(min_value=-(2**70), max_value=2**70),
     )
     return draw(
         st.lists(
@@ -162,6 +167,11 @@ def small_matrices(draw):
             max_size=rows,
         )
     )
+
+
+#: the third row's pivot, column 2, is held by both stored rows, so inserting
+#: it clears column 2 from two rows; the kernel is spanned by (1, 1, -2, 1)
+TWO_HOLDERS = [[1, 0, 1, 1], [0, 1, 1, 1], [0, 0, 1, 2]]
 
 
 class TestKernel:
@@ -184,11 +194,13 @@ class TestKernel:
         assert vec == [ONE, ZERO, QSqrt2(Fraction(2, 3))]
 
     @given(small_matrices())
+    @example(TWO_HOLDERS)
     def test_kernel_vectors_are_exact_solutions(self, rows):
         for vec in eliminate(rows, len(rows[0])).kernel_basis():
             assert mul_vec(rows, vec) == [ZERO] * len(rows)
 
     @given(small_matrices())
+    @example(TWO_HOLDERS)
     def test_rank_nullity(self, rows):
         echelon = eliminate(rows, len(rows[0]))
         assert len(echelon.kernel_basis()) == len(rows[0]) - echelon.rank
@@ -212,6 +224,7 @@ class TestKernel:
         assert dense.kernel_basis() == sparse.kernel_basis()
 
     @given(small_matrices())
+    @example(TWO_HOLDERS)
     def test_rank_and_kernel_match_dense_reference(self, rows):
         # the same rank, and kernels that span the same space: both bases
         # have the same reduced row echelon form

@@ -69,6 +69,17 @@ class TestRunVerification:
         assert payload["status"] == "PASS"
         assert payload["schema_version"] == "1"
 
+    def test_out_is_a_file_exits_2(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        result = run(SCRIPTS / "run_verification.py", "--max-n", "1", "--out", out)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        errors = [line for line in result.stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1 and str(out) in errors[0], result.stderr
+        # rejected before any verification runs
+        assert result.stdout == ""
+
 
 class TestRecheckCertificate:
     def test_accepts_fresh_certificate(self, tmp_path):

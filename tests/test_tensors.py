@@ -16,7 +16,6 @@ from gaussgeom.tensors import (
     dense_positions,
     symmetric_triples,
     triple_label,
-    triple_positions,
 )
 
 #: Q(sqrt2) scalars with small entries or numerators past 2^62, which force
@@ -44,6 +43,11 @@ sparse_entries = st.integers(1, 2).flatmap(
 )
 
 
+def listing(dim):
+    """Reference map from each sorted triple to its place in the listing."""
+    return {t: p for p, t in enumerate(symmetric_triples(dim))}
+
+
 class TestTripleIndexing:
     @pytest.mark.parametrize("n,count", [(1, 4), (2, 35), (3, 165), (4, 560)])
     def test_counts(self, n, count):
@@ -64,14 +68,14 @@ class TestTripleIndexing:
 
     def test_positions_invert_listing(self):
         dim = basis_dimension(2)
-        pos = triple_positions(dim)
+        table = dense_positions(dim)
         for p, t in enumerate(symmetric_triples(dim)):
-            assert pos[t] == p
+            assert table[t] == p
 
     @pytest.mark.parametrize("dim", [2, 5, 14, 44])
     def test_dense_positions_match_sorted_triples(self, dim):
         table = dense_positions(dim)
-        positions = triple_positions(dim)
+        positions = listing(dim)
         assert table.shape == (dim,) * 3
         for idx in np.ndindex(*table.shape):
             assert table[idx] == positions[tuple(sorted(idx))]
@@ -99,7 +103,7 @@ class TestSymTensor3:
         # reference: the per-entry build over every triple, where a triple
         # given in several orders takes its last value
         n, entries = case
-        positions = triple_positions(basis_dimension(n))
+        positions = listing(basis_dimension(n))
         by_position = {positions[tuple(sorted(t))]: value for t, value in entries.items()}
         reference = ExactArray.build(
             (len(positions),), lambda idx: as_qsqrt2(by_position.get(idx[0], ZERO))
@@ -155,7 +159,7 @@ class TestSymTensor3:
         assert k.scale(factor).values == tuple(v * factor for v in left)
         assert (k + other).values == tuple(a + b for a, b in zip(left, right))
         dense = k.to_exact_array()
-        triples = triple_positions(k.dim)
+        triples = listing(k.dim)
         for idx in np.ndindex(*dense.shape):
             assert dense.item(*idx) == left[triples[tuple(sorted(idx))]]
 
