@@ -22,7 +22,9 @@ build or test leftovers. The output has four parts:
 - ``stages``: per side and n, fresh-process seconds (``<stage>_s``) and minor
   page faults (``<stage>_minor_faults``, from ``ru_minflt``) of
   ``lie_algebra``, ``assemble``, ``solve`` and ``verify_theorem`` (``verify``,
-  which includes its own ``solve``), the certificate's rank and the process's
+  which includes its own ``solve``), the certificate's rank, the resident MB
+  once ``verify`` has returned and ``gc.collect()`` has run
+  (``verify_rss_after_mb``, from ``/proc/self/statm``) and the process's
   peak RSS. Only calls that both sides have are made; the elimination (on
   the live block left by peeling singleton rows, rank = peeled count + block
   rank) shows per op as perfbench's ``exact.echelon.s`` under ``--trace 1``;
@@ -54,7 +56,7 @@ STAGE_NS = range(4, 9)
 
 #: run in a fresh interpreter per n; prints one JSON line
 STAGE_PROBE = """
-import json, resource, sys, time
+import gc, json, os, resource, sys, time
 import gaussgeom
 from gaussgeom.algebra import lie_algebra
 from gaussgeom.solver import assemble, solve, verify_theorem
@@ -70,15 +72,20 @@ def timed(name, fn):
     return out
 timed("lie_algebra", lambda: lie_algebra(n))
 system = timed("assemble", lambda: assemble(n))
+counts = {"unknowns": system.unknowns, "rows_distinct": len(system.starts)}
+del system  # held, it would keep the heap under it resident past verify
 timed("solve", lambda: solve(n))
 cert = timed("verify", lambda: verify_theorem(n))
+gc.collect()
+with open("/proc/self/statm") as statm:
+    resident_pages = int(statm.read().split()[1])
 print(json.dumps({
     "module": gaussgeom.__file__,
-    "unknowns": system.unknowns,
-    "rows_distinct": len(system.starts),
+    **counts,
     "rank": cert.rank,
     "passed": cert.passed,
     **stages,
+    "verify_rss_after_mb": resident_pages * os.sysconf("SC_PAGE_SIZE") / 2**20,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """

@@ -79,6 +79,13 @@ def basis_indices(n: int) -> tuple[BasisIndex, ...]:
 
 
 @lru_cache(maxsize=None)
+def basis_labels(n: int) -> tuple[str, ...]:
+    """``label()`` of each basis direction in canonical order; every list
+    of labels in the package reads this one table."""
+    return tuple(idx.label() for idx in basis_indices(n))
+
+
+@lru_cache(maxsize=None)
 def basis_units(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only int arrays (rows, cols, degrees) in canonical order: e_a is
     E_a / sqrt2^degrees[a], E_a the 0/1 (n+1) x (n+1) matrix unit at

@@ -14,6 +14,8 @@ flags and seed are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -22,7 +24,7 @@ from fractions import Fraction
 import click
 import numpy as np
 
-from .algebra import basis_indices, lie_algebra
+from .algebra import basis_labels, lie_algebra
 from .connections import (
     alpha_connection,
     amari_difference,
@@ -41,6 +43,7 @@ from .manifold import (
     mc_oracle_metric_and_cubic,
 )
 from .solver import verify_theorem
+from .tensors import SymTensor3
 
 SEED_ENV = "GAUSSGEOM_SEED"
 #: bound on the decimal digits of --alpha's numerator and denominator
@@ -132,6 +135,16 @@ def _scalar_payload(value: QSqrt2, render_float: bool) -> dict:
     return payload
 
 
+def _entries(items, labels, render_float: bool) -> list[dict]:
+    """The one writer of exact table entries: ``{"x", "y"[, "z"[, "w"]],
+    "value"}`` per ``(index, QSqrt2)`` pair, each index read through
+    ``labels``."""
+    return [
+        {**dict(zip("xyzw", (labels[i] for i in idx))), "value": _scalar_payload(v, render_float)}
+        for idx, v in items
+    ]
+
+
 def _in_float_range(compute, *args):
     """``compute(*args)``, or a usage error when finite input overflows to
     inf or nan; numpy's overflow warnings are silenced, as the error says it.
@@ -208,27 +221,24 @@ def verify(ctx, single_n, max_n, emit_certificate, fmt) -> None:
 def tensors(n, what, render_float) -> None:
     """Dump exact algebra tables for a given n."""
     alg = lie_algebra(n)
-    labels = [idx.label() for idx in alg.indices]
-    table = {
-        "brackets": alg.structure,
-        "u-map": alg.u_coeffs,
-        "levi-civita": alg.levi_civita,
-        "cubic": alg.cubic,
-        "metric": alg.gram,
-    }[what]
-    entries = []
-    for idx, value in table.nonzero_items():
-        if what == "cubic" and list(idx) != sorted(idx):
-            continue  # one entry per unordered triple
-        names = [labels[i] for i in idx]
-        payload = _scalar_payload(value, render_float)
-        if what in ("cubic", "metric"):
-            entries.append({**dict(zip("xyz", names)), "value": payload})
-        # brackets, u-map and levi-civita: one entry per (x, y) with its components
-        elif entries and [entries[-1]["x"], entries[-1]["y"]] == names[:2]:
-            entries[-1]["components"][names[2]] = payload
-        else:
-            entries.append({"x": names[0], "y": names[1], "components": {names[2]: payload}})
+    if what == "cubic":
+        # one entry per unordered triple
+        items = SymTensor3.from_dense(n, alg.cubic).nonzero_items()
+    else:
+        table = {
+            "brackets": alg.structure,
+            "u-map": alg.u_coeffs,
+            "levi-civita": alg.levi_civita,
+            "metric": alg.gram,
+        }[what]
+        items = table.nonzero_items()
+    entries = _entries(items, basis_labels(n), render_float)
+    if what not in ("cubic", "metric"):
+        # one entry per (x, y) with its components
+        entries = [
+            {"x": x, "y": y, "components": {e["z"]: e["value"] for e in group}}
+            for (x, y), group in itertools.groupby(entries, key=lambda e: (e["x"], e["y"]))
+        ]
     _echo_json({"n": n, "what": what, "entries": entries})
 
 
@@ -244,56 +254,20 @@ def tensors(n, what, render_float) -> None:
 def connection(n, alpha, what, render_float) -> None:
     """Inspect a member of the alpha-family of statistical connections."""
     alpha_value = _parse_alpha(alpha)
-    labels = [idx.label() for idx in basis_indices(n)]
-
+    head = {"n": n, "alpha": str(alpha_value)}
     if what == "predicates":
         suite = predicate_suite(amari_difference(n).scale(QSqrt2(alpha_value)))
-        _echo_json(
-            {
-                "n": n,
-                "alpha": str(alpha_value),
-                "conjugate_symmetric": suite.conjugate_symmetric,
-                "cubic_derivative_symmetric": suite.cubic_derivative_symmetric,
-                "lc_cubic_derivative_symmetric": suite.lc_cubic_derivative_symmetric,
-                "lc_difference_derivative_symmetric": suite.lc_difference_derivative_symmetric,
-            }
-        )
+        _echo_json({**head, **dataclasses.asdict(suite)})
         return
 
     conn = alpha_connection(n, alpha_value)
     if what == "curvature":
-        curv = curvature(conn)
-        entries = [
-            {
-                "x": labels[a],
-                "y": labels[b],
-                "z": labels[g],
-                "w": labels[d],
-                "value": _scalar_payload(v, render_float),
-            }
-            for (a, b, g, d), v in curv.nonzero_items()
-        ]
-        _echo_json(
-            {
-                "n": n,
-                "alpha": str(alpha_value),
-                "zero": curv.is_zero(),
-                "entries": entries,
-            }
-        )
-        return
-
-    target = conn if what == "coeffs" else conjugate(conn)
-    entries = [
-        {
-            "x": labels[a],
-            "y": labels[b],
-            "z": labels[g],
-            "value": _scalar_payload(v, render_float),
-        }
-        for (a, b, g), v in target.nonzero_items()
-    ]
-    _echo_json({"n": n, "alpha": str(alpha_value), "what": what, "entries": entries})
+        table = curvature(conn)
+        head["zero"] = table.is_zero()
+    else:
+        table = conn if what == "coeffs" else conjugate(conn)
+        head["what"] = what
+    _echo_json({**head, "entries": _entries(table.nonzero_items(), basis_labels(n), render_float)})
 
 
 @main.command()
@@ -439,8 +413,7 @@ def group_cmd(do_act, do_phi, do_phi_inv, do_pullback, a_text, b_text, sigma, mu
     t = _parse_tangent(t_text, "t")
     _check_dimensions(p.n, "the point", t=t)
     coeffs = _in_float_range(pull_back_to_identity, p, t)
-    labels = [idx.label() for idx in basis_indices(p.n)]
-    _echo_json({"coefficients": dict(zip(labels, coeffs.tolist()))})
+    _echo_json({"coefficients": dict(zip(basis_labels(p.n), coeffs.tolist()))})
 
 
 if __name__ == "__main__":

@@ -451,6 +451,9 @@ class ExactArray:
 
 #: float64 product buffers of this thread's latest contraction in float64
 _WORKSPACE = threading.local()
+#: bytes past which ``_workspace`` holds nothing: 32 MiB, enough for the
+#: three buffers of every d^4 formula up to n = 6 (d = 27)
+WORKSPACE_CAP = 32 * 2**20
 
 
 def _workspace(count: int, size: int) -> list[np.ndarray]:
@@ -460,7 +463,14 @@ def _workspace(count: int, size: int) -> list[np.ndarray]:
     A d^4 product is written here rather than into a fresh array because a
     fresh one costs more than its arithmetic: glibc hands large freed blocks
     back to the OS, so every new one page-faults all of its pages in again.
+    Past ``WORKSPACE_CAP`` bytes the held buffers are dropped and fresh ones
+    returned, so that a large n does not stay resident after its call: at
+    n = 8 three buffers are 172 MB, and faulting them in afresh costs
+    ``verify_theorem(8)`` at most about a tenth of its time.
     """
+    if count * size * 8 > WORKSPACE_CAP:
+        _WORKSPACE.buffers = []
+        return [np.empty(size) for _ in range(count)]
     held = getattr(_WORKSPACE, "buffers", [])
     if held and held[0].size != size:
         held = []

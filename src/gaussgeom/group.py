@@ -97,11 +97,6 @@ def phi_inv(p: ManifoldPoint) -> GroupElement:
     return GroupElement(upper_cholesky(p.sigma), p.mu)
 
 
-def transporter(p: ManifoldPoint, q: ManifoldPoint) -> GroupElement:
-    """The unique group element with act(g, p) = q."""
-    return group_mul(phi_inv(q), group_inv(phi_inv(p)))
-
-
 def pull_back_to_identity(p: ManifoldPoint, t: TangentVector) -> np.ndarray:
     """Coefficients of a tangent vector at p over the identity basis.
 

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import basis_indices
+from .algebra import basis_labels
 from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2
 
 
@@ -62,14 +62,9 @@ def dense_positions(dim: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=None)
-def _basis_labels(n: int) -> tuple[str, ...]:
-    return tuple(idx.label() for idx in basis_indices(n))
-
-
 def triple_label(n: int, triple: Sequence[int]) -> str:
     """``Label|Label|Label`` of a basis triple, in the given order."""
-    labels = _basis_labels(n)
+    labels = basis_labels(n)
     return "|".join(labels[p] for p in triple)
 
 
@@ -125,7 +120,7 @@ class SymTensor3:
         naming the label, on an unknown or ill-formed label, a value that is
         not a ``QSqrt2.parse`` string, or a second label of one triple.
         """
-        position = {label: p for p, label in enumerate(_basis_labels(n))}
+        position = {label: p for p, label in enumerate(basis_labels(n))}
         entries: dict[tuple[int, int, int], QSqrt2] = {}
         for label, text in labelled.items():
             parts = label.split("|")

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from gaussgeom.exact import QSqrt2
+from gaussgeom.exact import ExactArray, QSqrt2
 
 settings.register_profile(
     "ci",
@@ -40,6 +40,13 @@ def fractions(draw, max_num: int = 9, max_den: int = 4) -> Fraction:
 @st.composite
 def qsqrt2s(draw, max_num: int = 9) -> QSqrt2:
     return QSqrt2(draw(fractions(max_num)), draw(fractions(max_num)))
+
+
+def as_objects(a: ExactArray) -> np.ndarray:
+    """The entries of ``a`` as an object array of exact scalars: the all-object
+    reference that every storage dtype must agree with."""
+    values = [a.item(*idx) for idx in np.ndindex(*a.shape)]
+    return np.array(values, dtype=object).reshape(a.shape)
 
 
 def random_spd(rng: np.random.Generator, n: int) -> np.ndarray:

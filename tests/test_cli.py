@@ -191,6 +191,47 @@ class TestConnection:
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
+#: SHA-256 of stdout for every exact table at n = 2, taken when `tensors` and
+#: `connection` wrote their entries in four hand-written ways
+EXACT_TABLE_DIGESTS = {
+    ("tensors", "brackets", False): "6831f2362ede833e5284ba4a201b6843d3724ae76550fc70e4ac8e68d229211b",
+    ("tensors", "brackets", True): "cf9def0c0375eeef7631f704be9489dea051badae94711adecce4548e8ea7063",
+    ("tensors", "u-map", False): "3ebc4959382927797569d46b58d6bbe653e71562aedb08fe067b912ee71bf1af",
+    ("tensors", "u-map", True): "c7759f09f6d5b0c459b7ea8cae32c75b43bf7b6ed99a348f08301ce53c18b2c7",
+    ("tensors", "levi-civita", False): "40e71a6704220897eeecffe810096c6a0ac8635e7f7d1a01361870b32b55bc21",
+    ("tensors", "levi-civita", True): "6f1e5aea18c2df791f28a64adf6c42a411e15d636b086718a5ee65acd84377fb",
+    ("tensors", "cubic", False): "384fc977e4e93b82ea285cb1409af947078fd529154cc1bae2e8d702361362ec",
+    ("tensors", "cubic", True): "cc7a6d19498ae46611b5099ae9997777ffebb08ecdfca5429c981bde46e88b8c",
+    ("tensors", "metric", False): "b3c4cb2abac9e67b41b8b8497d96167f51fc71f6fdb5dab7ab5af082261a56d9",
+    ("tensors", "metric", True): "877f681d40b81da872a7e51d3d9bd1c6b3d2e9ae419faf8630b3acc2919ae9db",
+    ("connection", "coeffs", False): "685633587198dd766cc3b55a2ff360b528a2aefedac76e5eb1d063e804f4c0b1",
+    ("connection", "coeffs", True): "3769b12bf51522d11ce844495e58ab3085628e4ebac8c255fdfc4d9d44fae46e",
+    ("connection", "conjugate", False): "0b25c04850e0ca81d34da21dc9694eba7e5439afcdb9bcb1599812160d469206",
+    ("connection", "conjugate", True): "abda59b78223f50ad1ec0d3964b2df1f225a99f70eaf95ee0b39bf500fbcc2cf",
+    ("connection", "curvature", False): "bc655c20b8599687997ea41baeda0fc81d58d0cd59652998c552781f5ba4a478",
+    ("connection", "curvature", True): "2a5816dc405c84b7aa72fcc7be5b9f207d5784a07c32175ad4f1ea7e133d12da",
+    ("connection", "predicates", False): "a72a74047f4dbe40b0b101127fea93e324cd5155468440b232125b72aceed67d",
+    ("connection", "predicates", True): "a72a74047f4dbe40b0b101127fea93e324cd5155468440b232125b72aceed67d",
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "what", "render_float"),
+    list(EXACT_TABLE_DIGESTS),
+    ids=[f"{c}-{w}{'-float' if f else ''}" for c, w, f in EXACT_TABLE_DIGESTS],
+)
+def test_exact_table_output_is_pinned(runner, command, what, render_float):
+    args = [command, "--n", "2", "--what", what]
+    if command == "connection":
+        args += ["--alpha", "-1/3"]
+    if render_float:
+        args.append("--float")
+    result = invoke(runner, *args)
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == EXACT_TABLE_DIGESTS[command, what, render_float]
+
+
 class TestPointwise:
     def test_metric_value(self, runner):
         result = invoke(

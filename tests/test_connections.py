@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fractions, qsqrt2s
+from conftest import as_objects, fractions, qsqrt2s
 from gaussgeom import connections, exact
 from gaussgeom.algebra import BasisIndex, basis_indices, lie_algebra
 from gaussgeom.connections import (
@@ -41,15 +41,13 @@ def sym_tensors(draw, n: int):
     return SymTensor3.from_vector(n, values)
 
 
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 4]))
+
+
 def random_sym_tensor(rng: random.Random, n: int) -> SymTensor3:
     count = len(symmetric_triples(basis_dimension(n)))
-    values = [
-        QSqrt2(
-            Fraction(rng.randint(-6, 6), rng.choice([1, 2, 4])),
-            Fraction(rng.randint(-6, 6), rng.choice([1, 2, 4])),
-        )
-        for _ in range(count)
-    ]
+    values = [QSqrt2(random_rational(rng), random_rational(rng)) for _ in range(count)]
     return SymTensor3.from_vector(n, values)
 
 
@@ -289,6 +287,54 @@ class TestSharedContractions:
         assert curvature(gamma) == reference
 
 
+def difference_derivative(gamma: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """[a, b, g, d] -> e_d component of (D_a K)(b, g) along the connection
+    gamma, on object arrays of exact scalars."""
+    return (
+        np.einsum("bgc,acd->abgd", k, gamma)
+        - np.einsum("abe,egd->abgd", gamma, k)
+        - np.einsum("age,bed->abgd", gamma, k)
+    )
+
+
+def from_objects(values: np.ndarray) -> ExactArray:
+    return ExactArray.build(values.shape, lambda idx: values[idx])
+
+
+class TestTorsionIdentity:
+    """R(G + K) - R(G - K) = 2 (alt D^G K + K(T^G(., .), .)) for every
+    connection G and symmetric K, T^G[a, b] = G[a, b] - G[b, a] - [e_a, e_b].
+    At G = Levi-Civita, T = 0 and D^G K is the derivative whose
+    antisymmetric part the constraint rows are: the bridge from the rows to
+    R = R*."""
+
+    @pytest.mark.parametrize(("n", "seed"), [(1, 0), (1, 1), (2, 2), (2, 3)])
+    def test_holds_exactly_for_random_connections(self, n, seed):
+        rng = random.Random(seed)
+        k = random_sym_tensor(rng, n)
+        d = basis_dimension(n)
+        gamma = ExactArray.build(
+            (d, d, d), lambda _: QSqrt2(random_rational(rng), random_rational(rng))
+        )
+        k_dense = k.to_exact_array()
+        g, dense = as_objects(gamma), as_objects(k_dense)
+        torsion = g - g.transpose((1, 0, 2)) - as_objects(lie_algebra(n).structure)
+        derivative = difference_derivative(g, dense)
+        expected = 2 * (
+            derivative
+            - derivative.transpose((1, 0, 2, 3))
+            + np.einsum("abe,egd->abgd", torsion, dense)
+        )
+        assert curvature(gamma + k_dense) - curvature(gamma - k_dense) == from_objects(expected)
+
+    @pytest.mark.parametrize(("n", "seed"), [(1, 4), (2, 5), (2, 6)])
+    def test_levi_civita_derivative_is_the_rows_derivative(self, n, seed):
+        k = random_sym_tensor(random.Random(seed), n)
+        levi_civita = as_objects(lie_algebra(n).levi_civita)
+        expected = difference_derivative(levi_civita, as_objects(k.to_exact_array()))
+        assert lc_difference_derivative(k) == from_objects(expected)
+
+
 class TestWorkspace:
     """The d^4 formulas share one float64 workspace per thread."""
 
@@ -343,6 +389,15 @@ class TestWorkspace:
                 for array, reference in zip(run_result[1:], expected[1:]):
                     assert array.den == reference.den
                     assert np.array_equal(array.parts, reference.parts)
+
+    def test_each_thread_holds_its_own_buffers(self):
+        mine = exact._workspace(2, 8)
+        theirs = []
+        thread = threading.Thread(target=lambda: theirs.extend(exact._workspace(2, 8)))
+        thread.start()
+        thread.join()
+        assert len(theirs) == 2
+        assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
     def test_warm_curvature_allocates_little_beyond_its_result(self):
         gamma = alpha_connection(4, Fraction(1, 3))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import qsqrt2s
+from conftest import as_objects, qsqrt2s
 from gaussgeom.exact import (
     HALF_SQRT2,
     ONE,
@@ -16,9 +16,11 @@ from gaussgeom.exact import (
     ZERO,
     ExactArray,
     QSqrt2,
+    WORKSPACE_CAP,
     SparseEchelon,
     _WORKSPACE,
     _int_gcd_reduce,
+    _workspace,
     contraction_sum,
 )
 
@@ -306,7 +308,7 @@ class TestExactArray:
         # distinct entries, so a misplaced axis moves some of them
         a = ExactArray((np.arange(48).reshape(2, 2, 3, 4) - 20).astype(dtype), 3)
         result = a.transpose(axes)
-        assert _same(result, np.transpose(_as_objects(a), axes))
+        assert _same(result, np.transpose(as_objects(a), axes))
         assert result.parts.dtype == dtype
 
     def test_is_zero(self):
@@ -365,16 +367,9 @@ class TestExactArray:
         assert abs(expected.a) > 2**63  # genuinely outside int64
 
 
-def _as_objects(a: ExactArray) -> np.ndarray:
-    """The entries of ``a`` as an object array of exact scalars: the all-object
-    reference that every storage dtype must agree with."""
-    values = [a.item(*idx) for idx in np.ndindex(*a.shape)]
-    return np.array(values, dtype=object).reshape(a.shape)
-
-
 def _same(result: ExactArray, reference: np.ndarray) -> bool:
     return result.shape == reference.shape and all(
-        x == y for x, y in zip(_as_objects(result).ravel(), reference.ravel())
+        x == y for x, y in zip(as_objects(result).ravel(), reference.ravel())
     )
 
 
@@ -419,7 +414,7 @@ class TestStorageBounds:
         a = _array(np.full((2, contracted), p), np.full((2, contracted), p))
         b = _array(np.full((contracted, 2), p), np.full((contracted, 2), p))
         result = a.tensordot(b, axes=([1], [0]))
-        reference = np.tensordot(_as_objects(a), _as_objects(b), axes=([1], [0]))
+        reference = np.tensordot(as_objects(a), as_objects(b), axes=([1], [0]))
         assert _same(result, reference)
         assert result.parts.dtype == (np.int64 if below else object)
 
@@ -439,7 +434,7 @@ class TestStorageBounds:
         a = _array([p, -p, 1, 0], [0, 1, -p, p])
         q = factor(p)
         result = a.scale(q)
-        assert _same(result, _as_objects(a) * q)
+        assert _same(result, as_objects(a) * q)
         assert result.parts.dtype == dtype
 
     def test_scale_zero_array_by_tiny_and_huge_factors(self):
@@ -458,7 +453,7 @@ class TestStorageBounds:
         # their sum reaches 8 * peak
         a = _array([peak, -peak, 1], [1, peak, 0], 3)
         b = _array([peak, peak, 0], [-peak, 1, peak], 5)
-        objects_a, objects_b = _as_objects(a), _as_objects(b)
+        objects_a, objects_b = as_objects(a), as_objects(b)
         for result, reference in ((a + b, objects_a + objects_b), (a - b, objects_a - objects_b)):
             assert _same(result, reference)
             assert result.parts.dtype == dtype
@@ -480,7 +475,7 @@ class TestStorageBounds:
         assert ints.parts.dtype == np.int64 and objects.parts.dtype == object
         q = QSqrt2(3, Fraction(1, 2))
         for x, y in ((ints, objects), (objects, ints)):
-            ox, oy = _as_objects(x), _as_objects(y)
+            ox, oy = as_objects(x), as_objects(y)
             assert _same(x + y, ox + oy)
             assert _same(x - y, ox - oy)
             assert _same(x.scale(q), ox * q)
@@ -494,7 +489,7 @@ class TestStorageBounds:
         a = data.draw(bounded_arrays((2, contracted), bits))
         b = data.draw(bounded_arrays((3, contracted), bits))
         result = a.tensordot(b, axes=([1], [1]))
-        reference = np.tensordot(_as_objects(a), _as_objects(b), axes=([1], [1]))
+        reference = np.tensordot(as_objects(a), as_objects(b), axes=([1], [1]))
         assert _same(result, reference)
 
     @pytest.mark.parametrize(
@@ -518,7 +513,7 @@ class TestStorageBounds:
         a = ExactArray(np.stack([near_peak((2, 3, 4), 0), near_peak((2, 3, 4), 3)]), 3)
         b = ExactArray(np.stack([near_peak((2, 4, 5), 1), near_peak((2, 4, 5), 7)]), 2)
         result = a.tensordot(b, axes=(left_axes, right_axes))
-        reference = np.tensordot(_as_objects(a), _as_objects(b), axes=(left_axes, right_axes))
+        reference = np.tensordot(as_objects(a), as_objects(b), axes=(left_axes, right_axes))
         assert result.shape == (3, 5)
         assert _same(result, reference)
         assert result.parts.dtype == dtype
@@ -533,13 +528,13 @@ class TestStorageBounds:
         right_axes = list(range(1, count + 1))
         axes = (left_axes[::-1], right_axes[::-1])
         result = a.tensordot(b, axes=axes)
-        assert _same(result, np.tensordot(_as_objects(a), _as_objects(b), axes=axes))
+        assert _same(result, np.tensordot(as_objects(a), as_objects(b), axes=axes))
 
     @given(st.data(), st.integers(56, 64), st.integers(56, 64))
     def test_sums_and_equality_match_object_reference(self, data, bits_a, bits_b):
         a = data.draw(bounded_arrays((2, 3), bits_a))
         b = data.draw(bounded_arrays((2, 3), bits_b))
-        objects_a, objects_b = _as_objects(a), _as_objects(b)
+        objects_a, objects_b = as_objects(a), as_objects(b)
         assert _same(a + b, objects_a + objects_b)
         assert _same(a - b, objects_a - objects_b)
         assert _same(-a, -objects_a)
@@ -554,7 +549,7 @@ class TestStorageBounds:
         q = QSqrt2(
             Fraction(data.draw(num), data.draw(den)), Fraction(data.draw(num), data.draw(den))
         )
-        assert _same(a.scale(q), _as_objects(a) * q)
+        assert _same(a.scale(q), as_objects(a) * q)
 
     def test_nonzero_items_skip_zeros_in_c_order(self):
         a = _array([[0, 3], [0, 0], [-1, 0]], [[0, 0], [0, 2], [1, 0]], 2)
@@ -628,7 +623,7 @@ class TestContractionSum:
         result = contraction_sum(products, [(s, i, tuple(p)) for s, i, p in terms])
 
         objects = [
-            np.tensordot(_as_objects(x), _as_objects(y), axes=axes) for x, y, axes in products
+            np.tensordot(as_objects(x), as_objects(y), axes=axes) for x, y, axes in products
         ]
         reference = sum(sign * np.transpose(objects[i], perm) for sign, i, perm in terms)
         assert _same(result, reference)
@@ -645,3 +640,12 @@ class TestContractionSum:
         # the sum never aliases a buffer the next call overwrites
         buffers = list(_WORKSPACE.buffers)
         assert buffers and not any(np.shares_memory(result.parts, buffer) for buffer in buffers)
+
+    def test_workspace_past_its_cap_holds_nothing(self):
+        _workspace(2, 8)
+        assert len(_WORKSPACE.buffers) == 2
+        # three buffers one entry past the cap; np.empty touches no page
+        size = WORKSPACE_CAP // (3 * 8) + 1
+        buffers = _workspace(3, size)
+        assert [buffer.size for buffer in buffers] == [size] * 3
+        assert _WORKSPACE.buffers == []

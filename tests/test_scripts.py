@@ -274,6 +274,8 @@ class TestBenchStageProbe:
             assert isinstance(record[f"{stage}_minor_faults"], int)
             assert record[f"{stage}_minor_faults"] >= 0
         assert "echelon_s" not in record
+        # resident after verify returns: within the process's peak, never above
+        assert 0 < record["verify_rss_after_mb"] <= record["peak_rss_mb"]
 
 
 class TestBenchSummary:
