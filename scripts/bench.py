@@ -21,11 +21,14 @@ build or test leftovers. The output has four parts:
   workload and side;
 - ``stages``: per side and n, fresh-process seconds (``<stage>_s``) and minor
   page faults (``<stage>_minor_faults``, from ``ru_minflt``) of
-  ``lie_algebra``, ``assemble``, ``solve`` and ``verify_theorem`` (``verify``,
-  which includes its own ``solve``), the certificate's rank, the resident MB
-  once ``verify`` has returned and ``gc.collect()`` has run
-  (``verify_rss_after_mb``, from ``/proc/self/statm``) and the process's
-  peak RSS. Only calls that both sides have are made; the elimination (on
+  ``lie_algebra``, ``assemble``, ``solve``, ``verify_theorem`` (``verify``,
+  which includes its own ``solve``) and one ``predicate_suite`` each on a
+  seeded random K and on the Amari K (``predicates_random``,
+  ``predicates_amari``: every predicate fails, every predicate holds), the
+  certificate's rank, the resident MB once ``verify`` has returned and
+  ``gc.collect()`` has run (``verify_rss_after_mb``, from
+  ``/proc/self/statm``) and the process's peak RSS up to then, before the
+  predicate suites. Only calls that both sides have are made; the elimination (on
   the live block left by peeling singleton rows, rank = peeled count + block
   rank) shows per op as perfbench's ``exact.echelon.s`` under ``--trace 1``;
 - ``machine`` and ``method``: what the runs were made on and how.
@@ -56,10 +59,14 @@ STAGE_NS = range(4, 9)
 
 #: run in a fresh interpreter per n; prints one JSON line
 STAGE_PROBE = """
-import gc, json, os, resource, sys, time
+import gc, json, os, random, resource, sys, time
+from fractions import Fraction
 import gaussgeom
 from gaussgeom.algebra import lie_algebra
+from gaussgeom.connections import amari_difference, predicate_suite
+from gaussgeom.exact import QSqrt2
 from gaussgeom.solver import assemble, solve, verify_theorem
+from gaussgeom.tensors import SymTensor3, basis_dimension, symmetric_triples
 
 n = int(sys.argv[1])
 stages = {}
@@ -79,6 +86,17 @@ cert = timed("verify", lambda: verify_theorem(n))
 gc.collect()
 with open("/proc/self/statm") as statm:
     resident_pages = int(statm.read().split()[1])
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+# one predicate suite on each verdict branch: a seeded random K fails all four
+# predicates, the Amari K passes them
+rng = random.Random(n)
+k = SymTensor3.from_vector(n, [
+    QSqrt2(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4))),
+           Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4))))
+    for _ in symmetric_triples(basis_dimension(n))
+])
+timed("predicates_random", lambda: predicate_suite(k))
+timed("predicates_amari", lambda: predicate_suite(amari_difference(n)))
 print(json.dumps({
     "module": gaussgeom.__file__,
     **counts,
@@ -86,7 +104,7 @@ print(json.dumps({
     "passed": cert.passed,
     **stages,
     "verify_rss_after_mb": resident_pages * os.sysconf("SC_PAGE_SIZE") / 2**20,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "peak_rss_mb": peak_mb,
 }))
 """
 

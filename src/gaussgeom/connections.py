@@ -8,9 +8,12 @@ Torsion-free metric connections correspond to totally symmetric difference
 tensors K via coefficients = (Levi-Civita) + K, and every such structure
 carries a cubic form C = -2 <K(., .), .>.  This module implements
 conjugation, curvature, the covariant derivatives of K and C, and the
-conjugate-symmetry predicate, all in exact arithmetic, each (d, d, d, d)
-formula as one ``exact.contraction_sum`` of transposed products:
-``predicate_suite`` evaluates the four characterizations at one K, and
+conjugate-symmetry predicate, all in exact arithmetic.  Each (d, d, d, d)
+formula is written once, as the (products, terms) of one
+``exact.contraction_sum`` of transposed products.  ``predicate_suite``
+decides the four characterizations at one K as four
+``exact.contraction_vanishes`` tests of those formulas (R - R*, and each
+derivative minus its transpose in the first pair), with no d^4 result array;
 ``alpha_family_verdicts`` decides them along a whole line LC + alpha K from
 tensors that do not depend on alpha.
 """
@@ -23,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import lie_algebra
-from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2, contraction_sum
+from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2, contraction_sum, contraction_vanishes
 from .tensors import SymTensor3, basis_order
 
 
@@ -54,11 +57,10 @@ def conjugate(gamma: ExactArray) -> ExactArray:
     return -gamma.transpose((0, 2, 1))
 
 
-def curvature(gamma: ExactArray) -> ExactArray:
-    """Curvature R(x, y)z = D_x D_y z - D_y D_x z - D_[x,y] z on
-    left-invariant fields, as exact coefficients."""
+def _curvature_formula(gamma: ExactArray):
+    """(products, terms) of ``curvature(gamma)`` for ``exact.contraction_sum``."""
     structure = lie_algebra(basis_order(gamma.shape[0])).structure
-    return contraction_sum(
+    return (
         [
             (gamma, gamma, ([2], [1])),  # prod[x,y,z,w] = G[x,y,e] G[z,e,w]
             (structure, gamma, ([2], [0])),  # the bracket term
@@ -71,9 +73,39 @@ def curvature(gamma: ExactArray) -> ExactArray:
     )
 
 
+def curvature(gamma: ExactArray) -> ExactArray:
+    """Curvature R(x, y)z = D_x D_y z - D_y D_x z - D_[x,y] z on
+    left-invariant fields, as exact coefficients."""
+    return contraction_sum(*_curvature_formula(gamma))
+
+
+def _conjugate_gap(gamma: ExactArray):
+    """(products, terms) of R(gamma) - R(conjugate(gamma)): four products,
+    the curvature terms minus the same terms on the conjugate."""
+    products, terms = _curvature_formula(gamma)
+    conjugate_products, conjugate_terms = _curvature_formula(conjugate(gamma))
+    shift = len(products)
+    return (
+        products + conjugate_products,
+        terms + [(-sign, index + shift, perm) for sign, index, perm in conjugate_terms],
+    )
+
+
 def is_conjugate_symmetric(gamma: ExactArray) -> bool:
     """Whether the curvature equals the curvature of the conjugate."""
-    return curvature(gamma) == curvature(conjugate(gamma))
+    return contraction_vanishes(*_conjugate_gap(gamma))
+
+
+def _difference_formula(k: SymTensor3):
+    """(products, terms) of ``lc_difference_derivative(k)``."""
+    hat = lie_algebra(k.n).levi_civita
+    dense = k.to_exact_array()
+    # K is symmetric, so hat contracted with K's slot 1 is hat contracted
+    # with its slot 0, middle slots swapped
+    return (
+        [(dense, hat, ([2], [1])), (hat, dense, ([2], [0]))],
+        [(-1, 1, None), (1, 0, (2, 0, 1, 3)), (-1, 1, (0, 2, 1, 3))],
+    )
 
 
 def lc_difference_derivative(k: SymTensor3) -> ExactArray:
@@ -82,48 +114,55 @@ def lc_difference_derivative(k: SymTensor3) -> ExactArray:
     Shape (d, d, d, d); entry [a, b, g, d] is the e_d component of
     (D_a K)(b, g).
     """
-    hat = lie_algebra(k.n).levi_civita
-    dense = k.to_exact_array()
-    # K is symmetric, so hat contracted with K's slot 1 is hat contracted
-    # with its slot 0, middle slots swapped
-    return contraction_sum(
-        [(dense, hat, ([2], [1])), (hat, dense, ([2], [0]))],
-        [(-1, 1, None), (1, 0, (2, 0, 1, 3)), (-1, 1, (0, 2, 1, 3))],
-    )
+    return contraction_sum(*_difference_formula(k))
 
 
-def _cubic_derivative(gamma: ExactArray, cubic: ExactArray) -> ExactArray:
+def _cubic_formula(gamma: ExactArray, cubic: ExactArray):
+    """(products, terms) of ``_cubic_derivative(gamma, cubic)``; raises
+    ``ArithmeticError`` unless ``cubic`` is totally symmetric."""
     # (D_a C)(b, g, d) for a left-invariant, totally symmetric (0,3)-tensor
     # C: gamma contracted with any slot of C is the same product, so the
     # terms for slots 1 and 2 are transposes of the term for slot 0
     if not cubic == cubic.transpose((1, 0, 2)) == cubic.transpose((0, 2, 1)):
         raise ArithmeticError("cubic form is not totally symmetric")
-    return contraction_sum(
+    return (
         [(gamma, cubic, ([2], [0]))],
         [(-1, 0, None), (-1, 0, (0, 2, 1, 3)), (-1, 0, (0, 2, 3, 1))],
     )
 
 
+def _cubic_derivative(gamma: ExactArray, cubic: ExactArray) -> ExactArray:
+    return contraction_sum(*_cubic_formula(gamma, cubic))
+
+
 def connection_cubic_derivative(k: SymTensor3) -> ExactArray:
     """Covariant derivative of the cubic form along the connection built
     from k itself."""
-    gamma = from_difference(k)
-    cubic = k.to_exact_array().scale(-2)
-    return _cubic_derivative(gamma, cubic)
+    return _cubic_derivative(from_difference(k), k.to_exact_array().scale(-2))
 
 
 def lc_cubic_derivative(k: SymTensor3) -> ExactArray:
     """Covariant derivative of the cubic form along the Levi-Civita
     connection."""
-    hat = lie_algebra(k.n).levi_civita
-    cubic = k.to_exact_array().scale(-2)
-    return _cubic_derivative(hat, cubic)
+    return _cubic_derivative(lie_algebra(k.n).levi_civita, k.to_exact_array().scale(-2))
 
 
 def _symmetric_in_first_pair(t: ExactArray) -> bool:
     # the remaining slots are symmetric by construction, so symmetry in the
     # first two indices is full total symmetry
     return t == t.transpose((1, 0, 2, 3))
+
+
+def _first_pair_antisymmetric(formula):
+    """(products, terms) of t - t.transpose((1, 0, 2, 3)), t the sum of
+    ``formula``: each term, and each term negated with the first two
+    entries of its perm swapped."""
+    products, terms = formula
+    swapped = [
+        (-sign, index, (1, 0, 2, 3) if perm is None else (perm[1], perm[0], *perm[2:]))
+        for sign, index, perm in terms
+    ]
+    return products, terms + swapped
 
 
 @dataclass(frozen=True)
@@ -151,18 +190,16 @@ class PredicateSuite:
 
 
 def predicate_suite(k: SymTensor3) -> PredicateSuite:
-    """Evaluate the four characterizations for the structure built from k."""
+    """Evaluate the four characterizations for the structure built from k,
+    each as one exact vanishing test, with no (d, d, d, d) result array."""
+    gamma = from_difference(k)
+    cubic = k.to_exact_array().scale(-2)
+    hat = lie_algebra(k.n).levi_civita
+    # the three derivatives in PredicateSuite's field order
+    derivatives = (_cubic_formula(gamma, cubic), _cubic_formula(hat, cubic), _difference_formula(k))
     return PredicateSuite(
-        conjugate_symmetric=is_conjugate_symmetric(from_difference(k)),
-        cubic_derivative_symmetric=_symmetric_in_first_pair(
-            connection_cubic_derivative(k)
-        ),
-        lc_cubic_derivative_symmetric=_symmetric_in_first_pair(
-            lc_cubic_derivative(k)
-        ),
-        lc_difference_derivative_symmetric=_symmetric_in_first_pair(
-            lc_difference_derivative(k)
-        ),
+        is_conjugate_symmetric(gamma),
+        *(contraction_vanishes(*_first_pair_antisymmetric(formula)) for formula in derivatives),
     )
 
 

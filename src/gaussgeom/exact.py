@@ -10,10 +10,12 @@ bulk tensor contractions.  A dense array is one integer array ``parts`` of shape
 (2, *shape), the rational and sqrt(2) coefficients over a shared denominator,
 stored as int64 and falling back to arbitrary-precision Python ints only past
 2^62.  Each Q(sqrt(2)) contraction is one real product on ``parts``, run in
-float64 BLAS while every partial sum stays below 2^53, where float64 is exact,
-and a signed sum of transposed contractions (``contraction_sum``, the shape of
-every (d, d, d, d) formula in ``connections``) is one pass over a float64
-workspace that each thread reuses from call to call.
+float64 BLAS while every partial sum stays below 2^53, where float64 is exact.
+A signed sum of transposed contractions (``contraction_sum``, the shape of
+every (d, d, d, d) formula in ``connections``) is one pass, a product at a
+time, over two float64 buffers that each thread reuses from call to call;
+``contraction_vanishes`` decides whether such a sum is zero from its slice at
+index 0 of the last axis, and runs the full pass only when that slice is zero.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ class QSqrt2:
     __slots__ = ("_a", "_b")
 
     def __init__(self, a: Rational | str = 0, b: Rational | str = 0) -> None:
-        self._a = Fraction(a)
-        self._b = Fraction(b)
+        # a Fraction is immutable and already normalised, so it is kept as is
+        self._a = a if type(a) is Fraction else Fraction(a)
+        self._b = b if type(b) is Fraction else Fraction(b)
 
     @property
     def a(self) -> Fraction:
@@ -449,10 +452,10 @@ class ExactArray:
         return (a + b * _SQRT2_FLOAT) / self.den
 
 
-#: float64 product buffers of this thread's latest contraction in float64
+#: float64 buffers of this thread's latest contraction in float64
 _WORKSPACE = threading.local()
 #: bytes past which ``_workspace`` holds nothing: 32 MiB, enough for the
-#: three buffers of every d^4 formula up to n = 6 (d = 27)
+#: two buffers of every d^4 formula up to n = 6 (d = 27, 16.2 MiB)
 WORKSPACE_CAP = 32 * 2**20
 
 
@@ -463,10 +466,12 @@ def _workspace(count: int, size: int) -> list[np.ndarray]:
     A d^4 product is written here rather than into a fresh array because a
     fresh one costs more than its arithmetic: glibc hands large freed blocks
     back to the OS, so every new one page-faults all of its pages in again.
-    Past ``WORKSPACE_CAP`` bytes the held buffers are dropped and fresh ones
-    returned, so that a large n does not stay resident after its call: at
-    n = 8 three buffers are 172 MB, and faulting them in afresh costs
-    ``verify_theorem(8)`` at most about a tenth of its time.
+    A signed sum takes two, the product being added and the total, whatever
+    the number of products: 4.9 MiB at n = 5.  Past ``WORKSPACE_CAP`` bytes
+    the held buffers are dropped and fresh ones returned, so that a large n
+    does not stay resident after its call: at n = 8 the two are 114 MiB, and
+    faulting them in afresh costs ``verify_theorem(8)`` at most about a
+    tenth of its time.
     """
     if count * size * 8 > WORKSPACE_CAP:
         _WORKSPACE.buffers = []
@@ -481,29 +486,56 @@ def _workspace(count: int, size: int) -> list[np.ndarray]:
 
 def _matrices(
     left: ExactArray, right: ExactArray, axes, factor: int, dtype: type
-) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Matrices a, b whose product a @ b is ``factor`` times the parts of
-    ``left.tensordot(right, axes)``, and the shape of those parts."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays a, of shape (2, *left free shape, inner), and b, of shape
+    (inner, *right free shape), whose matrix product over ``inner`` is
+    ``factor`` times the parts of ``left.tensordot(right, axes)``."""
     left_axes = [axis % len(left.shape) for axis in axes[0]]
     right_axes = [axis % len(right.shape) for axis in axes[1]]
     left_free = [axis for axis in range(len(left.shape)) if axis not in left_axes]
     right_free = [axis for axis in range(len(right.shape)) if axis not in right_axes]
-    lr, li = left.parts.astype(dtype, copy=False) * factor
-    # parts = [[l.r, 2 l.i], [l.i, l.r]] . right.parts: the rows of a run
-    # over (output part, *left_free), its columns over (input part, *left_axes)
-    block = np.stack([lr, 2 * li, li, lr]).reshape((2, 2, *left.shape))
-    a = block.transpose((0, *(axis + 2 for axis in left_free), 1, *(axis + 2 for axis in left_axes)))
-    b = right.parts.astype(dtype, copy=False).transpose(
-        (0, *(axis + 1 for axis in right_axes), *(axis + 1 for axis in right_free))
+    # a[p, *left_free, q, *left_axes] is entry [p, q] of [[l.r, 2 l.i],
+    # [l.i, l.r]], the matrix that takes right.parts to the product's parts:
+    # the rows of a run over (output part, *left_free), its columns over
+    # (input part, *left_axes); it is filled through a view in left's own
+    # axis order, so that a and b are the only arrays made
+    a = np.empty(
+        (2, *(left.shape[axis] for axis in left_free), 2, *(left.shape[axis] for axis in left_axes)),
+        dtype,
     )
+    place = {axis: i + 1 for i, axis in enumerate(left_free)}
+    place.update((axis, i + len(left_free) + 2) for i, axis in enumerate(left_axes))
+    block = a.transpose((0, len(left_free) + 1, *(place[axis] for axis in range(len(left.shape)))))
+    real, irrational = left.parts
+    block[0, 0] = block[1, 1] = real
+    block[0, 1] = block[1, 0] = irrational
+    block[0, 1] *= 2
+    if factor != 1:
+        a *= factor
+    b = right.parts.transpose(
+        (0, *(axis + 1 for axis in right_axes), *(axis + 1 for axis in right_free))
+    ).astype(dtype, order="C")
     inner = 2 * math.prod(left.shape[axis] for axis in left_axes)
-    shape = (2, *(left.shape[axis] for axis in left_free), *(right.shape[axis] for axis in right_free))
-    return a.reshape(-1, inner), b.reshape(inner, -1), shape
+    return (
+        a.reshape((*a.shape[: len(left_free) + 1], inner)),
+        b.reshape((inner, *b.shape[len(right_axes) + 1 :])),
+    )
 
 
-def _signed_contractions(products, terms) -> tuple[np.ndarray, int]:
-    """The parts, fresh, and the common denominator of ``contraction_sum``'s
-    sum, before its gcd division."""
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The product of ``_matrices``' a and b, of shape (2, *free shape),
+    written into the flat ``out`` when it is given."""
+    rows = math.prod(a.shape[:-1])
+    if out is not None:
+        out = out.reshape(rows, -1)
+    return np.matmul(a.reshape(rows, -1), b.reshape(len(b), -1), out=out).reshape(
+        (*a.shape[:-1], *b.shape[1:])
+    )
+
+
+def _prepared(products, terms) -> tuple[int, bool, list[tuple[np.ndarray, np.ndarray]]]:
+    """The common denominator of ``products``, whether float64 computes the
+    signed sum of ``terms`` exactly, and each product's ``_matrices``."""
     dens = [left.den * right.den for left, right, _ in products]
     den = math.lcm(*dens)
     factors = [den // d for d in dens]
@@ -522,21 +554,38 @@ def _signed_contractions(products, terms) -> tuple[np.ndarray, int]:
     exact_in_float = sum(bounds[index] for _, index, _ in terms) < _FLOAT_EXACT_BOUND
     dtype = np.float64 if exact_in_float else object
     operands = [_matrices(*product, factor, dtype) for product, factor in zip(products, factors)]
-    # one buffer per product and one for the sum, all of one size since the
-    # terms add up; float64 ones are this thread's workspace, object ones fresh
-    size, count = math.prod(operands[0][2]), len(operands) + 1
+    return den, exact_in_float, operands
+
+
+def _signed_sum(operands, terms, exact_in_float: bool) -> np.ndarray:
+    """The signed sum of ``terms`` over the products of ``operands``, one
+    product at a time into one buffer, each added to the total by its terms:
+    in float64, two buffers of this thread's workspace, else fresh object
+    arrays."""
+    size = math.prod(operands[0][0].shape[:-1]) * math.prod(operands[0][1].shape[1:])
     if exact_in_float:
-        *buffers, total = _workspace(count, size)
+        buffer, total = _workspace(2, size)
     else:
-        *buffers, total = (np.empty(size, dtype=object) for _ in range(count))
-    values = [
-        np.matmul(a, b, out=buffer.reshape(len(a), -1)).reshape(shape)
-        for (a, b, shape), buffer in zip(operands, buffers)
-    ]
-    for position, (sign, index, perm) in enumerate(terms):
-        view = values[index] if perm is None else values[index].transpose((0, *(axis + 1 for axis in perm)))
-        total = total.reshape(view.shape)
-        {1: np.add, -1: np.subtract}[sign](total if position else 0, view, out=total)
+        buffer, total = (np.empty(size, dtype=object) for _ in range(2))
+    first = True
+    for index, (a, b) in enumerate(operands):
+        mine = [(sign, perm) for sign, i, perm in terms if i == index]
+        if not mine:
+            continue
+        product = _product(a, b, out=buffer)
+        for sign, perm in mine:
+            view = product if perm is None else product.transpose((0, *(axis + 1 for axis in perm)))
+            total = total.reshape(view.shape)
+            {1: np.add, -1: np.subtract}[sign](0 if first else total, view, out=total)
+            first = False
+    return total
+
+
+def _signed_contractions(products, terms) -> tuple[np.ndarray, int]:
+    """The parts, fresh, and the common denominator of ``contraction_sum``'s
+    sum, before its gcd division."""
+    den, exact_in_float, operands = _prepared(products, terms)
+    total = _signed_sum(operands, terms, exact_in_float)
     # the one cast to integers, into a fresh array that the caller owns
     return (total.astype(np.int64) if exact_in_float else total), den
 
@@ -549,14 +598,51 @@ def contraction_sum(products, terms) -> ExactArray:
     is computed once, however many terms read it.
 
     Every term is put over one common denominator.  While one bound from the
-    operands' peaks shows that float64 is exact, each distinct product is one
-    BLAS matrix product into this thread's workspace, the signed transposed
-    views of the products are added into one more workspace buffer, and that
-    sum is cast once into a fresh int64 array, divided by its gcd in place.
-    Past the bound the same steps run on fresh object arrays.
+    operands' peaks shows that float64 is exact, each distinct product in
+    turn is one BLAS matrix product into this thread's product buffer, its
+    signed transposed views are added into the workspace's total, and that
+    total is cast once into a fresh int64 array, divided by its gcd in
+    place.  Past the bound the same steps run on fresh object arrays.
     """
     parts, den = _signed_contractions(products, terms)
     return ExactArray(*_int_gcd_reduce(parts, den, out=parts))
+
+
+def contraction_vanishes(products, terms) -> bool:
+    """Whether ``contraction_sum(products, terms)`` is zero, decided exactly
+    from the same products over the same bound, without its int64 cast, its
+    gcd or its result array.
+
+    First the sum is computed at index 0 of its last axis only: each term
+    reads its product at index 0 of the axis that its perm sends last, one
+    row slice of a or one column slice of b of ``_matrices``, into a small
+    fresh array.  Every entry of that probe is an entry of the sum, so one
+    nonzero decides False; a sum that does not vanish usually has one there.
+    Otherwise the full sum is run as ``contraction_sum`` runs it and tested
+    for any nonzero entry.
+    """
+    _, exact_in_float, operands = _prepared(products, terms)
+    last = operands[0][0].ndim + operands[0][1].ndim - 4
+    slices = {}
+    probe = 0
+    for sign, index, perm in terms:
+        perm = tuple(range(last + 1)) if perm is None else perm
+        axis = perm[-1]
+        if (index, axis) not in slices:
+            a, b = operands[index]
+            left = a.ndim - 2
+            if axis < left:
+                a = a.take(0, axis=axis + 1)
+            else:
+                b = b.take(0, axis=axis - left + 1)
+            slices[index, axis] = _product(a, b)
+        # the product's axes past the one taken move down by one
+        rest = (0, *(other - (other > axis) + 1 for other in perm[:-1]))
+        view = slices[index, axis].transpose(rest)
+        probe = probe + view if sign == 1 else probe - view
+    if probe.any():
+        return False
+    return not _signed_sum(operands, terms, exact_in_float).any()
 
 
 def csr_matvec(

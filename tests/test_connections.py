@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import as_objects, fractions, qsqrt2s
@@ -263,13 +263,17 @@ class TestSharedContractions:
         k = random_sym_tensor(random.Random(5), 2)
         lie_algebra(2)  # the cached tables are built outside the count
         products = []
-        original = connections.contraction_sum
 
-        def counted(given, terms):
-            products.extend(given)
-            return original(given, terms)
+        def counting(original):
+            def counted(given, terms):
+                products.extend(given)
+                return original(given, terms)
 
-        monkeypatch.setattr(connections, "contraction_sum", counted)
+            return counted
+
+        # the predicates are vanishing tests, the line's verdicts sums
+        for name in ("contraction_sum", "contraction_vanishes"):
+            monkeypatch.setattr(connections, name, counting(getattr(connections, name)))
         predicate_suite(k)
         assert len(products) == 8
         products.clear()
@@ -285,6 +289,79 @@ class TestSharedContractions:
         term_bracket = structure.tensordot(gamma, axes=([2], [0]))
         reference = prod.transpose((2, 0, 1, 3)) - prod.transpose((0, 2, 1, 3)) - term_bracket
         assert curvature(gamma) == reference
+
+
+def vanishing_tests(k: SymTensor3) -> list:
+    """(products, terms) of each sum whose vanishing ``predicate_suite(k)``
+    tests, in the order of its fields."""
+    gamma = from_difference(k)
+    cubic = k.to_exact_array().scale(-2)
+    derivatives = (
+        connections._cubic_formula(gamma, cubic),
+        connections._cubic_formula(lie_algebra(k.n).levi_civita, cubic),
+        connections._difference_formula(k),
+    )
+    return [
+        connections._conjugate_gap(gamma),
+        *map(connections._first_pair_antisymmetric, derivatives),
+    ]
+
+
+#: K at n = 2 whose four sums are nonzero at index 0 of their last axis; are
+#: zero there but not past it; and are zero
+PROBED = random_sym_tensor(random.Random(3), 2)
+PAST_THE_PROBE = SymTensor3.from_entries(2, {(4, 4, 4): ONE})
+ZERO_SUMS = amari_difference(2)
+#: a scale that puts every entry past int64, so the sums run on object arrays
+WIDE = 2**64
+
+
+class TestContractionVanishes:
+    """``contraction_vanishes`` decides what ``contraction_sum(...).is_zero()``
+    does, on both paths, whichever stage decides it."""
+
+    @given(wide_sym_tensors())
+    @example(PROBED)
+    @example(PAST_THE_PROBE)
+    @example(ZERO_SUMS)
+    @example(PROBED.scale(WIDE))
+    @example(PAST_THE_PROBE.scale(WIDE))
+    @example(ZERO_SUMS.scale(WIDE))
+    @settings(max_examples=20)
+    def test_equals_the_sum_being_zero(self, k):
+        for formula in vanishing_tests(k):
+            assert exact.contraction_vanishes(*formula) == exact.contraction_sum(*formula).is_zero()
+
+    @pytest.mark.parametrize("scale", [1, WIDE])
+    @pytest.mark.parametrize(
+        ("k", "where"),
+        [(PROBED, "probe"), (PAST_THE_PROBE, "past the probe"), (ZERO_SUMS, "nowhere")],
+    )
+    def test_examples_reach_each_stage(self, k, where, scale):
+        # the pinned examples above are what reaches each stage on each path
+        for products, terms in vanishing_tests(k.scale(scale)):
+            assert exact._prepared(products, terms)[1] == (scale == 1)
+            total = exact.contraction_sum(products, terms)
+            nonzero = "nowhere" if total.is_zero() else "probe" if total.parts[..., 0].any() else "past the probe"
+            assert nonzero == where
+
+    @pytest.mark.parametrize("scale", [1, WIDE])
+    def test_suite_matches_materialised_verdicts_on_every_single_triple(self, scale):
+        for triple in symmetric_triples(basis_dimension(2)):
+            k = SymTensor3.from_entries(2, {triple: QSqrt2(scale)})
+            gamma = from_difference(k)
+            expected = (
+                curvature(gamma) == curvature(conjugate(gamma)),
+                *(
+                    connections._symmetric_in_first_pair(derivative(k))
+                    for derivative in (
+                        connections.connection_cubic_derivative,
+                        lc_cubic_derivative,
+                        lc_difference_derivative,
+                    )
+                ),
+            )
+            assert predicate_suite(k).as_tuple() == expected, triple
 
 
 def difference_derivative(gamma: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -398,6 +475,16 @@ class TestWorkspace:
         thread.join()
         assert len(theirs) == 2
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+
+    def test_a_formula_and_a_suite_hold_two_buffers(self):
+        # a signed sum holds the product being added and the total, however
+        # many products it has; curvature has two, the suite's first test four
+        exact._WORKSPACE.buffers = []
+        curvature(alpha_connection(3, Fraction(1, 3)))
+        assert len(exact._WORKSPACE.buffers) == 2
+        exact._WORKSPACE.buffers = []
+        assert predicate_suite(amari_difference(3)).all_true()
+        assert len(exact._WORKSPACE.buffers) == 2
 
     def test_warm_curvature_allocates_little_beyond_its_result(self):
         gamma = alpha_connection(4, Fraction(1, 3))

@@ -20,8 +20,10 @@ from gaussgeom.exact import (
     SparseEchelon,
     _WORKSPACE,
     _int_gcd_reduce,
+    _prepared,
     _workspace,
     contraction_sum,
+    contraction_vanishes,
 )
 
 
@@ -627,10 +629,34 @@ class TestContractionSum:
         ]
         reference = sum(sign * np.transpose(objects[i], perm) for sign, i, perm in terms)
         assert _same(result, reference)
+        assert contraction_vanishes(products, [(s, i, tuple(p)) for s, i, p in terms]) == (
+            result.is_zero()
+        )
         if result.is_zero():
             assert result.den == 1
         else:
             assert math.gcd(result.den, *result.parts.ravel().tolist()) == 1
+
+    # a @ b has a zero first column: a term read as is vanishes at index 0 of
+    # its last axis but not past it, one read transposed does not vanish there
+    @pytest.mark.parametrize(
+        ("terms", "vanishes"),
+        [
+            ([(1, 0, None)], False),
+            ([(-1, 0, (1, 0))], False),
+            ([(1, 0, None), (-1, 0, None)], True),
+            ([(1, 0, (1, 0)), (-1, 0, (1, 0))], True),
+        ],
+    )
+    @pytest.mark.parametrize("scale", [1, 2**55])
+    def test_vanishes_exactly_whichever_stage_decides(self, terms, vanishes, scale):
+        a = _array([[scale, 2 * scale], [3 * scale, 4 * scale]], [[0, scale], [scale, 0]])
+        b = _array([[0, 1], [0, 2]], [[0, 3], [0, 1]], 3)
+        products = [(a, b, ([1], [0]))]
+        # 2^55 takes the bound past 2^53, onto object arrays
+        assert _prepared(products, terms)[1] == (scale == 1)
+        assert contraction_vanishes(products, terms) == vanishes
+        assert contraction_sum(products, terms).is_zero() == vanishes
 
     def test_shared_product_without_transpose_and_fresh_result(self):
         a = _array([[1, 2], [3, 4]], [[0, 1], [1, 0]], 2)
