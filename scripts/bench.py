@@ -24,8 +24,10 @@ build or test leftovers. The output has four parts:
   ``lie_algebra``, ``assemble``, ``solve``, ``verify_theorem`` (``verify``,
   which includes its own ``solve``) and one ``predicate_suite`` each on a
   seeded random K and on the Amari K (``predicates_random``,
-  ``predicates_amari``: every predicate fails, every predicate holds), the
-  certificate's rank, the resident MB once ``verify`` has returned and
+  ``predicates_amari``: every predicate fails, every predicate holds), one
+  ``curvature`` on each of the two connections LC + K, after one untimed
+  call (``curvature_random``, which runs the dense pass, and
+  ``curvature_amari``, which runs the sparse one), the certificate's rank, the resident MB once ``verify`` has returned and
   ``gc.collect()`` has run (``verify_rss_after_mb``, from
   ``/proc/self/statm``) and the process's peak RSS up to then, before the
   predicate suites. Only calls that both sides have are made; the elimination (on
@@ -63,7 +65,7 @@ import gc, json, os, random, resource, sys, time
 from fractions import Fraction
 import gaussgeom
 from gaussgeom.algebra import lie_algebra
-from gaussgeom.connections import amari_difference, predicate_suite
+from gaussgeom.connections import amari_difference, curvature, from_difference, predicate_suite
 from gaussgeom.exact import QSqrt2
 from gaussgeom.solver import assemble, solve, verify_theorem
 from gaussgeom.tensors import SymTensor3, basis_dimension, symmetric_triples
@@ -97,6 +99,13 @@ k = SymTensor3.from_vector(n, [
 ])
 timed("predicates_random", lambda: predicate_suite(k))
 timed("predicates_amari", lambda: predicate_suite(amari_difference(n)))
+# one curvature on each kind of input: the random K's products have more
+# contributing entry pairs than a slice of the sum holds, the Amari K's fewer;
+# each is timed after one untimed call, so that no side's time includes
+# faulting in a workspace that another side's earlier stages left warm
+for name, gamma in (("random", from_difference(k)), ("amari", from_difference(amari_difference(n)))):
+    curvature(gamma)
+    timed("curvature_" + name, lambda: curvature(gamma))
 print(json.dumps({
     "module": gaussgeom.__file__,
     **counts,

@@ -10,7 +10,10 @@ carries a cubic form C = -2 <K(., .), .>.  This module implements
 conjugation, curvature, the covariant derivatives of K and C, and the
 conjugate-symmetry predicate, all in exact arithmetic.  Each (d, d, d, d)
 formula is written once, as the (products, terms) of one
-``exact.contraction_sum`` of transposed products.  ``predicate_suite``
+``exact.contraction_sum`` of transposed products.  On the alpha family its
+operands (LC, the structure constants, K) are sparse enough that the sum
+runs over contributing entry pairs alone; on a dense K it runs as BLAS
+products.  ``predicate_suite``
 decides the four characterizations at one K as four
 ``exact.contraction_vanishes`` tests of those formulas (R - R*, and each
 derivative minus its transpose in the first pair), with no d^4 result array;

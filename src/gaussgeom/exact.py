@@ -9,13 +9,19 @@ divides by the gcd), and a dense multi-index array representation used for
 bulk tensor contractions.  A dense array is one integer array ``parts`` of shape
 (2, *shape), the rational and sqrt(2) coefficients over a shared denominator,
 stored as int64 and falling back to arbitrary-precision Python ints only past
-2^62.  Each Q(sqrt(2)) contraction is one real product on ``parts``, run in
-float64 BLAS while every partial sum stays below 2^53, where float64 is exact.
-A signed sum of transposed contractions (``contraction_sum``, the shape of
-every (d, d, d, d) formula in ``connections``) is one pass, a product at a
-time, over two float64 buffers that each thread reuses from call to call;
-``contraction_vanishes`` decides whether such a sum is zero from its slice at
-index 0 of the last axis, and runs the full pass only when that slice is zero.
+2^62.  A signed sum of transposed contractions (``contraction_sum``, the
+shape of every (d, d, d, d) formula in ``connections``) is one of two full
+passes.  When every product has at most one slice's worth of contributing
+entry pairs, a slice being the sum at one index of its last axis (d^3
+entries), the sparse pass sums those pairs alone: the operands' nonzero
+entries are joined on the contracted coordinates, in int64 while every
+partial sum stays below 2^53 and in Python ints past it.  The alpha family
+takes it.  Otherwise each Q(sqrt(2)) contraction is one real product on
+``parts``, run in float64 BLAS below the same 2^53 bound, where float64 is
+exact, a product at a time over two float64 buffers that each thread reuses
+from call to call; a dense random K takes it.  ``contraction_vanishes``
+decides whether such a sum is zero from its slice at index 0 of the last
+axis, and runs the full pass only when that slice is zero.
 """
 
 from __future__ import annotations
@@ -424,10 +430,9 @@ class ExactArray:
         return self._times(factor * (1 - odd), factor * odd, self.den << -low)
 
     def tensordot(self, other: ExactArray, axes) -> ExactArray:
-        """``np.tensordot`` of the entries over the list pair ``axes``, over
-        ``self.den * other.den``: the one-term case of ``contraction_sum``,
-        left unreduced."""
-        return ExactArray(*_signed_contractions([(self, other, axes)], [(1, 0, None)]))
+        """``np.tensordot`` of the entries over the list pair ``axes``,
+        reduced: the one-term case of ``contraction_sum``."""
+        return contraction_sum([(self, other, axes)], [(1, 0, None)])
 
     def transpose(self, axes: tuple[int, ...]) -> ExactArray:
         ndim = len(self.shape)
@@ -484,16 +489,22 @@ def _workspace(count: int, size: int) -> list[np.ndarray]:
     return held[:count]
 
 
+def _split(shape: tuple[int, ...], contracted) -> tuple[list[int], list[int]]:
+    """The contracted axes of an array of ``shape``, in the order given, and
+    its free axes."""
+    ndim = len(shape)
+    contracted = [axis % ndim for axis in contracted]
+    return contracted, [axis for axis in range(ndim) if axis not in contracted]
+
+
 def _matrices(
     left: ExactArray, right: ExactArray, axes, factor: int, dtype: type
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrays a, of shape (2, *left free shape, inner), and b, of shape
     (inner, *right free shape), whose matrix product over ``inner`` is
     ``factor`` times the parts of ``left.tensordot(right, axes)``."""
-    left_axes = [axis % len(left.shape) for axis in axes[0]]
-    right_axes = [axis % len(right.shape) for axis in axes[1]]
-    left_free = [axis for axis in range(len(left.shape)) if axis not in left_axes]
-    right_free = [axis for axis in range(len(right.shape)) if axis not in right_axes]
+    left_axes, left_free = _split(left.shape, axes[0])
+    right_axes, right_free = _split(right.shape, axes[1])
     # a[p, *left_free, q, *left_axes] is entry [p, q] of [[l.r, 2 l.i],
     # [l.i, l.r]], the matrix that takes right.parts to the product's parts:
     # the rows of a run over (output part, *left_free), its columns over
@@ -533,9 +544,10 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     )
 
 
-def _prepared(products, terms) -> tuple[int, bool, list[tuple[np.ndarray, np.ndarray]]]:
+def _prepared(products, terms) -> tuple[int, bool, list[int]]:
     """The common denominator of ``products``, whether float64 computes the
-    signed sum of ``terms`` exactly, and each product's ``_matrices``."""
+    signed sum of ``terms`` exactly, and the factor that puts each product
+    over that denominator."""
     dens = [left.den * right.den for left, right, _ in products]
     den = math.lcm(*dens)
     factors = [den // d for d in dens]
@@ -552,16 +564,101 @@ def _prepared(products, terms) -> tuple[int, bool, list[tuple[np.ndarray, np.nda
         for (left, right, axes), factor in zip(products, factors)
     ]
     exact_in_float = sum(bounds[index] for _, index, _ in terms) < _FLOAT_EXACT_BOUND
+    return den, exact_in_float, factors
+
+
+def _mask(array: ExactArray, masks: dict) -> np.ndarray:
+    """Where ``array`` is nonzero, taken once per call: ``masks`` keeps it by
+    the array's identity, since one operand (Gamma in a curvature) can be
+    read by several products."""
+    if id(array) not in masks:
+        masks[id(array)] = np.logical_or(*array.parts, dtype=bool)
+    return masks[id(array)]
+
+
+def _pairs(left_mask: np.ndarray, right_mask: np.ndarray, axes) -> int:
+    """The entry pairs that contribute to a product of operands with these
+    nonzero masks: over each value of the contracted coordinates, the left
+    nonzeros there times the right ones."""
+    counts = []
+    for mask, contracted in ((left_mask, axes[0]), (right_mask, axes[1])):
+        contracted, free = _split(mask.shape, contracted)
+        rows = math.prod(mask.shape[axis] for axis in contracted)
+        table = mask.transpose((*contracted, *free)).reshape(rows, mask.size // max(rows, 1))
+        counts.append(np.count_nonzero(table, axis=1))
+    return int(counts[0] @ counts[1])
+
+
+def _sparse_sum(
+    products, terms, factors, dtype: type, masks, shape
+) -> tuple[np.ndarray, np.ndarray]:
+    """The signed sum of ``terms``, of shape ``shape``, from the
+    contributing entry pairs of its products alone: the flat indices that
+    some pair reaches, ascending, and the parts (2, count) of the sum at
+    them, in ``dtype``.
+
+    Each operand's nonzero entries are taken once per call, from its mask
+    in ``masks``.  A product joins the nonzeros of its left operand with the
+    nonzeros of its right one that share their contracted coordinates (the
+    right ones sorted by them, each left one repeated once per partner),
+    forms (a + b sqrt2)(c + d sqrt2) = (ac + 2bd) + (ad + bc) sqrt2 times its
+    factor for each pair, and keeps the pair's coordinates.  Each term
+    permutes them into flat indices of the sum, one sort brings equal
+    indices together and ``np.add.reduceat`` adds them up.  Integers add up
+    exactly in any order, so neither sort need be stable.
+    """
+    entries = {}
+    for left, right, _ in products:
+        for array in (left, right):
+            if id(array) not in entries:
+                mask = _mask(array, masks)
+                parts = array.parts[:, mask].astype(dtype, copy=False)
+                entries[id(array)] = (np.nonzero(mask), parts)
+    joined = {}
+    keys, values = [], []
+    for sign, index, perm in terms:
+        if index not in joined:
+            left, right, axes = products[index]
+            (left_at, left_parts), (right_at, right_parts) = entries[id(left)], entries[id(right)]
+            left_axes, left_free = _split(left.shape, axes[0])
+            right_axes, right_free = _split(right.shape, axes[1])
+            contracted = [left.shape[axis] for axis in left_axes]
+            left_key = np.ravel_multi_index([left_at[axis] for axis in left_axes], contracted)
+            right_key = np.ravel_multi_index([right_at[axis] for axis in right_axes], contracted)
+            by_key = np.argsort(right_key)
+            count = np.bincount(right_key, minlength=math.prod(contracted))
+            partners = count[left_key]
+            li = np.repeat(np.arange(len(left_key)), partners)
+            # pair j of left entry i takes the (j - its first pair)-th right
+            # entry of its key in by_key, whose entries of a key start at start
+            start = np.cumsum(count) - count
+            offset = start[left_key] - (np.cumsum(partners) - partners)
+            ri = by_key[np.repeat(offset, partners) + np.arange(len(li))]
+            a, b = left_parts.take(li, axis=1)
+            c, d = right_parts.take(ri, axis=1)
+            parts = np.stack([a * c + 2 * b * d, a * d + b * c])
+            if factors[index] != 1:
+                parts *= factors[index]
+            at = [left_at[axis][li] for axis in left_free]
+            at += [right_at[axis][ri] for axis in right_free]
+            joined[index] = (at, parts)
+        at, parts = joined[index]
+        at = at if perm is None else [at[axis] for axis in perm]
+        keys.append(np.ravel_multi_index(at, shape))
+        values.append(parts if sign == 1 else -parts)
+    keys = np.concatenate(keys)
+    order = np.argsort(keys)
+    keys, parts = keys[order], np.concatenate(values, axis=1).take(order, axis=1)
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.add.reduceat(parts, starts, axis=1)
+
+
+def _signed_sum(products, terms, factors, exact_in_float: bool) -> np.ndarray:
+    """The signed sum of ``terms``, one product at a time into one buffer,
+    each added to the total by its terms: in float64, two buffers of this
+    thread's workspace, else fresh object arrays."""
     dtype = np.float64 if exact_in_float else object
     operands = [_matrices(*product, factor, dtype) for product, factor in zip(products, factors)]
-    return den, exact_in_float, operands
-
-
-def _signed_sum(operands, terms, exact_in_float: bool) -> np.ndarray:
-    """The signed sum of ``terms`` over the products of ``operands``, one
-    product at a time into one buffer, each added to the total by its terms:
-    in float64, two buffers of this thread's workspace, else fresh object
-    arrays."""
     size = math.prod(operands[0][0].shape[:-1]) * math.prod(operands[0][1].shape[1:])
     if exact_in_float:
         buffer, total = _workspace(2, size)
@@ -581,13 +678,31 @@ def _signed_sum(operands, terms, exact_in_float: bool) -> np.ndarray:
     return total
 
 
-def _signed_contractions(products, terms) -> tuple[np.ndarray, int]:
-    """The parts, fresh, and the common denominator of ``contraction_sum``'s
-    sum, before its gcd division."""
-    den, exact_in_float, operands = _prepared(products, terms)
-    total = _signed_sum(operands, terms, exact_in_float)
-    # the one cast to integers, into a fresh array that the caller owns
-    return (total.astype(np.int64) if exact_in_float else total), den
+def _term_shape(products, terms) -> tuple[int, ...]:
+    """The shape of every term of the sum, read from its first."""
+    _, index, perm = terms[0]
+    left, right, axes = products[index]
+    shape = [left.shape[axis] for axis in _split(left.shape, axes[0])[1]]
+    shape += [right.shape[axis] for axis in _split(right.shape, axes[1])[1]]
+    return tuple(shape if perm is None else (shape[axis] for axis in perm))
+
+
+def _full_sum(products, terms, exact_in_float: bool, factors):
+    """The signed sum of ``terms``, as (flat indices, parts) from
+    ``_sparse_sum`` when no product has more contributing entry pairs than
+    one slice of the sum, at one index of its last axis, has entries; else
+    as (None, the dense total of ``_signed_sum``).  A sum with no axis left
+    has no slice, and runs dense."""
+    shape = _term_shape(products, terms)
+    masks = {}
+    slice_size = math.prod(shape[:-1])
+    if shape and all(
+        _pairs(_mask(left, masks), _mask(right, masks), axes) <= slice_size
+        for left, right, axes in products
+    ):
+        dtype = np.int64 if exact_in_float else object
+        return _sparse_sum(products, terms, factors, dtype, masks, shape)
+    return None, _signed_sum(products, terms, factors, exact_in_float)
 
 
 def contraction_sum(products, terms) -> ExactArray:
@@ -597,15 +712,30 @@ def contraction_sum(products, terms) -> ExactArray:
     perm), with sign 1 or -1 and perm None for no transpose.  Each product
     is computed once, however many terms read it.
 
-    Every term is put over one common denominator.  While one bound from the
-    operands' peaks shows that float64 is exact, each distinct product in
-    turn is one BLAS matrix product into this thread's product buffer, its
-    signed transposed views are added into the workspace's total, and that
-    total is cast once into a fresh int64 array, divided by its gcd in
-    place.  Past the bound the same steps run on fresh object arrays.
+    Every term is put over one common denominator, and one bound from the
+    operands' peaks decides whether float64 is exact.  When every product
+    has at most one slice's worth of contributing entry pairs (a slice
+    being the sum at one index of its last axis), the sparse pass
+    ``_sparse_sum`` sums those pairs alone, in int64 below the bound and in
+    Python ints past it, into a zero array.  Otherwise, below the bound,
+    each distinct product in turn is one BLAS matrix product into this
+    thread's product buffer, its signed transposed views are added into the
+    workspace's total, and that total is cast once into a fresh int64
+    array; past the bound the same steps run on fresh object arrays.  The
+    result is divided by its gcd in place.
     """
-    parts, den = _signed_contractions(products, terms)
-    return ExactArray(*_int_gcd_reduce(parts, den, out=parts))
+    den, exact_in_float, factors = _prepared(products, terms)
+    at, total = _full_sum(products, terms, exact_in_float, factors)
+    if at is None:
+        # the one cast to integers, into a fresh array that the caller owns
+        parts = total.astype(np.int64) if exact_in_float else total
+        return ExactArray(*_int_gcd_reduce(parts, den, out=parts))
+    # the gcd of the entries that some pair reaches is the gcd of them all
+    total, den = _int_gcd_reduce(total, den, out=total)
+    shape = _term_shape(products, terms)
+    parts = np.zeros((2, math.prod(shape)), total.dtype)
+    parts[:, at] = total
+    return ExactArray(parts.reshape((2, *shape)), den)
 
 
 def contraction_vanishes(products, terms) -> bool:
@@ -614,35 +744,45 @@ def contraction_vanishes(products, terms) -> bool:
     gcd or its result array.
 
     First the sum is computed at index 0 of its last axis only: each term
-    reads its product at index 0 of the axis that its perm sends last, one
-    row slice of a or one column slice of b of ``_matrices``, into a small
-    fresh array.  Every entry of that probe is an entry of the sum, so one
-    nonzero decides False; a sum that does not vanish usually has one there.
-    Otherwise the full sum is run as ``contraction_sum`` runs it and tested
-    for any nonzero entry.
+    reads its product at index 0 of the axis that its perm sends last, the
+    product of ``_matrices`` built from the operand that holds that axis
+    cut to its index 0, into a small fresh array.  Every entry of that probe
+    is an entry of the sum, so one nonzero decides False; a sum that does
+    not vanish usually has one there.  Otherwise the full sum is run as
+    ``contraction_sum`` runs it, sparse or dense, and tested for any nonzero
+    entry.
     """
-    _, exact_in_float, operands = _prepared(products, terms)
-    last = operands[0][0].ndim + operands[0][1].ndim - 4
+    _, exact_in_float, factors = _prepared(products, terms)
+    dtype = np.float64 if exact_in_float else object
     slices = {}
     probe = 0
     for sign, index, perm in terms:
-        perm = tuple(range(last + 1)) if perm is None else perm
+        left, right, axes = products[index]
+        left_free, right_free = _split(left.shape, axes[0])[1], _split(right.shape, axes[1])[1]
+        perm = tuple(range(len(left_free) + len(right_free))) if perm is None else perm
         axis = perm[-1]
         if (index, axis) not in slices:
-            a, b = operands[index]
-            left = a.ndim - 2
-            if axis < left:
-                a = a.take(0, axis=axis + 1)
+            # the cut operand goes first, into the matrix of 2x2 blocks, which
+            # is twice the size of the other; a right one moves its axes back
+            if axis < len(left_free):
+                left = ExactArray(left.parts.take([0], axis=left_free[axis] + 1), left.den)
+                product = _product(*_matrices(left, right, axes, factors[index], dtype))
             else:
-                b = b.take(0, axis=axis - left + 1)
-            slices[index, axis] = _product(a, b)
-        # the product's axes past the one taken move down by one
-        rest = (0, *(other - (other > axis) + 1 for other in perm[:-1]))
-        view = slices[index, axis].transpose(rest)
+                right = ExactArray(
+                    right.parts.take([0], axis=right_free[axis - len(left_free)] + 1), right.den
+                )
+                product = _product(*_matrices(right, left, axes[::-1], factors[index], dtype))
+                moved = len(right_free)
+                product = product.transpose(
+                    (0, *range(moved + 1, moved + len(left_free) + 1), *range(1, moved + 1))
+                )
+            slices[index, axis] = product
+        # the product holds index 0 alone on the axis that the perm sends last
+        view = slices[index, axis].transpose((0, *(other + 1 for other in perm)))[..., 0]
         probe = probe + view if sign == 1 else probe - view
     if probe.any():
         return False
-    return not _signed_sum(operands, terms, exact_in_float).any()
+    return not _full_sum(products, terms, exact_in_float, factors)[1].any()
 
 
 def csr_matvec(

@@ -5,9 +5,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from gaussgeom import exact
 from gaussgeom.exact import ExactArray, QSqrt2
 
 settings.register_profile(
@@ -61,3 +63,19 @@ def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def rel_close(x: float, y: float, tol: float) -> bool:
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+
+
+@pytest.fixture
+def full_passes(monkeypatch) -> dict[str, int]:
+    """Calls of each full pass of ``exact.contraction_sum`` from here on:
+    "sparse" counts ``_sparse_sum``, "dense" counts ``_signed_sum``."""
+    calls = {"sparse": 0, "dense": 0}
+    for route, name in (("sparse", "_sparse_sum"), ("dense", "_signed_sum")):
+        helper = getattr(exact, name)
+
+        def counted(*args, _route=route, _helper=helper):
+            calls[_route] += 1
+            return _helper(*args)
+
+        monkeypatch.setattr(exact, name, counted)
+    return calls

@@ -476,15 +476,19 @@ class TestWorkspace:
         assert len(theirs) == 2
         assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
 
-    def test_a_formula_and_a_suite_hold_two_buffers(self):
-        # a signed sum holds the product being added and the total, however
-        # many products it has; curvature has two, the suite's first test four
+    def test_a_dense_sum_holds_two_buffers_and_a_sparse_one_none(self):
+        # a dense signed sum holds the product being added and the total,
+        # however many products it has: curvature has two, the suite's first
+        # test four; the sparse pass, which the alpha family takes, holds none
+        gamma = from_difference(random_sym_tensor(random.Random(7), 3))
+        for formula in (connections._curvature_formula(gamma), connections._conjugate_gap(gamma)):
+            exact._WORKSPACE.buffers = []
+            exact.contraction_sum(*formula)
+            assert len(exact._WORKSPACE.buffers) == 2
         exact._WORKSPACE.buffers = []
         curvature(alpha_connection(3, Fraction(1, 3)))
-        assert len(exact._WORKSPACE.buffers) == 2
-        exact._WORKSPACE.buffers = []
         assert predicate_suite(amari_difference(3)).all_true()
-        assert len(exact._WORKSPACE.buffers) == 2
+        assert exact._WORKSPACE.buffers == []
 
     def test_warm_curvature_allocates_little_beyond_its_result(self):
         gamma = alpha_connection(4, Fraction(1, 3))
@@ -496,6 +500,42 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 2 * result.parts.nbytes
+
+    def test_warm_dense_curvature_allocates_little_beyond_its_result(self):
+        gamma = from_difference(random_sym_tensor(random.Random(4), 4))
+        result = curvature(gamma)  # warms the tables and the workspace
+        tracemalloc.start()
+        try:
+            result = curvature(gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * result.parts.nbytes
+
+
+class TestRoute:
+    """Which full pass a formula takes: the sparse pass on the Amari family,
+    whose products have at most one slice's worth of contributing entry
+    pairs, and the dense pass on a dense random K, whose products have more;
+    told apart by counting calls of the two passes, not by timing them."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_amari_takes_the_sparse_pass(self, n, full_passes):
+        k = amari_difference(n)
+        curvature(alpha_connection(n, Fraction(1, 3)))
+        lc_difference_derivative(k)
+        connections.connection_cubic_derivative(k)
+        # each of the four vanishing tests reaches its second stage
+        assert predicate_suite(k).all_true()
+        assert full_passes == {"sparse": 7, "dense": 0}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_dense_random_k_takes_the_dense_pass(self, n, full_passes):
+        k = random_sym_tensor(random.Random(n), n)
+        curvature(from_difference(k))
+        lc_difference_derivative(k)
+        connections.connection_cubic_derivative(k)
+        assert full_passes == {"sparse": 0, "dense": 3}
 
 
 class TestPredicateSuite:

@@ -675,3 +675,103 @@ class TestContractionSum:
         buffers = _workspace(3, size)
         assert [buffer.size for buffer in buffers] == [size] * 3
         assert _WORKSPACE.buffers == []
+
+
+def _unit(index: tuple[int, ...], rat: int, irr: int, den: int = 1, dtype=np.int64) -> ExactArray:
+    """(rat + irr*sqrt2) / den at ``index`` of a (4, 4, 4) array, zero elsewhere."""
+    parts = np.zeros((2, 4, 4, 4), dtype=dtype)
+    parts[(slice(None), *index)] = rat, irr
+    return ExactArray(parts, den)
+
+
+@st.composite
+def patterned_arrays(draw) -> ExactArray:
+    """(4, 4, 4) arrays with no nonzero entry, one, about 5 % of them (4) or
+    all of them, each part up to 2^20 or 2^30 in magnitude, on int64 or
+    object storage."""
+    size = 64
+    count = draw(st.sampled_from([0, 1, 4, size]))
+    support = draw(st.permutations(range(size)))[:count]
+    limit = 2 ** draw(st.sampled_from([20, 30]))
+    parts = np.zeros((2, size), dtype=object)
+    for position in support:
+        parts[0, position] = draw(st.integers(1, limit)) * draw(st.sampled_from([1, -1]))
+        parts[1, position] = draw(st.integers(-limit, limit))
+    dtype = draw(st.sampled_from([np.int64, object]))
+    den = draw(st.sampled_from([1, 3, 12, 3**50]))
+    return ExactArray(parts.astype(dtype).reshape((2, 4, 4, 4)), den)
+
+
+ZEROS = ExactArray.zeros((4, 4, 4))
+#: two entries each, which meet on contracted coordinate 1 in four pairs
+PAIR_A = _unit((1, 0, 1), 3, -2, 2) + _unit((3, 2, 1), -1, 4)
+PAIR_B = _unit((0, 1, 2), 5, 1) + _unit((2, 1, 0), 1, -7, 3)
+
+
+class TestSparseSum:
+    """``contraction_sum`` and ``contraction_vanishes`` against signed sums
+    of transposed object-array ``np.tensordot`` products, on operands with
+    no, one, about 5 % and every entry nonzero, so that both the sparse pass
+    (at most one slice's worth of entry pairs per product; here a slice
+    holds 64 entries) and the dense pass run, each on int64 and on object
+    arrays."""
+
+    @given(
+        patterned_arrays(),
+        patterned_arrays(),
+        patterned_arrays(),
+        st.lists(
+            st.tuples(st.sampled_from([1, -1]), st.integers(0, 1), st.permutations(range(4))),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    # an all-zero operand: the sum is zero, over 1
+    @example(ZEROS, PAIR_B, PAIR_A, [(1, 0, (0, 1, 2, 3)), (-1, 1, (3, 2, 1, 0))])
+    # contracted coordinates that never meet: no pair at all
+    @example(
+        _unit((1, 2, 0), 3, 1),
+        _unit((0, 1, 3), 2, 5),
+        _unit((2, 0, 0), 1, 1),
+        [(1, 0, (0, 1, 2, 3)), (1, 1, (1, 0, 2, 3))],
+    )
+    # every entry of the first term cancels against the second's
+    @example(
+        PAIR_A, PAIR_B, ZEROS, [(1, 0, (0, 1, 2, 3)), (-1, 0, (0, 1, 2, 3)), (1, 1, (2, 3, 0, 1))]
+    )
+    # sqrt2 * sqrt2 pairs alone: the sum is the 2*b*d cross term
+    @example(_unit((0, 0, 1), 0, 3), _unit((2, 1, 3), 0, 5), ZEROS, [(1, 0, (0, 1, 2, 3))])
+    # one pair past 2^53: the object path
+    @example(
+        _unit((0, 0, 1), 2**40, 1, dtype=object),
+        _unit((0, 1, 2), 2**40, -3),
+        ZEROS,
+        [(1, 0, (3, 1, 0, 2))],
+    )
+    def test_matches_object_reference(self, a, b, c, terms):
+        products = [(a, b, ([2], [1])), (c, a, ([0], [2]))]
+        result = contraction_sum(products, terms)
+        objects = [
+            np.tensordot(as_objects(x), as_objects(y), axes=axes) for x, y, axes in products
+        ]
+        reference = sum(sign * np.transpose(objects[i], perm) for sign, i, perm in terms)
+        assert _same(result, reference)
+        # int64 below the 2^53 bound, Python ints past it, on either pass
+        assert result.parts.dtype == (np.int64 if _prepared(products, terms)[1] else object)
+        assert contraction_vanishes(products, terms) == result.is_zero()
+        if result.is_zero():
+            assert result.den == 1
+        else:
+            assert math.gcd(result.den, *result.parts.ravel().tolist()) == 1
+
+    @pytest.mark.parametrize(("count", "route"), [(8, "sparse"), (9, "dense")])
+    def test_at_most_one_slice_of_pairs_runs_sparse(self, count, route, full_passes):
+        # 8 left entries meet ``count`` right ones at contracted coordinate 0:
+        # 64 pairs fit the 64 entries of a slice, 72 do not
+        left = sum((_unit((i // 4, i % 4, 0), i + 1, 1) for i in range(8)), ZEROS)
+        right = sum((_unit((i // 4, 0, i % 4), 1, -i) for i in range(count)), ZEROS)
+        products = [(left, right, ([2], [1]))]
+        result = contraction_sum(products, [(1, 0, None)])
+        assert full_passes == {"sparse": 0, "dense": 0, route: 1}
+        reference = np.tensordot(as_objects(left), as_objects(right), axes=([2], [1]))
+        assert _same(result, reference)

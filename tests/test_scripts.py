@@ -268,7 +268,16 @@ class TestBenchStageProbe:
         record = bench.stages(bench.ROOT, 2)
         assert record["passed"] is True
         assert record["rank"] == record["unknowns"] - 1 == 34
-        stages = ("lie_algebra", "assemble", "solve", "verify", "predicates_random", "predicates_amari")
+        stages = (
+            "lie_algebra",
+            "assemble",
+            "solve",
+            "verify",
+            "predicates_random",
+            "predicates_amari",
+            "curvature_random",
+            "curvature_amari",
+        )
         assert {f"{stage}_s" for stage in stages} <= record.keys()
         for stage in stages:
             assert isinstance(record[f"{stage}_minor_faults"], int)
