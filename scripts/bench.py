@@ -27,12 +27,14 @@ build or test leftovers. The output has four parts:
   ``predicates_amari``: every predicate fails, every predicate holds), one
   ``curvature`` on each of the two connections LC + K, after one untimed
   call (``curvature_random``, which runs the dense pass, and
-  ``curvature_amari``, which runs the sparse one), the certificate's rank, the resident MB once ``verify`` has returned and
-  ``gc.collect()`` has run (``verify_rss_after_mb``, from
-  ``/proc/self/statm``) and the process's peak RSS up to then, before the
-  predicate suites. Only calls that both sides have are made; the elimination (on
-  the live block left by peeling singleton rows, rank = peeled count + block
-  rank) shows per op as perfbench's ``exact.echelon.s`` under ``--trace 1``;
+  ``curvature_amari``, which runs the sparse one), the certificate's rank,
+  the resident MB after ``gc.collect()`` just before ``verify`` starts and
+  once it has returned (``verify_rss_before_mb``, ``verify_rss_after_mb``,
+  from ``/proc/self/statm``) and the process's peak RSS up to then, before
+  the predicate suites. Only calls that both sides have are made; the
+  elimination (on the live block left by peeling singleton rows, rank =
+  peeled count + block rank) shows per op as perfbench's ``exact.echelon.s``
+  under ``--trace 1``;
 - ``machine`` and ``method``: what the runs were made on and how.
 
 Runs are made one process at a time with BLAS pools capped at one thread.
@@ -84,10 +86,13 @@ system = timed("assemble", lambda: assemble(n))
 counts = {"unknowns": system.unknowns, "rows_distinct": len(system.starts)}
 del system  # held, it would keep the heap under it resident past verify
 timed("solve", lambda: solve(n))
+def resident_mb():
+    gc.collect()
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+rss_before_mb = resident_mb()
 cert = timed("verify", lambda: verify_theorem(n))
-gc.collect()
-with open("/proc/self/statm") as statm:
-    resident_pages = int(statm.read().split()[1])
+rss_after_mb = resident_mb()
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 # one predicate suite on each verdict branch: a seeded random K fails all four
 # predicates, the Amari K passes them
@@ -112,7 +117,8 @@ print(json.dumps({
     "rank": cert.rank,
     "passed": cert.passed,
     **stages,
-    "verify_rss_after_mb": resident_pages * os.sysconf("SC_PAGE_SIZE") / 2**20,
+    "verify_rss_before_mb": rss_before_mb,
+    "verify_rss_after_mb": rss_after_mb,
     "peak_rss_mb": peak_mb,
 }))
 """

@@ -43,11 +43,14 @@ from .manifold import (
     mc_oracle_metric_and_cubic,
 )
 from .solver import verify_theorem
-from .tensors import SymTensor3
+from .tensors import SymTensor3, basis_dimension
 
 SEED_ENV = "GAUSSGEOM_SEED"
 #: bound on the decimal digits of --alpha's numerator and denominator
 ALPHA_DIGITS = 1000
+#: default bound on ``verify``'s unknowns: n = 8 has 15 180, n = 9 has 27 720
+#: and needs d^4 arrays of 8.5 M entries
+MAX_UNKNOWNS = 15_180
 
 
 def _default_seed() -> int:
@@ -177,12 +180,25 @@ def main() -> None:
     help="Write the JSON certificate(s) to this file.",
 )
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]), default="table")
+@click.option(
+    "--max-unknowns",
+    type=click.IntRange(min=1),
+    default=MAX_UNKNOWNS,
+    show_default=True,
+    help="Refuse an n whose system has more unknowns (n = 8 has 15180).",
+)
 @click.pass_context
-def verify(ctx, single_n, max_n, emit_certificate, fmt) -> None:
+def verify(ctx, single_n, max_n, emit_certificate, fmt, max_unknowns) -> None:
     """Certify that the conjugate-symmetry kernel is the expected line."""
     if single_n is not None and max_n is not None:
         raise click.UsageError("--n and --max-n are mutually exclusive")
     ns = [single_n] if single_n is not None else list(range(1, (max_n or 3) + 1))
+    # one unknown per unordered basis triple, checked before any n is run
+    unknowns = math.comb(basis_dimension(ns[-1]) + 2, 3)
+    if unknowns > max_unknowns:
+        raise click.UsageError(
+            f"n={ns[-1]} has {unknowns} unknowns, more than --max-unknowns {max_unknowns}"
+        )
     certificates = [verify_theorem(n) for n in ns]
     if fmt == "json":
         _echo_json([c.to_json_dict() for c in certificates])

@@ -15,8 +15,9 @@ operands (LC, the structure constants, K) are sparse enough that the sum
 runs over contributing entry pairs alone; on a dense K it runs as BLAS
 products.  ``predicate_suite``
 decides the four characterizations at one K as four
-``exact.contraction_vanishes`` tests of those formulas (R - R*, and each
-derivative minus its transpose in the first pair), with no d^4 result array;
+``exact.contraction_vanishes`` tests of those formulas (R - R*, written in
+the two products of R alone, and each derivative minus its transpose in the
+first pair), with no d^4 result array;
 ``alpha_family_verdicts`` decides them along a whole line LC + alpha K from
 tensors that do not depend on alpha.
 """
@@ -83,15 +84,23 @@ def curvature(gamma: ExactArray) -> ExactArray:
 
 
 def _conjugate_gap(gamma: ExactArray):
-    """(products, terms) of R(gamma) - R(conjugate(gamma)): four products,
-    the curvature terms minus the same terms on the conjugate."""
+    """(products, terms) of R(gamma) - R(conjugate(gamma)), from the two
+    products of ``curvature(gamma)`` alone.
+
+    With conjugate(gamma)[a, b, g] = -gamma[a, g, b], the products of the
+    conjugate's curvature are those of gamma's transposed: writing
+    P = gamma.gamma and Q = structure.gamma as in ``_curvature_formula``,
+    (conjugate . conjugate)[x, y, z, w] = P[z, w, x, y] and
+    (structure . conjugate)[x, y, z, w] = -Q[x, y, w, z].  So the gap is the
+    curvature's terms minus R* written in P and Q, and no conjugate array is
+    built.
+    """
     products, terms = _curvature_formula(gamma)
-    conjugate_products, conjugate_terms = _curvature_formula(conjugate(gamma))
-    shift = len(products)
-    return (
-        products + conjugate_products,
-        terms + [(-sign, index + shift, perm) for sign, index, perm in conjugate_terms],
-    )
+    return products, terms + [
+        (-1, 1, (0, 1, 3, 2)),  # [a,b,g,d] = -Q[a,b,d,g], the bracket term
+        (-1, 0, (0, 2, 3, 1)),  # [a,b,g,d] = -P[a,d,b,g]
+        (1, 0, (2, 0, 3, 1)),  # [a,b,g,d] = P[b,d,a,g]
+    ]
 
 
 def is_conjugate_symmetric(gamma: ExactArray) -> bool:

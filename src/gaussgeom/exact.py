@@ -20,8 +20,9 @@ takes it.  Otherwise each Q(sqrt(2)) contraction is one real product on
 ``parts``, run in float64 BLAS below the same 2^53 bound, where float64 is
 exact, a product at a time over two float64 buffers that each thread reuses
 from call to call; a dense random K takes it.  ``contraction_vanishes``
-decides whether such a sum is zero from its slice at index 0 of the last
-axis, and runs the full pass only when that slice is zero.
+routes such a sum first: the sparse pass decides alone, and ahead of the
+dense pass the slice at index 0 of the last axis is tried, the dense pass
+running only when that slice is zero.
 """
 
 from __future__ import annotations
@@ -590,12 +591,12 @@ def _pairs(left_mask: np.ndarray, right_mask: np.ndarray, axes) -> int:
 
 
 def _sparse_sum(
-    products, terms, factors, dtype: type, masks, shape
+    products, terms, factors, exact_in_float: bool, masks
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The signed sum of ``terms``, of shape ``shape``, from the
-    contributing entry pairs of its products alone: the flat indices that
-    some pair reaches, ascending, and the parts (2, count) of the sum at
-    them, in ``dtype``.
+    """The signed sum of ``terms`` from the contributing entry pairs of its
+    products alone: the flat indices that some pair reaches, ascending, and
+    the parts (2, count) of the sum at them, in int64 below the 2^53 bound
+    and in Python ints past it.
 
     Each operand's nonzero entries are taken once per call, from its mask
     in ``masks``.  A product joins the nonzeros of its left operand with the
@@ -607,6 +608,8 @@ def _sparse_sum(
     indices together and ``np.add.reduceat`` adds them up.  Integers add up
     exactly in any order, so neither sort need be stable.
     """
+    dtype = np.int64 if exact_in_float else object
+    shape = _term_shape(products, terms)
     entries = {}
     for left, right, _ in products:
         for array in (left, right):
@@ -687,12 +690,12 @@ def _term_shape(products, terms) -> tuple[int, ...]:
     return tuple(shape if perm is None else (shape[axis] for axis in perm))
 
 
-def _full_sum(products, terms, exact_in_float: bool, factors):
-    """The signed sum of ``terms``, as (flat indices, parts) from
-    ``_sparse_sum`` when no product has more contributing entry pairs than
-    one slice of the sum, at one index of its last axis, has entries; else
-    as (None, the dense total of ``_signed_sum``).  A sum with no axis left
-    has no slice, and runs dense."""
+def _sparse_masks(products, terms) -> dict | None:
+    """The nonzero masks of the operands, by identity, when no product has
+    more contributing entry pairs than one slice of the sum, at one index of
+    its last axis, has entries: the route to ``_sparse_sum``.  Else None, the
+    route to ``_signed_sum``; a sum with no axis left has no slice, and runs
+    dense."""
     shape = _term_shape(products, terms)
     masks = {}
     slice_size = math.prod(shape[:-1])
@@ -700,9 +703,8 @@ def _full_sum(products, terms, exact_in_float: bool, factors):
         _pairs(_mask(left, masks), _mask(right, masks), axes) <= slice_size
         for left, right, axes in products
     ):
-        dtype = np.int64 if exact_in_float else object
-        return _sparse_sum(products, terms, factors, dtype, masks, shape)
-    return None, _signed_sum(products, terms, factors, exact_in_float)
+        return masks
+    return None
 
 
 def contraction_sum(products, terms) -> ExactArray:
@@ -725,11 +727,13 @@ def contraction_sum(products, terms) -> ExactArray:
     result is divided by its gcd in place.
     """
     den, exact_in_float, factors = _prepared(products, terms)
-    at, total = _full_sum(products, terms, exact_in_float, factors)
-    if at is None:
+    masks = _sparse_masks(products, terms)
+    if masks is None:
+        total = _signed_sum(products, terms, factors, exact_in_float)
         # the one cast to integers, into a fresh array that the caller owns
         parts = total.astype(np.int64) if exact_in_float else total
         return ExactArray(*_int_gcd_reduce(parts, den, out=parts))
+    at, total = _sparse_sum(products, terms, factors, exact_in_float, masks)
     # the gcd of the entries that some pair reaches is the gcd of them all
     total, den = _int_gcd_reduce(total, den, out=total)
     shape = _term_shape(products, terms)
@@ -743,16 +747,27 @@ def contraction_vanishes(products, terms) -> bool:
     from the same products over the same bound, without its int64 cast, its
     gcd or its result array.
 
-    First the sum is computed at index 0 of its last axis only: each term
-    reads its product at index 0 of the axis that its perm sends last, the
-    product of ``_matrices`` built from the operand that holds that axis
-    cut to its index 0, into a small fresh array.  Every entry of that probe
-    is an entry of the sum, so one nonzero decides False; a sum that does
-    not vanish usually has one there.  Otherwise the full sum is run as
-    ``contraction_sum`` runs it, sparse or dense, and tested for any nonzero
-    entry.
+    The sum is routed first, as ``contraction_sum`` routes it, and a sum
+    that takes the sparse pass is decided by that pass alone.  Ahead of the
+    dense pass, ``_probe`` computes the sum at index 0 of its last axis;
+    every entry of the probe is an entry of the sum, so one nonzero decides
+    False, and a sum that does not vanish usually has one there.  Otherwise
+    the dense pass runs and is tested for any nonzero entry.
     """
     _, exact_in_float, factors = _prepared(products, terms)
+    masks = _sparse_masks(products, terms)
+    if masks is not None:
+        return not _sparse_sum(products, terms, factors, exact_in_float, masks)[1].any()
+    if _probe(products, terms, factors, exact_in_float).any():
+        return False
+    return not _signed_sum(products, terms, factors, exact_in_float).any()
+
+
+def _probe(products, terms, factors, exact_in_float: bool) -> np.ndarray:
+    """The signed sum of ``terms`` at index 0 of its last axis: each term
+    reads its product at index 0 of the axis that its perm sends last, the
+    product of ``_matrices`` built from the operand that holds that axis cut
+    to its index 0, into a small fresh array."""
     dtype = np.float64 if exact_in_float else object
     slices = {}
     probe = 0
@@ -780,9 +795,7 @@ def contraction_vanishes(products, terms) -> bool:
         # the product holds index 0 alone on the axis that the perm sends last
         view = slices[index, axis].transpose((0, *(other + 1 for other in perm)))[..., 0]
         probe = probe + view if sign == 1 else probe - view
-    if probe.any():
-        return False
-    return not _full_sum(products, terms, exact_in_float, factors)[1].any()
+    return probe
 
 
 def csr_matvec(

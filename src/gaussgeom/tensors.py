@@ -166,9 +166,12 @@ class SymTensor3:
         return [(triples[p], v) for (p,), v in self.canonical.nonzero_items()]
 
     def to_exact_array(self) -> ExactArray:
-        """Dense (d, d, d) array, gathered from the canonical entries."""
+        """Dense (d, d, d) array, gathered from the canonical entries into
+        C-ordered parts."""
         table = dense_positions(self.dim)
-        return ExactArray(self.canonical.parts[:, table], self.canonical.den)
+        # take keeps the part axis outermost; a fancy index would leave it
+        # innermost, which slows every later reduction over it
+        return ExactArray(self.canonical.parts.take(table, axis=1), self.canonical.den)
 
     def is_zero(self) -> bool:
         return self.canonical.is_zero()

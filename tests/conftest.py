@@ -65,17 +65,30 @@ def rel_close(x: float, y: float, tol: float) -> bool:
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
-@pytest.fixture
-def full_passes(monkeypatch) -> dict[str, int]:
-    """Calls of each full pass of ``exact.contraction_sum`` from here on:
-    "sparse" counts ``_sparse_sum``, "dense" counts ``_signed_sum``."""
-    calls = {"sparse": 0, "dense": 0}
-    for route, name in (("sparse", "_sparse_sum"), ("dense", "_signed_sum")):
+def _count_calls(monkeypatch, names: dict[str, str]) -> dict[str, int]:
+    """Calls from here on of each ``exact`` helper named in ``names``,
+    under its key."""
+    calls = dict.fromkeys(names, 0)
+    for key, name in names.items():
         helper = getattr(exact, name)
 
-        def counted(*args, _route=route, _helper=helper):
-            calls[_route] += 1
+        def counted(*args, _key=key, _helper=helper):
+            calls[_key] += 1
             return _helper(*args)
 
         monkeypatch.setattr(exact, name, counted)
     return calls
+
+
+@pytest.fixture
+def full_passes(monkeypatch) -> dict[str, int]:
+    """Calls of each full pass of ``exact.contraction_sum`` from here on:
+    "sparse" counts ``_sparse_sum``, "dense" counts ``_signed_sum``."""
+    return _count_calls(monkeypatch, {"sparse": "_sparse_sum", "dense": "_signed_sum"})
+
+
+@pytest.fixture
+def probes(monkeypatch) -> dict[str, int]:
+    """Calls of ``exact._probe``, the slice that ``contraction_vanishes``
+    tries ahead of the dense pass, from here on, under "probe"."""
+    return _count_calls(monkeypatch, {"probe": "_probe"})

@@ -69,6 +69,45 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--n", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        ("args", "message"),
+        [
+            (["--n", "9"], "n=9 has 27720 unknowns, more than --max-unknowns 15180"),
+            (["--max-n", "9"], "n=9 has 27720 unknowns"),
+            (["--n", "3", "--max-unknowns", "164"], "n=3 has 165 unknowns"),
+        ],
+    )
+    def test_past_max_unknowns_is_refused_before_any_n_runs(
+        self, runner, monkeypatch, args, message
+    ):
+        import gaussgeom.cli as cli_module
+
+        run = []
+        monkeypatch.setattr(cli_module, "verify_theorem", run.append)
+        result = runner.invoke(main, ["verify", *args])
+        assert_usage_error(result, message)
+        assert run == []
+
+    @pytest.mark.parametrize(
+        ("args", "n"), [(["--n", "8"], 8), (["--n", "3", "--max-unknowns", "165"], 3)]
+    )
+    def test_max_unknowns_admits_its_bound(self, runner, monkeypatch, args, n):
+        # the default admits n = 8, and a bound admits an n with that many
+        import gaussgeom.cli as cli_module
+        from gaussgeom.solver import TheoremCertificate
+
+        def passing(n):
+            cert = TheoremCertificate(
+                n=n, dim=2, unknowns=4, row_count=4, rank=3, kernel_dim=1, normalization=""
+            )
+            cert.record("kernel_dim_is_one", True)
+            return cert
+
+        monkeypatch.setattr(cli_module, "verify_theorem", passing)
+        result = runner.invoke(main, ["verify", *args])
+        assert result.exit_code == 0, result.output
+        assert f"n={n}: PASS" in result.output
+
     def test_failed_certificate_exits_one(self, runner, monkeypatch):
         import gaussgeom.cli as cli_module
         from gaussgeom.solver import TheoremCertificate

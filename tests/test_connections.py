@@ -257,16 +257,17 @@ class TestSharedContractions:
         with pytest.raises(ArithmeticError, match="not totally symmetric"):
             connections._cubic_derivative(hat, broken)
 
-    def test_eight_contractions_per_suite_and_per_line(self, monkeypatch):
-        # two distinct products per curvature, one per cubic derivative, two
-        # for the difference derivative: 2 * 2 + 1 + 1 + 2
+    def test_six_contractions_per_suite_and_eight_per_line(self, monkeypatch):
+        # the suite: the two products of one curvature for R - R*, one per
+        # cubic derivative, two for the difference derivative; the line: two
+        # curvatures, 2 * 2 + 1 + 1 + 2
         k = random_sym_tensor(random.Random(5), 2)
         lie_algebra(2)  # the cached tables are built outside the count
-        products = []
+        calls = []
 
         def counting(original):
             def counted(given, terms):
-                products.extend(given)
+                calls.append(len(given))
                 return original(given, terms)
 
             return counted
@@ -275,10 +276,11 @@ class TestSharedContractions:
         for name in ("contraction_sum", "contraction_vanishes"):
             monkeypatch.setattr(connections, name, counting(getattr(connections, name)))
         predicate_suite(k)
-        assert len(products) == 8
-        products.clear()
+        # is_conjugate_symmetric's test first, then the derivatives' in order
+        assert calls == [2, 1, 1, 2]
+        calls.clear()
         alpha_family_verdicts(k, [0, 1, Fraction(-1, 3), SQRT2], 1)
-        assert len(products) == 8
+        assert sum(calls) == 8
 
     @given(wide_sym_tensors())
     @settings(max_examples=20)
@@ -289,6 +291,53 @@ class TestSharedContractions:
         term_bracket = structure.tensordot(gamma, axes=([2], [0]))
         reference = prod.transpose((2, 0, 1, 3)) - prod.transpose((0, 2, 1, 3)) - term_bracket
         assert curvature(gamma) == reference
+
+
+def generic_connection(n: int, bits: int, nonzero: int | None, seed: int) -> ExactArray:
+    """Coefficients at n with ``nonzero`` entries (every entry for None) of
+    both parts up to 2^bits, over a drawn denominator: neither metric nor
+    Levi-Civita plus a symmetric K.  Stored as int64 below 2^62, else as
+    Python ints."""
+    rng = random.Random(seed)
+    d = basis_dimension(n)
+    parts = np.zeros((2, d**3), dtype=object)
+    for position in rng.sample(range(d**3), d**3 if nonzero is None else nonzero):
+        parts[:, position] = rng.randint(1, 2**bits), rng.randint(-(2**bits), 2**bits)
+    dtype = np.int64 if bits < 62 else object
+    return ExactArray(parts.astype(dtype).reshape((2, d, d, d)), rng.choice([1, 2, 3, 6]))
+
+
+@st.composite
+def generic_connections(draw) -> ExactArray:
+    return generic_connection(
+        draw(st.integers(1, 3)),
+        draw(st.sampled_from([3, 70])),
+        draw(st.sampled_from([None, 3])),
+        draw(st.integers(0, 2**16)),
+    )
+
+
+class TestConjugateGap:
+    """R(G) - R(conjugate(G)) from the two products of R(G) alone, for every
+    connection G, on both full passes and both storage dtypes."""
+
+    @given(generic_connections())
+    @example(generic_connection(1, 3, None, 0))
+    @example(generic_connection(2, 3, None, 1))
+    @example(generic_connection(3, 3, None, 2))
+    @example(generic_connection(2, 70, None, 3))
+    @example(generic_connection(3, 3, 3, 4))
+    @example(generic_connection(3, 70, 3, 5))
+    @settings(max_examples=20)
+    def test_equals_the_difference_of_curvatures(self, gamma):
+        # every drawn entry has a positive rational part, so gamma is never
+        # its own conjugate
+        assert conjugate(gamma) != gamma
+        products, terms = connections._conjugate_gap(gamma)
+        assert len(products) == 2
+        expected = curvature(gamma) - curvature(conjugate(gamma))
+        assert exact.contraction_sum(products, terms) == expected
+        assert exact.contraction_vanishes(products, terms) == expected.is_zero()
 
 
 def vanishing_tests(k: SymTensor3) -> list:
@@ -308,10 +357,33 @@ def vanishing_tests(k: SymTensor3) -> list:
 
 
 #: K at n = 2 whose four sums are nonzero at index 0 of their last axis; are
-#: zero there but not past it; and are zero
+#: zero there but not past it; and are zero.  The first takes the dense pass,
+#: the other two the sparse one
 PROBED = random_sym_tensor(random.Random(3), 2)
 PAST_THE_PROBE = SymTensor3.from_entries(2, {(4, 4, 4): ONE})
 ZERO_SUMS = amari_difference(2)
+#: K at n = 2 whose four sums take the dense pass and are zero at index 0 of
+#: their last axis but not past it: the four sums are linear in K, and this is
+#: a sum of kernel vectors of their index-0 slices, found by exact elimination
+DENSE_PAST_THE_PROBE = SymTensor3.from_entries(
+    2,
+    {
+        (0, 0, 0): QSqrt2(2),
+        (0, 0, 2): QSqrt2(2),
+        (0, 1, 1): QSqrt2(1),
+        (0, 1, 3): SQRT2,
+        (0, 2, 2): QSqrt2(1),
+        (0, 3, 3): QSqrt2(1),
+        (0, 4, 4): QSqrt2(1, -1),
+        (1, 1, 1): QSqrt2(2),
+        (1, 1, 4): QSqrt2(2),
+        (1, 3, 3): QSqrt2(-2),
+        (1, 3, 4): QSqrt2(2),
+        (2, 2, 2): QSqrt2(4),
+        (2, 3, 3): QSqrt2(2),
+        (3, 3, 4): QSqrt2(2),
+    },
+)
 #: a scale that puts every entry past int64, so the sums run on object arrays
 WIDE = 2**64
 
@@ -324,9 +396,11 @@ class TestContractionVanishes:
     @example(PROBED)
     @example(PAST_THE_PROBE)
     @example(ZERO_SUMS)
+    @example(DENSE_PAST_THE_PROBE)
     @example(PROBED.scale(WIDE))
     @example(PAST_THE_PROBE.scale(WIDE))
     @example(ZERO_SUMS.scale(WIDE))
+    @example(DENSE_PAST_THE_PROBE.scale(WIDE))
     @settings(max_examples=20)
     def test_equals_the_sum_being_zero(self, k):
         for formula in vanishing_tests(k):
@@ -335,7 +409,12 @@ class TestContractionVanishes:
     @pytest.mark.parametrize("scale", [1, WIDE])
     @pytest.mark.parametrize(
         ("k", "where"),
-        [(PROBED, "probe"), (PAST_THE_PROBE, "past the probe"), (ZERO_SUMS, "nowhere")],
+        [
+            (PROBED, "probe"),
+            (PAST_THE_PROBE, "past the probe"),
+            (ZERO_SUMS, "nowhere"),
+            (DENSE_PAST_THE_PROBE, "past the probe"),
+        ],
     )
     def test_examples_reach_each_stage(self, k, where, scale):
         # the pinned examples above are what reaches each stage on each path
@@ -344,6 +423,30 @@ class TestContractionVanishes:
             total = exact.contraction_sum(products, terms)
             nonzero = "nowhere" if total.is_zero() else "probe" if total.parts[..., 0].any() else "past the probe"
             assert nonzero == where
+
+    @pytest.mark.parametrize("scale", [1, WIDE])
+    @pytest.mark.parametrize(
+        ("k", "decider"),
+        [
+            (ZERO_SUMS, "sparse"),
+            (PAST_THE_PROBE, "sparse"),
+            (PROBED, "probe"),
+            (DENSE_PAST_THE_PROBE, "dense"),
+        ],
+    )
+    def test_examples_reach_each_decider(self, k, decider, scale, full_passes, probes):
+        # a sum routed to the sparse pass is decided by it alone, with no
+        # probe; a dense one is decided by the probe when the probe finds a
+        # nonzero, else by the dense pass; told apart by counting calls
+        expected = {
+            "sparse": ({"probe": 0}, {"sparse": 1, "dense": 0}),
+            "probe": ({"probe": 1}, {"sparse": 0, "dense": 0}),
+            "dense": ({"probe": 1}, {"sparse": 0, "dense": 1}),
+        }[decider]
+        for formula in vanishing_tests(k.scale(scale)):
+            probes["probe"] = full_passes["sparse"] = full_passes["dense"] = 0
+            assert exact.contraction_vanishes(*formula) == (k is ZERO_SUMS)
+            assert (probes, full_passes) == expected
 
     @pytest.mark.parametrize("scale", [1, WIDE])
     def test_suite_matches_materialised_verdicts_on_every_single_triple(self, scale):
@@ -478,8 +581,9 @@ class TestWorkspace:
 
     def test_a_dense_sum_holds_two_buffers_and_a_sparse_one_none(self):
         # a dense signed sum holds the product being added and the total,
-        # however many products it has: curvature has two, the suite's first
-        # test four; the sparse pass, which the alpha family takes, holds none
+        # however many terms read its products: curvature has three, the
+        # suite's first test six; the sparse pass, which the alpha family
+        # takes, holds none
         gamma = from_difference(random_sym_tensor(random.Random(7), 3))
         for formula in (connections._curvature_formula(gamma), connections._conjugate_gap(gamma)):
             exact._WORKSPACE.buffers = []
@@ -520,14 +624,15 @@ class TestRoute:
     told apart by counting calls of the two passes, not by timing them."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_amari_takes_the_sparse_pass(self, n, full_passes):
+    def test_amari_takes_the_sparse_pass(self, n, full_passes, probes):
         k = amari_difference(n)
         curvature(alpha_connection(n, Fraction(1, 3)))
         lc_difference_derivative(k)
         connections.connection_cubic_derivative(k)
-        # each of the four vanishing tests reaches its second stage
+        # each of the four vanishing tests is decided by the sparse pass alone
         assert predicate_suite(k).all_true()
         assert full_passes == {"sparse": 7, "dense": 0}
+        assert probes == {"probe": 0}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_dense_random_k_takes_the_dense_pass(self, n, full_passes):

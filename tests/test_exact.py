@@ -708,6 +708,15 @@ PAIR_A = _unit((1, 0, 1), 3, -2, 2) + _unit((3, 2, 1), -1, 4)
 PAIR_B = _unit((0, 1, 2), 5, 1) + _unit((2, 1, 0), 1, -7, 3)
 
 
+def _meeting(count: int) -> list:
+    """One product whose 8 left entries meet ``count`` right ones at
+    contracted coordinate 0: 64 pairs fit the 64 entries of a slice of the
+    (4, 4, 4, 4) sum, 72 do not."""
+    left = sum((_unit((i // 4, i % 4, 0), i + 1, 1) for i in range(8)), ZEROS)
+    right = sum((_unit((i // 4, 0, i % 4), 1, -i) for i in range(count)), ZEROS)
+    return [(left, right, ([2], [1]))]
+
+
 class TestSparseSum:
     """``contraction_sum`` and ``contraction_vanishes`` against signed sums
     of transposed object-array ``np.tensordot`` products, on operands with
@@ -766,12 +775,20 @@ class TestSparseSum:
 
     @pytest.mark.parametrize(("count", "route"), [(8, "sparse"), (9, "dense")])
     def test_at_most_one_slice_of_pairs_runs_sparse(self, count, route, full_passes):
-        # 8 left entries meet ``count`` right ones at contracted coordinate 0:
-        # 64 pairs fit the 64 entries of a slice, 72 do not
-        left = sum((_unit((i // 4, i % 4, 0), i + 1, 1) for i in range(8)), ZEROS)
-        right = sum((_unit((i // 4, 0, i % 4), 1, -i) for i in range(count)), ZEROS)
-        products = [(left, right, ([2], [1]))]
+        products = _meeting(count)
+        [(left, right, _)] = products
         result = contraction_sum(products, [(1, 0, None)])
         assert full_passes == {"sparse": 0, "dense": 0, route: 1}
         reference = np.tensordot(as_objects(left), as_objects(right), axes=([2], [1]))
         assert _same(result, reference)
+
+    @pytest.mark.parametrize(("count", "route", "probed"), [(8, "sparse", 0), (9, "dense", 1)])
+    def test_vanishing_test_routes_before_it_probes(
+        self, count, route, probed, full_passes, probes
+    ):
+        # the same operands; a sum that cancels reaches a full pass on either
+        # route, and only the dense one is tried at index 0 first
+        products = _meeting(count)
+        assert contraction_vanishes(products, [(1, 0, None), (-1, 0, None)])
+        assert full_passes == {"sparse": 0, "dense": 0, route: 1}
+        assert probes == {"probe": probed}

@@ -283,7 +283,9 @@ class TestBenchStageProbe:
             assert isinstance(record[f"{stage}_minor_faults"], int)
             assert record[f"{stage}_minor_faults"] >= 0
         assert "echelon_s" not in record
-        # resident after verify returns: within the process's peak, never above
+        # resident before verify starts and after it returns: within the
+        # process's peak, never above
+        assert 0 < record["verify_rss_before_mb"] <= record["peak_rss_mb"]
         assert 0 < record["verify_rss_after_mb"] <= record["peak_rss_mb"]
 
 

@@ -144,6 +144,21 @@ class TestSymTensor3:
         assert dense.den == reference.den
         assert (dense.parts == reference.parts).all()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_dense_expansion_is_c_ordered(self, n, wide):
+        # the part axis outermost, so that reductions over it read contiguous
+        # memory; the values are those of a fancy-index gather
+        rng = np.random.default_rng(n)
+        count = len(symmetric_triples(basis_dimension(n)))
+        parts = rng.integers(-9, 10, size=(2, count)).astype(object if wide else np.int64)
+        k = SymTensor3(n, ExactArray(parts * (2**70 if wide else 1), 3))
+        dense = k.to_exact_array()
+        assert dense.parts.flags.c_contiguous
+        assert dense.parts.dtype == k.canonical.parts.dtype
+        gathered = k.canonical.parts[:, dense_positions(k.dim)]
+        assert dense.den == 3 and (dense.parts == gathered).all()
+
     def test_round_trip_through_dense(self):
         k = SymTensor3.from_entries(2, {(0, 2, 3): QSqrt2(1, 2)})
         assert SymTensor3.from_dense(2, k.to_exact_array()).values == k.values
