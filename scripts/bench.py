@@ -27,7 +27,10 @@ build or test leftovers. The output has four parts:
   ``predicates_amari``: every predicate fails, every predicate holds), one
   ``curvature`` on each of the two connections LC + K, after one untimed
   call (``curvature_random``, which runs the dense pass, and
-  ``curvature_amari``, which runs the sparse one), the certificate's rank,
+  ``curvature_amari``, which runs the sparse one), 100 pull-backs of one
+  tangent at one fresh point (``pullback``) and one ``alpha_connection_form``
+  at another, after an untimed one has built the float Levi-Civita table
+  (``alpha_form``), the certificate's rank,
   the resident MB after ``gc.collect()`` just before ``verify`` starts and
   once it has returned (``verify_rss_before_mb``, ``verify_rss_after_mb``,
   from ``/proc/self/statm``) and the process's peak RSS up to then, before
@@ -111,6 +114,26 @@ timed("predicates_amari", lambda: predicate_suite(amari_difference(n)))
 for name, gamma in (("random", from_difference(k)), ("amari", from_difference(amari_difference(n)))):
     curvature(gamma)
     timed("curvature_" + name, lambda: curvature(gamma))
+# the float pointwise layer: 100 pull-backs at one fresh point, then one alpha
+# form at another, after an untimed form at the identity has built the table.
+# Imported here, not at the top: importing them before ``verify`` leaves the
+# heap laid out differently and moves its resident MB by about 20 at n = 7
+import numpy as np
+from gaussgeom.group import pull_back_to_identity
+from gaussgeom.manifold import ManifoldPoint, TangentVector, alpha_connection_form
+frng = np.random.default_rng(n)
+def fresh_point():
+    m = frng.normal(size=(n, n))
+    return ManifoldPoint(m @ m.T + n * np.eye(n), frng.normal(size=n))
+def tangent():
+    m = frng.normal(size=(n, n))
+    return TangentVector((m + m.T) / 2.0, frng.normal(size=n))
+point, t = fresh_point(), tangent()
+timed("pullback", lambda: [pull_back_to_identity(point, t) for _ in range(100)])
+tangents = [tangent() for _ in range(3)]
+alpha_connection_form(ManifoldPoint.standard(n), 0.5, *tangents)
+point = fresh_point()
+timed("alpha_form", lambda: alpha_connection_form(point, 0.5, *tangents))
 print(json.dumps({
     "module": gaussgeom.__file__,
     **counts,

@@ -3,9 +3,12 @@
 
 Reassembles the constraint system from scratch, reads the kernel recorded
 in the certificate, and confirms that (a) it annihilates every constraint
-row exactly, (b) its entries match the certified nonzero pattern, and (c)
+row exactly, (b) its entries match the certified nonzero pattern, (c)
 the recorded rank equals the rank of the reassembled rows, recomputed by
-exact elimination, with a kernel of dimension exactly 1.
+exact elimination, with a kernel of dimension exactly 1, and (d) the
+recorded metadata holds: schema version "1", the reassembled row count, the
+basis dimension of n, the unknowns as the statistical space's dimension,
+every recorded check true and no recorded failure.
 
 The kernel is read by ``SymTensor3.from_labels``, the one reader of the
 ``Label|Label|Label -> a/b + c/d*sqrt2`` map that ``SymTensor3.labelled``
@@ -30,7 +33,7 @@ import sys
 from pathlib import Path
 
 from gaussgeom.solver import assemble, expected_pattern
-from gaussgeom.tensors import SymTensor3
+from gaussgeom.tensors import SymTensor3, basis_dimension
 
 
 def kernel_tensor(payload: dict) -> SymTensor3:
@@ -95,7 +98,27 @@ def recheck(payload: dict) -> bool:
         f"rank {rank} of {system.unknowns} unknowns",
     )
     report("status_recorded_pass", payload.get("status") == "PASS")
+
+    checks = payload.get("checks")
+    recorded = (
+        ("schema_version", payload.get("schema_version") == "1"),
+        ("row_count", _is_int(payload.get("row_count"), system.row_count)),
+        ("dim", _is_int(payload.get("dim"), basis_dimension(n))),
+        ("statistical_space_dim", _is_int(payload.get("statistical_space_dim"), system.unknowns)),
+        (
+            "checks",
+            isinstance(checks, dict) and bool(checks) and all(v is True for v in checks.values()),
+        ),
+        ("failures", payload.get("failures") == []),
+    )
+    forged = [key for key, holds in recorded if not holds]
+    report("metadata_consistent", not forged, ", ".join(forged))
     return ok
+
+
+def _is_int(value: object, expected: int) -> bool:
+    """``value`` is the integer ``expected``, and no bool or float equal to it."""
+    return type(value) is int and value == expected
 
 
 def main() -> int:

@@ -460,9 +460,9 @@ class ExactArray:
 
 #: float64 buffers of this thread's latest contraction in float64
 _WORKSPACE = threading.local()
-#: bytes past which ``_workspace`` holds nothing: 32 MiB, enough for the
-#: two buffers of every d^4 formula up to n = 6 (d = 27, 16.2 MiB)
-WORKSPACE_CAP = 32 * 2**20
+#: bytes past which ``_workspace`` holds nothing: 20 MiB, enough for the
+#: two buffers of every d^4 formula up to n = 6 (d = 27, 16.2 MiB), not n = 7's
+WORKSPACE_CAP = 20 * 2**20
 
 
 def _workspace(count: int, size: int) -> list[np.ndarray]:

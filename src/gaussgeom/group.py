@@ -101,13 +101,13 @@ def pull_back_to_identity(p: ManifoldPoint, t: TangentVector) -> np.ndarray:
     """Coefficients of a tangent vector at p over the identity basis.
 
     Transports t to the identity with the inverse of the group element sitting
-    over p, then inverts the tangent identification: the triangular generator
+    over p, which p factors once and holds (``ManifoldPoint.to_identity``),
+    then inverts the tangent identification: the triangular generator
     has the strict upper part of the transported X and half its diagonal, so
     the coefficient of e_a = E_a / sqrt2^deg(a) is the entry of [X | v] under
     the matrix unit E_a divided by sqrt2^deg(a).
     """
-    g = group_inv(phi_inv(p))
-    moved = act_tangent(g, t)
+    moved = act_tangent(p.to_identity, t)
     rows, cols, degrees = basis_units(p.n)
     generator = np.hstack([moved.x, moved.v[:, None]])
     return generator[rows, cols] / math.sqrt(2.0) ** degrees

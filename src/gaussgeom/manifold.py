@@ -17,10 +17,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .algebra import BasisIndex, lie_algebra
+
+if TYPE_CHECKING:
+    from .group import GroupElement
 
 SYMMETRY_TOL = 1e-12
 
@@ -82,11 +86,13 @@ class ManifoldPoint:
         if mu.shape[0] != sigma.shape[0]:
             raise ValueError("mean and covariance dimensions differ")
         try:
-            np.linalg.cholesky(sigma)
+            chol = np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError as exc:
             raise ValueError("sigma is not positive definite") from exc
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "mu", mu)
+        # the lower factor of the check above, kept so that it is not computed again
+        object.__setattr__(self, "chol", chol)
 
     @property
     def n(self) -> int:
@@ -97,8 +103,13 @@ class ManifoldPoint:
         return cls(np.eye(n), np.zeros(n))
 
     @cached_property
-    def chol(self) -> np.ndarray:
-        return np.linalg.cholesky(self.sigma)
+    def to_identity(self) -> GroupElement:
+        """The group element that moves this point to the identity, the
+        inverse of the element over it: factored on first use and held by the
+        point.  A point that cannot be factored raises on every use."""
+        from .group import group_inv, phi_inv
+
+        return group_inv(phi_inv(self))
 
     @cached_property
     def sigma_inv(self) -> np.ndarray:
@@ -319,13 +330,16 @@ def alpha_connection_form(
     """Metric pairing of the alpha-connection derivative with w.
 
     The Levi-Civita term is evaluated by pulling the arguments back to the
-    identity, where the connection coefficients are exact; the cubic term uses
-    the closed form at the point.  Left invariance makes the two consistent.
+    identity, where the connection coefficients are exact, and pairing them
+    with the table as three BLAS products; the cubic term uses the closed
+    form at the point.  Left invariance makes the two consistent.
     """
     from .group import pull_back_to_identity
 
     cs = pull_back_to_identity(point, s)
     ct = pull_back_to_identity(point, t)
     cw = pull_back_to_identity(point, w)
-    lc = float(np.einsum("a,b,c,abc->", cs, ct, cw, _levi_civita_float(point.n)))
+    d = cs.shape[0]
+    table = _levi_civita_float(point.n).reshape(d, d * d)
+    lc = float(cw @ (ct @ (cs @ table).reshape(d, d)))
     return lc - 0.5 * alpha * amari_cubic(point, s, t, w)

@@ -675,6 +675,13 @@ class TestContractionSum:
         buffers = _workspace(3, size)
         assert [buffer.size for buffer in buffers] == [size] * 3
         assert _WORKSPACE.buffers == []
+        # a d^4 sum at n = 7 (d = 35): its two buffers, 22.9 MiB, are not held
+        # past the call, and a later n = 6 sum (16.2 MiB) holds its own again
+        _workspace(2, 8)
+        assert [buffer.size for buffer in _workspace(2, 35**4)] == [35**4] * 2
+        assert _WORKSPACE.buffers == []
+        _workspace(2, 27**4)
+        assert [buffer.size for buffer in _WORKSPACE.buffers] == [27**4] * 2
 
 
 def _unit(index: tuple[int, ...], rat: int, irr: int, den: int = 1, dtype=np.int64) -> ExactArray:

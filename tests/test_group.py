@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_spd, random_symmetric
-from gaussgeom.algebra import BasisIndex, basis_indices
+from gaussgeom.algebra import BasisIndex, basis_indices, basis_units
 from gaussgeom.group import (
     GroupElement,
     act,
@@ -247,6 +247,48 @@ class TestPullBackPin:
             else:
                 expected[pos] = moved.x[idx.i - 1, idx.j - 1]
         assert np.array_equal(pull_back_to_identity(p, t), expected)
+
+
+def gathered(p, t):
+    """The pull-back of t at p with the element over p factored afresh."""
+    moved = act_tangent(group_inv(phi_inv(p)), t)
+    rows, cols, degrees = basis_units(p.n)
+    return np.hstack([moved.x, moved.v[:, None]])[rows, cols] / math.sqrt(2.0) ** degrees
+
+
+class TestPullBackFactor:
+    """The element that moves a point to the identity is factored once per
+    point; the pull-backs must not change by a bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_equals_a_fresh_factor_bit_for_bit(self, n):
+        rng = np.random.default_rng([11, n])
+        p = random_point(rng, n)
+        g = random_group(rng, n)
+        tangents = [TangentVector(random_symmetric(rng, n), rng.normal(size=n)) for _ in range(3)]
+        for point in (p, act(g, p)):
+            for t in tangents:
+                assert np.array_equal(pull_back_to_identity(point, t), gathered(point, t))
+
+    def test_points_in_alternation_keep_their_own_factor(self):
+        rng = np.random.default_rng(12)
+        p, q = random_point(rng, 3), random_point(rng, 3)
+        t = TangentVector(random_symmetric(rng, 3), rng.normal(size=3))
+        expected = {p: gathered(p, t), q: gathered(q, t)}
+        assert not np.array_equal(expected[p], expected[q])
+        for point in (p, q, p, q, q, p):
+            assert np.array_equal(pull_back_to_identity(point, t), expected[point])
+
+    def test_a_point_past_the_pivot_floor_is_refused_every_time(self):
+        # the point itself is positive definite, but its upper factor's last
+        # squared pivot, about 0.9e-12 of the largest diagonal entry, is under
+        # the floor; the refusal is not cached, so it is raised again
+        p = ManifoldPoint([[1.0, 1.0], [1.0, 1.0 + 0.9e-12]], [0.0, 0.0])
+        t = TangentVector(np.eye(2), [1.0, 0.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="numerically singular"):
+                pull_back_to_identity(p, t)
+        assert "to_identity" not in vars(p)
 
 
 class TestLargeElements:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spd, random_symmetric, rel_close
-from gaussgeom.algebra import BasisIndex
+from gaussgeom.algebra import BasisIndex, lie_algebra
+from gaussgeom.group import pull_back_to_identity
 from gaussgeom.manifold import (
     ManifoldPoint,
     TangentVector,
@@ -332,3 +333,13 @@ class TestAlphaConnectionForm:
         assert rel_close(lc, 1.0 / math.sqrt(2.0), 1e-12)
         value = alpha_connection_form(p, 1.0, e1, e1, e11)
         assert abs(value) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_levi_civita_pairing_matches_einsum(self, n):
+        rng = np.random.default_rng([13, n])
+        p = random_point(rng, n)
+        s, t, w = (random_tangent(rng, n) for _ in range(3))
+        table = lie_algebra(n).levi_civita.to_float()
+        cs, ct, cw = (pull_back_to_identity(p, v) for v in (s, t, w))
+        lc = float(np.einsum("a,b,c,abc->", cs, ct, cw, table))
+        assert rel_close(alpha_connection_form(p, 0.0, s, t, w), lc, 1e-12)

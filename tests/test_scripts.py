@@ -207,6 +207,46 @@ class TestRecheckCertificate:
         assert "rank_accounting: FAIL (rank 34 of 35 unknowns)" in result.stdout
         assert "RECHECK: FAIL" in result.stdout
 
+    @pytest.mark.parametrize(
+        "field, forged",
+        [
+            ("row_count", 1),
+            ("row_count", 222.0),
+            ("dim", 99),
+            ("statistical_space_dim", 7),
+            ("checks", {"nonzero_pattern": False}),
+            ("checks", {}),
+            ("failures", ["forged"]),
+            ("schema_version", "9"),
+        ],
+        ids=[
+            "row_count",
+            "row_count_as_float",
+            "dim",
+            "statistical_space_dim",
+            "one_check_false",
+            "no_checks",
+            "failures",
+            "schema_version",
+        ],
+    )
+    def test_rejects_forged_metadata(self, tmp_path, field, forged):
+        # one field of a valid n=2 certificate forged at a time; the kernel,
+        # the rank and the status still hold, so only the metadata check fails
+        payload = json.loads(solver.verify_theorem(2).to_json())
+        if field == "checks" and forged:
+            forged = {**payload["checks"], **forged}
+        payload[field] = forged
+        path = tmp_path / "certificate_n2.json"
+        path.write_text(json.dumps(payload))
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 1
+        checks = result.stdout.splitlines()[1:-1]
+        assert [line for line in checks if "FAIL" in line] == [
+            f"  metadata_consistent: FAIL ({field})"
+        ]
+        assert result.stdout.endswith("RECHECK: FAIL\n")
+
     @staticmethod
     def _certificate(tmp_path):
         out = tmp_path / "certs"
@@ -234,6 +274,12 @@ class TestRecheckInProcess:
         out = capsys.readouterr().out
         assert f"rows_annihilated: PASS ({dropped.row_count} rows, 0 nonzero)" in out
         assert f"rank_accounting: FAIL (rank {rank - 1} of 4 unknowns)" in out
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_valid_certificates_pass_every_check(self, recheck_module, capsys, n):
+        assert recheck_module.recheck(json.loads(solver.verify_theorem(n).to_json())) is True
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "metadata_consistent: PASS" in out
 
     def test_certify_path_never_builds_the_row_view(self, recheck_module, monkeypatch):
         def refuse(self):
@@ -277,6 +323,8 @@ class TestBenchStageProbe:
             "predicates_amari",
             "curvature_random",
             "curvature_amari",
+            "pullback",
+            "alpha_form",
         )
         assert {f"{stage}_s" for stage in stages} <= record.keys()
         for stage in stages:
