@@ -30,14 +30,16 @@ build or test leftovers. The output has four parts:
   ``curvature_amari``, which runs the sparse one), 100 pull-backs of one
   tangent at one fresh point (``pullback``) and one ``alpha_connection_form``
   at another, after an untimed one has built the float Levi-Civita table
-  (``alpha_form``), the certificate's rank,
+  (``alpha_form``), the recheck script's ``recheck`` of verify's
+  certificate with its stdout discarded (``recheck``, and whether it passed,
+  ``recheck_passed``), the certificate's rank,
   the resident MB after ``gc.collect()`` just before ``verify`` starts and
   once it has returned (``verify_rss_before_mb``, ``verify_rss_after_mb``,
   from ``/proc/self/statm``) and the process's peak RSS up to then, before
-  the predicate suites. Only calls that both sides have are made; the
-  elimination (on the live block left by peeling singleton rows, rank =
-  peeled count + block rank) shows per op as perfbench's ``exact.echelon.s``
-  under ``--trace 1``;
+  the predicate suites and the recheck. Only calls that both sides have are
+  made; verify's elimination (on the live block left by peeling singleton
+  rows, rank = peeled count + block rank) shows per op as perfbench's
+  ``exact.echelon.s`` under ``--trace 1``;
 - ``machine`` and ``method``: what the runs were made on and how.
 
 Runs are made one process at a time with BLAS pools capped at one thread.
@@ -97,6 +99,15 @@ rss_before_mb = resident_mb()
 cert = timed("verify", lambda: verify_theorem(n))
 rss_after_mb = resident_mb()
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+# the recheck script on verify's certificate, read from this checkout's
+# scripts/ and timed with its stdout discarded
+import contextlib, importlib.util, io
+spec = importlib.util.spec_from_file_location("recheck_certificate", "scripts/recheck_certificate.py")
+recheck_script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(recheck_script)
+payload = json.loads(cert.to_json())
+with contextlib.redirect_stdout(io.StringIO()):
+    rechecked = timed("recheck", lambda: recheck_script.recheck(payload))
 # one predicate suite on each verdict branch: a seeded random K fails all four
 # predicates, the Amari K passes them
 rng = random.Random(n)
@@ -139,6 +150,7 @@ print(json.dumps({
     **counts,
     "rank": cert.rank,
     "passed": cert.passed,
+    "recheck_passed": rechecked,
     **stages,
     "verify_rss_before_mb": rss_before_mb,
     "verify_rss_after_mb": rss_after_mb,

@@ -17,13 +17,13 @@ system keeps each distinct row once, as a primitive integer row.  The rows
 are assembled as integer numpy batches (every (a, b, g, d) term of the
 Levi-Civita derivative at once, summed per row, made primitive and
 deduplicated) and stored only as int64 CSR arrays.  ``kernel()`` is their
-one elimination, for the kernel here and the recheck's rank: numpy rounds
-first peel every row with a single live entry off the CSR arrays (at n=4,
-530 of the 560 unknowns are forced to zero), then one fraction-free loop
-eliminates the rows that remain on the live block of columns; the rank is
-the peeled count plus the block rank.
-The kernel, the residual check and the pattern checks work on ``SymTensor3``s,
-1-D ``ExactArray``s over the triples.  The certificate records the kernel as
+one elimination: numpy rounds first peel every row with a single live entry
+off the CSR arrays (at n=4, 530 of the 560 unknowns are forced to zero),
+then one fraction-free loop eliminates the rows that remain on the live
+block of columns; the rank is the peeled count plus the block rank.
+The kernel, the residual check and the pattern checks (against
+``tensors.expected_pattern``) work on ``SymTensor3``s, 1-D ``ExactArray``s
+over the triples.  The certificate records the kernel as
 ``Label|Label|Label -> a/b + c/d*sqrt2``, written by ``SymTensor3.labelled``
 and read back by ``SymTensor3.from_labels`` (``solved_difference_tensor``),
 the one writer and the one reader of that map.
@@ -35,15 +35,13 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
-from .algebra import BasisIndex, lie_algebra
+from .algebra import lie_algebra
 from .connections import alpha_connection, alpha_family_verdicts, from_difference
 from .exact import (
     HALF_SQRT2,
-    ONE,
     ExactArray,
     QSqrt2,
     SparseEchelon,
@@ -51,8 +49,10 @@ from .exact import (
 )
 from .tensors import (
     SymTensor3,
+    _basis_positions,
     basis_dimension,
     dense_positions,
+    expected_pattern,
     symmetric_triples,
     triple_label,
 )
@@ -271,36 +271,6 @@ def assemble(n: int) -> ConstraintSystem:
         labels=np.stack([part[quad[kept]] for part in (a, b, g, out)], axis=1),
         multiplicities=multiplicities,
     )
-
-
-def _basis_positions(n: int) -> tuple[Callable[[int], int], Callable[[int, int], int]]:
-    """Canonical basis positions of Mean(i) and of Cov(i, j)."""
-    position = lie_algebra(n).position
-    return (
-        lambda i: position(BasisIndex.mean(i)),
-        lambda i, j: position(BasisIndex.cov(i, j)),
-    )
-
-
-def expected_pattern(n: int) -> dict[tuple[int, int, int], QSqrt2]:
-    """Nonzero certified kernel entries, normalized so every
-    (Mean(i), Mean(i), Cov(i,i)) entry equals 1."""
-    mean, cov = _basis_positions(n)
-    two = QSqrt2(2)
-    pattern: dict[tuple[int, int, int], QSqrt2] = {}
-    for i in range(1, n + 1):
-        pattern[tuple(sorted((mean(i), mean(i), cov(i, i))))] = ONE
-        pattern[(cov(i, i),) * 3] = two
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pattern[tuple(sorted((cov(i, i), cov(i, j), cov(i, j))))] = ONE
-            pattern[tuple(sorted((cov(j, j), cov(i, j), cov(i, j))))] = ONE
-            pattern[tuple(sorted((mean(i), mean(j), cov(i, j))))] = HALF_SQRT2
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                pattern[tuple(sorted((cov(i, j), cov(j, k), cov(i, k))))] = HALF_SQRT2
-    return pattern
 
 
 @dataclass

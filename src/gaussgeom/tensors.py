@@ -6,6 +6,8 @@ A symmetric rank-3 tensor keeps one ``ExactArray`` entry per unordered triple
 and expands to the dense array by a gather.  Its text form, the certificate's
 kernel map ``Label|Label|Label -> a/b + c/d*sqrt2``, is written only by
 ``SymTensor3.labelled`` and read only by ``SymTensor3.from_labels``.
+``expected_pattern`` is the certified kernel generator's nonzero entries,
+which the solver and the certificate recheck both compare against.
 Connections and curvatures are plain dense ``ExactArray``s of shape (d, d, d)
 and (d, d, d, d); see ``connections``.
 """
@@ -16,12 +18,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import basis_labels
-from .exact import ExactArray, QSqrt2, Rational, as_qsqrt2
+from .algebra import BasisIndex, basis_labels, lie_algebra
+from .exact import HALF_SQRT2, ONE, ExactArray, QSqrt2, Rational, as_qsqrt2
 
 
 def basis_dimension(n: int) -> int:
@@ -66,6 +68,36 @@ def triple_label(n: int, triple: Sequence[int]) -> str:
     """``Label|Label|Label`` of a basis triple, in the given order."""
     labels = basis_labels(n)
     return "|".join(labels[p] for p in triple)
+
+
+def _basis_positions(n: int) -> tuple[Callable[[int], int], Callable[[int, int], int]]:
+    """Canonical basis positions of Mean(i) and of Cov(i, j)."""
+    position = lie_algebra(n).position
+    return (
+        lambda i: position(BasisIndex.mean(i)),
+        lambda i, j: position(BasisIndex.cov(i, j)),
+    )
+
+
+def expected_pattern(n: int) -> dict[tuple[int, int, int], QSqrt2]:
+    """Nonzero certified kernel entries, normalized so every
+    (Mean(i), Mean(i), Cov(i,i)) entry equals 1."""
+    mean, cov = _basis_positions(n)
+    two = QSqrt2(2)
+    pattern: dict[tuple[int, int, int], QSqrt2] = {}
+    for i in range(1, n + 1):
+        pattern[tuple(sorted((mean(i), mean(i), cov(i, i))))] = ONE
+        pattern[(cov(i, i),) * 3] = two
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pattern[tuple(sorted((cov(i, i), cov(i, j), cov(i, j))))] = ONE
+            pattern[tuple(sorted((cov(j, j), cov(i, j), cov(i, j))))] = ONE
+            pattern[tuple(sorted((mean(i), mean(j), cov(i, j))))] = HALF_SQRT2
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(j + 1, n + 1):
+                pattern[tuple(sorted((cov(i, j), cov(j, k), cov(i, k))))] = HALF_SQRT2
+    return pattern
 
 
 @dataclass(frozen=True)

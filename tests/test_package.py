@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +68,61 @@ class TestImportSplit:
         result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip().splitlines()[-1] == "False"
+
+
+class TestRecheckStandsAlone:
+    """The recheck derives rows, row count and rank with its own code."""
+
+    def test_recheck_never_loads_the_solver_or_runs_the_elimination(self, tmp_path):
+        from gaussgeom.solver import verify_theorem
+
+        certificate = tmp_path / "certificate_n2.json"
+        certificate.write_text(verify_theorem(2).to_json())
+        script = ROOT / "scripts" / "recheck_certificate.py"
+        # every SparseEchelon method the package has is wrapped to count its
+        # calls before the script's module body runs
+        code = (
+            "import json, runpy, sys\n"
+            "from gaussgeom.exact import SparseEchelon\n"
+            "calls = []\n"
+            "for name in ('__init__', 'insert', 'kernel_basis'):\n"
+            "    def counted(*args, _name=name, _method=getattr(SparseEchelon, name)):\n"
+            "        calls.append(_name)\n"
+            "        return _method(*args)\n"
+            "    setattr(SparseEchelon, name, counted)\n"
+            f"sys.argv = [{str(script)!r}, {str(certificate)!r}]\n"
+            "try:\n"
+            f"    runpy.run_path({str(script)!r}, run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    code = exc.code\n"
+            "print(json.dumps({'code': code, 'solver': 'gaussgeom.solver' in sys.modules,"
+            " 'echelon_calls': calls}))\n"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.strip().splitlines()
+        assert lines[-2] == "RECHECK: PASS"
+        assert json.loads(lines[-1]) == {"code": 0, "solver": False, "echelon_calls": []}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_row_count_and_rank_match_the_solver(self, n):
+        # each emitted row, made primitive with a positive first coefficient,
+        # is one of the solver's distinct rows, and every distinct row is met
+        from gaussgeom.solver import assemble
+
+        recheck = load_file("recheck_certificate", ROOT / "scripts" / "recheck_certificate.py")
+        rows = recheck.constraints(n)
+        system = assemble(n)
+        assert rows.unknowns == system.unknowns
+        assert rows.row_count == system.row_count
+        assert rows.rank() == system.kernel()[0] == system.unknowns - 1
+        bounds = rows.starts.tolist() + [len(rows.columns)]
+        primitive = set()
+        for i, j in zip(bounds, bounds[1:]):
+            values = rows.values[i:j].tolist()
+            divisor = math.gcd(*values) * (1 if values[0] > 0 else -1)
+            primitive.add(tuple(zip(rows.columns[i:j].tolist(), (v // divisor for v in values))))
+        assert primitive == set(system.rows)
 
 
 def load_file(name: str, path: Path):

@@ -1,19 +1,27 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import importlib.util
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from conftest import src_env
+from conftest import qsqrt2s, src_env
 from gaussgeom import solver
-from gaussgeom.exact import ExactArray
+from gaussgeom.algebra import basis_labels
+from gaussgeom.exact import ExactArray, QSqrt2
+from gaussgeom.tensors import SymTensor3, basis_dimension, symmetric_triples, triple_label
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -24,7 +32,7 @@ def run(*args, **kwargs):
     )
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def recheck_module():
     spec = importlib.util.spec_from_file_location(
         "recheck_certificate", SCRIPTS / "recheck_certificate.py"
@@ -43,7 +51,7 @@ def bench():
 
 
 def without_row(system, r):
-    """``system`` with distinct row ``r`` removed, built from its CSR arrays."""
+    """The recheck's ``system`` with row ``r`` removed, built from its CSR arrays."""
     ends = np.append(system.starts[1:], len(system.columns))
     keep = np.ones(len(system.columns), dtype=bool)
     keep[system.starts[r] : ends[r]] = False
@@ -51,11 +59,10 @@ def without_row(system, r):
     starts[r:] -= ends[r] - system.starts[r]
     return dataclasses.replace(
         system,
+        weights=np.delete(system.weights, r),
         starts=starts,
         columns=system.columns[keep],
-        coefficients=system.coefficients[keep],
-        labels=np.delete(system.labels, r, axis=0),
-        multiplicities=np.delete(system.multiplicities, r),
+        values=system.values[keep],
     )
 
 
@@ -247,6 +254,23 @@ class TestRecheckCertificate:
         ]
         assert result.stdout.endswith("RECHECK: FAIL\n")
 
+    def test_doubled_generator_fails_only_pattern_match(self, tmp_path):
+        # twice the generator annihilates the same rows and is as nonzero, so
+        # only the certified normalization can catch it
+        payload = json.loads(solver.verify_theorem(2).to_json())
+        payload["kernel"] = SymTensor3.from_labels(2, payload["kernel"]).scale(2).labelled()
+        path = tmp_path / "certificate_n2.json"
+        path.write_text(json.dumps(payload))
+        result = run(SCRIPTS / "recheck_certificate.py", path)
+        assert result.returncode == 1
+        checks = result.stdout.splitlines()[1:-1]
+        assert [line for line in checks if "FAIL" in line] == [
+            f"  pattern_match: FAIL ({len(payload['kernel'])} mismatches)"
+        ]
+        assert "  rows_annihilated: PASS (222 rows, 0 nonzero)" in checks
+        assert "  rank_accounting: PASS (rank 34 of 35 unknowns)" in checks
+        assert result.stdout.endswith("RECHECK: FAIL\n")
+
     @staticmethod
     def _certificate(tmp_path):
         out = tmp_path / "certs"
@@ -257,23 +281,33 @@ class TestRecheckCertificate:
 class TestRecheckInProcess:
     def test_dropped_row_fails_rank_accounting(self, recheck_module, monkeypatch, capsys):
         # the kernel vector still annihilates every remaining row, so only the
-        # recomputed rank can notice that a constraint is missing; from n=2 on
-        # every single row is implied by the others, at n=1 none is
+        # recomputed rank can notice that a constraint is missing; at n=1
+        # every row is needed
         n = 1
         payload = json.loads(solver.verify_theorem(n).to_json())
-        system = solver.assemble(n)
-        rank, _ = system.kernel()
+        system = recheck_module.constraints(n)
+        rank = system.rank()
         dropped = next(
             smaller
             for smaller in (without_row(system, r) for r in range(len(system.starts)))
-            if smaller.kernel()[0] < rank
+            if smaller.rank() < rank
         )
         assert dropped.row_count < system.row_count
-        monkeypatch.setattr(recheck_module, "assemble", lambda _: dropped)
+        monkeypatch.setattr(recheck_module, "constraints", lambda _: dropped)
         assert recheck_module.recheck(payload) is False
         out = capsys.readouterr().out
         assert f"rows_annihilated: PASS ({dropped.row_count} rows, 0 nonzero)" in out
         assert f"rank_accounting: FAIL (rank {rank - 1} of 4 unknowns)" in out
+
+    def test_zero_generator_fails_rank_accounting(self, recheck_module, capsys):
+        # a zero kernel annihilates every row, so it caps no rank: the rank
+        # proves uniqueness only beside a nonzero generator
+        payload = json.loads(solver.verify_theorem(2).to_json())
+        payload["kernel"] = {}
+        assert recheck_module.recheck(payload) is False
+        out = capsys.readouterr().out
+        assert "rows_annihilated: PASS (222 rows, 0 nonzero)" in out
+        assert "rank_accounting: FAIL (rank 34 of 35 unknowns)" in out
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_valid_certificates_pass_every_check(self, recheck_module, capsys, n):
@@ -307,6 +341,71 @@ class TestRecheckInProcess:
         assert sizes and max(sizes) < payload["unknowns"] == 560
 
 
+@functools.lru_cache(maxsize=None)
+def certificate_text(n: int) -> str:
+    return solver.verify_theorem(n).to_json()
+
+
+#: the recorded numbers, the flags and the kind of each single edit
+NUMBERS = ("n", "dim", "unknowns", "statistical_space_dim", "row_count", "rank", "kernel_dim")
+FLAGS = ("status", "schema_version", "failures", "checks")
+EDITS = st.one_of(
+    st.tuples(st.just("number"), st.sampled_from(NUMBERS), st.integers(-3, 3).filter(bool)),
+    st.tuples(st.just("value"), st.integers(0, 20), qsqrt2s().filter(bool)),
+    st.tuples(st.just("label"), st.integers(0, 20), st.integers(0, 200)),
+    st.tuples(st.just("flag"), st.sampled_from(FLAGS), st.integers(0, 20)),
+)
+
+
+def edited(n: int, edit: tuple) -> dict:
+    """A valid certificate of ``n`` with one recorded number, kernel value,
+    kernel label or flag changed."""
+    payload = json.loads(certificate_text(n))
+    kind, where, change = edit
+    kernel = payload["kernel"]
+    if kind == "number":
+        payload[where] += change
+    elif kind == "value":
+        label = sorted(kernel)[where % len(kernel)]
+        kernel[label] = (QSqrt2.parse(kernel[label]) + change).to_string()
+    elif kind == "label":
+        # renamed to a label of another triple
+        label = sorted(kernel)[where % len(kernel)]
+        position = {name: p for p, name in enumerate(basis_labels(n))}
+        old = tuple(sorted(position[part] for part in label.split("|")))
+        triples = [t for t in symmetric_triples(basis_dimension(n)) if t != old]
+        kernel[triple_label(n, triples[change % len(triples)])] = kernel.pop(label)
+    elif where == "checks":
+        payload["checks"][sorted(payload["checks"])[change % len(payload["checks"])]] = False
+    else:
+        payload[where] = {"status": "FAILED", "schema_version": "2", "failures": ["edited"]}[where]
+    return payload
+
+
+class TestSingleEdits:
+    # the profile is derandomized, so the edits that must be tried are
+    # pinned; the other fields have tests of their own above
+    @given(n=st.sampled_from([1, 2]), edit=EDITS)
+    @example(n=2, edit=("number", "rank", -1))
+    @example(n=2, edit=("number", "row_count", 1))
+    @example(n=1, edit=("value", 0, QSqrt2(0, 1)))
+    @example(n=2, edit=("label", 3, 7))
+    @example(n=1, edit=("number", "n", 1))
+    @example(n=2, edit=("number", "unknowns", -1))
+    @example(n=2, edit=("flag", "status", 0))
+    def test_single_edit_never_passes(self, recheck_module, n, edit):
+        payload = edited(n, edit)
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "certificate.json"
+            path.write_text(json.dumps(payload))
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = recheck_module.main([str(path)])
+        assert code in (1, 2)
+        assert "RECHECK: PASS" not in out.getvalue()
+        assert ("RECHECK: FAIL" in out.getvalue()) == (code == 1)
+
+
 class TestBenchStageProbe:
     def test_stage_probe_on_the_working_tree(self, bench):
         # the probe calls only what the parent side also has, in a fresh
@@ -325,8 +424,10 @@ class TestBenchStageProbe:
             "curvature_amari",
             "pullback",
             "alpha_form",
+            "recheck",
         )
         assert {f"{stage}_s" for stage in stages} <= record.keys()
+        assert record["recheck_passed"] is True
         for stage in stages:
             assert isinstance(record[f"{stage}_minor_faults"], int)
             assert record[f"{stage}_minor_faults"] >= 0
