@@ -13,11 +13,14 @@ formula is written once, as the (products, terms) of one
 ``exact.contraction_sum`` of transposed products.  On the alpha family its
 operands (LC, the structure constants, K) are sparse enough that the sum
 runs over contributing entry pairs alone; on a dense K it runs as BLAS
-products.  ``predicate_suite``
-decides the four characterizations at one K as four
-``exact.contraction_vanishes`` tests of those formulas (R - R*, written in
-the two products of R alone, and each derivative minus its transpose in the
-first pair), with no d^4 result array;
+products.  The index work of a sparse sum (which pairs meet, where each
+lands) depends on the operands' nonzero pattern alone, and LC + alpha K
+has one pattern for every alpha but 0 and +-1, so ``exact`` plans it once
+per pattern and every later call along the line runs only the numeric
+phase.  ``predicate_suite`` decides the four characterizations at one K as
+four ``exact.contraction_vanishes`` tests of those formulas (R - R*,
+written in the two products of R alone, and each derivative minus its
+transpose in the first pair), with no d^4 result array;
 ``alpha_family_verdicts`` decides them along a whole line LC + alpha K from
 tensors that do not depend on alpha.
 """

@@ -13,20 +13,26 @@ stored as int64 and falling back to arbitrary-precision Python ints only past
 shape of every (d, d, d, d) formula in ``connections``) is one of two full
 passes.  When every product has at most one slice's worth of contributing
 entry pairs, a slice being the sum at one index of its last axis (d^3
-entries), the sparse pass sums those pairs alone: the operands' nonzero
-entries are joined on the contracted coordinates, in int64 while every
+entries), the sparse pass sums those pairs alone, in two phases.  A plan,
+built once per nonzero pattern of the operands and kept in a fixed-size
+cache, joins their nonzero entries on the contracted coordinates and fixes
+the order in which the pairs are summed; the numeric pass of each call
+gathers the entries by that plan and sums them, in int64 while every
 partial sum stays below 2^53 and in Python ints past it.  The alpha family
-takes it.  Otherwise each Q(sqrt(2)) contraction is one real product on
-``parts``, run in float64 BLAS below the same 2^53 bound, where float64 is
-exact, a product at a time over two float64 buffers that each thread reuses
-from call to call; a dense random K takes it.  ``contraction_vanishes``
-routes such a sum first: the sparse pass decides alone, and ahead of the
-dense pass the slice at index 0 of the last axis is tried, the dense pass
-running only when that slice is zero.
+takes it; LC + alpha K has one nonzero pattern for every alpha but 0 and
++-1 (checked for n <= 6), so those alphas share their plans.  Otherwise
+each Q(sqrt(2)) contraction is one real product on ``parts``, run in
+float64 BLAS below the same 2^53 bound, where float64 is exact, a product
+at a time over two float64 buffers that each thread reuses from call to
+call; a dense random K takes it, and leaves no plan in the cache.
+``contraction_vanishes`` routes such a sum first: the sparse pass decides
+alone, and ahead of the dense pass the slice at index 0 of the last axis
+is tried, the dense pass running only when that slice is zero.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import threading
@@ -568,15 +574,6 @@ def _prepared(products, terms) -> tuple[int, bool, list[int]]:
     return den, exact_in_float, factors
 
 
-def _mask(array: ExactArray, masks: dict) -> np.ndarray:
-    """Where ``array`` is nonzero, taken once per call: ``masks`` keeps it by
-    the array's identity, since one operand (Gamma in a curvature) can be
-    read by several products."""
-    if id(array) not in masks:
-        masks[id(array)] = np.logical_or(*array.parts, dtype=bool)
-    return masks[id(array)]
-
-
 def _pairs(left_mask: np.ndarray, right_mask: np.ndarray, axes) -> int:
     """The entry pairs that contribute to a product of operands with these
     nonzero masks: over each value of the contracted coordinates, the left
@@ -585,75 +582,235 @@ def _pairs(left_mask: np.ndarray, right_mask: np.ndarray, axes) -> int:
     for mask, contracted in ((left_mask, axes[0]), (right_mask, axes[1])):
         contracted, free = _split(mask.shape, contracted)
         rows = math.prod(mask.shape[axis] for axis in contracted)
-        table = mask.transpose((*contracted, *free)).reshape(rows, mask.size // max(rows, 1))
-        counts.append(np.count_nonzero(table, axis=1))
+        table = mask.transpose((*free, *contracted)).reshape(mask.size // max(rows, 1), rows)
+        # a float64 product with ones counts each column exactly, and is
+        # quicker than a count of bools along a strided axis
+        counts.append(np.ones(len(table)) @ table.astype(np.float64))
     return int(counts[0] @ counts[1])
 
 
-def _sparse_sum(
-    products, terms, factors, exact_in_float: bool, masks
-) -> tuple[np.ndarray, np.ndarray]:
-    """The signed sum of ``terms`` from the contributing entry pairs of its
-    products alone: the flat indices that some pair reaches, ascending, and
-    the parts (2, count) of the sum at them, in int64 below the 2^53 bound
-    and in Python ints past it.
+def _fewest_pairs(left_shape, right_shape, left_axes, right_axes, left_bits, right_bits) -> int:
+    """A lower bound on ``_pairs`` from the operands' nonzero counts alone,
+    read off their packed masks.  An operand with nnz nonzeros and F free
+    entries at each of the K values of the contracted coordinates holds at
+    least nnz - (K - 1) F of them at every value, so each nonzero of the
+    other operand meets at least that many: a full operand meets every one
+    of them F times."""
+    least = []
+    for shape, axes, bits in (
+        (left_shape, left_axes, left_bits),
+        (right_shape, right_axes, right_bits),
+    ):
+        contracted, free = _split(shape, axes)
+        nnz = int.from_bytes(bits, "big").bit_count()
+        rows = math.prod(shape[axis] for axis in contracted)
+        least.append((nnz, nnz - (rows - 1) * math.prod(shape[axis] for axis in free)))
+    (left_nnz, left_least), (right_nnz, right_least) = least
+    return max(left_least * right_nnz, right_least * left_nnz, 0)
 
-    Each operand's nonzero entries are taken once per call, from its mask
-    in ``masks``.  A product joins the nonzeros of its left operand with the
-    nonzeros of its right one that share their contracted coordinates (the
-    right ones sorted by them, each left one repeated once per partner),
-    forms (a + b sqrt2)(c + d sqrt2) = (ac + 2bd) + (ad + bc) sqrt2 times its
-    factor for each pair, and keeps the pair's coordinates.  Each term
-    permutes them into flat indices of the sum, one sort brings equal
-    indices together and ``np.add.reduceat`` adds them up.  Integers add up
-    exactly in any order, so neither sort need be stable.
+
+def _join(left_mask: np.ndarray, right_mask: np.ndarray, axes):
+    """The contributing entry pairs of a product of operands with these
+    nonzero masks: each pair's flat position in the left operand and in the
+    right one, and its coordinates in the product, left free axes first.
+
+    The nonzeros of the left operand are joined with those of the right one
+    that share their contracted coordinates: the right ones are sorted by
+    them, and each left one is repeated once per partner.
     """
-    dtype = np.int64 if exact_in_float else object
-    shape = _term_shape(products, terms)
-    entries = {}
-    for left, right, _ in products:
-        for array in (left, right):
-            if id(array) not in entries:
-                mask = _mask(array, masks)
-                parts = array.parts[:, mask].astype(dtype, copy=False)
-                entries[id(array)] = (np.nonzero(mask), parts)
-    joined = {}
-    keys, values = [], []
+    left_at, right_at = np.flatnonzero(left_mask), np.flatnonzero(right_mask)
+    left_coords = np.unravel_index(left_at, left_mask.shape)
+    right_coords = np.unravel_index(right_at, right_mask.shape)
+    left_axes, left_free = _split(left_mask.shape, axes[0])
+    right_axes, right_free = _split(right_mask.shape, axes[1])
+    contracted = [left_mask.shape[axis] for axis in left_axes]
+    # an outer product contracts no axis: every pair meets on one key, 0
+    left_key, right_key = (
+        np.ravel_multi_index([coords[axis] for axis in used], contracted)
+        if contracted
+        else np.zeros(len(at), np.intp)
+        for at, coords, used in (
+            (left_at, left_coords, left_axes),
+            (right_at, right_coords, right_axes),
+        )
+    )
+    by_key = np.argsort(right_key)
+    count = np.bincount(right_key, minlength=math.prod(contracted))
+    partners = count[left_key]
+    li = np.repeat(np.arange(len(left_key)), partners)
+    # pair j of left entry i takes the (j - its first pair)-th right entry of
+    # its key in by_key, whose entries of a key start at start
+    start = np.cumsum(count) - count
+    offset = start[left_key] - (np.cumsum(partners) - partners)
+    ri = by_key[np.repeat(offset, partners) + np.arange(len(li))]
+    coords = [left_coords[axis][li] for axis in left_free]
+    coords += [right_coords[axis][ri] for axis in right_free]
+    return left_at[li], right_at[ri], coords
+
+
+#: sparse-pass plans that ``_plan`` holds, the least recently used dropped
+#: first.  A plan is its int32 index arrays, and its key holds the packed
+#: masks: the alpha family's plans take 70-95 KB each at n = 5 (d = 20),
+#: and 0.38-0.56 MB plus at most 42 KB of key at n = 8 (d = 44), so a cache
+#: full of n = 8 plans holds at most about 19 MB.  One alpha's checks read 5
+#: plans, and a predicates-n5 run of the benchmark 11
+PLAN_CACHE_SIZE = 32
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The index work of one sparse pass, which depends on the nonzero
+    pattern of its operands alone, never on their values.
+
+    ``read`` lists the products that some term reads, and ``left`` and
+    ``right`` hold, per such product, the flat position in its left and its
+    right operand of each contributing entry pair.  ``blocks`` lists each
+    (sign, product) that some term reads: the product's pairs times the
+    sign make one block, and the blocks are laid end to end.  ``gather``
+    lists the pairs of every term as indices into those blocks, in the order
+    of the flat index of the sum that each reaches; ``starts`` is where each
+    run of one flat index begins in ``gather``, ``at`` that flat index, and
+    ``shape`` the shape of the sum.
+    """
+
+    read: tuple[int, ...]
+    left: tuple[np.ndarray, ...]
+    right: tuple[np.ndarray, ...]
+    blocks: tuple[tuple[int, int], ...]
+    gather: np.ndarray
+    starts: np.ndarray
+    at: np.ndarray
+    shape: tuple[int, ...]
+
+
+class _DenseRoute(Exception):
+    """A pattern that takes the dense pass.  ``_plan`` raises it rather than
+    return a verdict because ``lru_cache`` keeps no call that raised, so that
+    dense patterns, each random K's among them, take no slot."""
+
+
+def _bits(array: ExactArray) -> bytes:
+    """Where ``array`` is nonzero, packed eight entries to a byte in C order."""
+    return np.packbits(np.logical_or(*array.parts, dtype=bool)).tobytes()
+
+
+def _plan_key(products, terms) -> tuple:
+    """The pattern of a signed sum, all that its plan is built from: per
+    product the operands' shapes, the contracted axes and both operands'
+    packed nonzero masks, then the terms.  Tuples compare whole, bytes
+    included, so two patterns never share a key."""
+    return (
+        tuple(
+            (left.shape, right.shape, tuple(axes[0]), tuple(axes[1]), _bits(left), _bits(right))
+            for left, right, axes in products
+        ),
+        tuple((sign, index, perm if perm is None else tuple(perm)) for sign, index, perm in terms),
+    )
+
+
+def _indices(values: np.ndarray) -> np.ndarray:
+    """``values``, read-only, as int32 when they fit, which halves a plan."""
+    if values.size == 0 or values.max() < 2**31:
+        values = values.astype(np.int32)
+    values.flags.writeable = False
+    return values
+
+
+def _unpacked(bits: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """The nonzero mask of shape ``shape`` that ``_bits`` packed."""
+    flat = np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(shape))
+    return flat.view(bool).reshape(shape)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(key) -> _Plan:
+    """The plan of the sparse pass for the pattern ``key`` of ``_plan_key``,
+    built from the key alone; raises ``_DenseRoute`` when the pattern takes
+    the dense pass: when some product has more contributing entry pairs
+    than one slice of the sum, at one index of its last axis, has entries,
+    or the sum has no axis left, and so no slice.  ``_fewest_pairs`` tries
+    each product from its nonzero counts first, and only a pattern that it
+    leaves open is unpacked and counted pair by pair."""
+    operands, terms = key
+    shape = _term_shape([(left, right, axes) for left, right, *axes, _, _ in operands], terms)
+    if not shape:
+        raise _DenseRoute
+    slice_size = math.prod(shape[:-1])
+    # a full operand, a dense K's, is decided here without unpacking a mask
+    if any(_fewest_pairs(*operand) > slice_size for operand in operands):
+        raise _DenseRoute
+    masks = []
+    for left_shape, right_shape, left_axes, right_axes, left_bits, right_bits in operands:
+        product = (
+            _unpacked(left_bits, left_shape),
+            _unpacked(right_bits, right_shape),
+            (left_axes, right_axes),
+        )
+        if _pairs(*product) > slice_size:
+            raise _DenseRoute
+        masks.append(product)
+    read = sorted({index for _, index, _ in terms})
+    joined = {index: _join(*masks[index]) for index in read}
+    # each (sign, product) that a term reads is one block of pairs, and the
+    # blocks are laid end to end
+    blocks = sorted({(sign, index) for sign, index, _ in terms})
+    ends = dict(zip(blocks, np.cumsum([len(joined[index][0]) for _, index in blocks])))
+    keys, gather = [], []
     for sign, index, perm in terms:
-        if index not in joined:
-            left, right, axes = products[index]
-            (left_at, left_parts), (right_at, right_parts) = entries[id(left)], entries[id(right)]
-            left_axes, left_free = _split(left.shape, axes[0])
-            right_axes, right_free = _split(right.shape, axes[1])
-            contracted = [left.shape[axis] for axis in left_axes]
-            left_key = np.ravel_multi_index([left_at[axis] for axis in left_axes], contracted)
-            right_key = np.ravel_multi_index([right_at[axis] for axis in right_axes], contracted)
-            by_key = np.argsort(right_key)
-            count = np.bincount(right_key, minlength=math.prod(contracted))
-            partners = count[left_key]
-            li = np.repeat(np.arange(len(left_key)), partners)
-            # pair j of left entry i takes the (j - its first pair)-th right
-            # entry of its key in by_key, whose entries of a key start at start
-            start = np.cumsum(count) - count
-            offset = start[left_key] - (np.cumsum(partners) - partners)
-            ri = by_key[np.repeat(offset, partners) + np.arange(len(li))]
-            a, b = left_parts.take(li, axis=1)
-            c, d = right_parts.take(ri, axis=1)
-            parts = np.stack([a * c + 2 * b * d, a * d + b * c])
-            if factors[index] != 1:
-                parts *= factors[index]
-            at = [left_at[axis][li] for axis in left_free]
-            at += [right_at[axis][ri] for axis in right_free]
-            joined[index] = (at, parts)
-        at, parts = joined[index]
-        at = at if perm is None else [at[axis] for axis in perm]
-        keys.append(np.ravel_multi_index(at, shape))
-        values.append(parts if sign == 1 else -parts)
+        left_at, _, coords = joined[index]
+        coords = coords if perm is None else [coords[axis] for axis in perm]
+        keys.append(np.ravel_multi_index(coords, shape))
+        gather.append(np.arange(ends[sign, index] - len(left_at), ends[sign, index]))
+    # integers add up exactly in any order, so the sort need not be stable
     keys = np.concatenate(keys)
     order = np.argsort(keys)
-    keys, parts = keys[order], np.concatenate(values, axis=1).take(order, axis=1)
+    keys = keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[starts], np.add.reduceat(parts, starts, axis=1)
+    return _Plan(
+        read=tuple(read),
+        left=tuple(_indices(joined[index][0]) for index in read),
+        right=tuple(_indices(joined[index][1]) for index in read),
+        blocks=tuple(blocks),
+        gather=_indices(np.concatenate(gather)[order]),
+        starts=_indices(starts),
+        at=_indices(keys[starts]),
+        shape=shape,
+    )
+
+
+def _route(products, terms) -> _Plan | None:
+    """The plan of the sparse pass for this sum, from the cache while its
+    pattern stays there; None when the sum takes the dense pass."""
+    try:
+        return _plan(_plan_key(products, terms))
+    except _DenseRoute:
+        return None
+
+
+def _sparse_sum(plan: _Plan, products, factors, exact_in_float: bool) -> np.ndarray:
+    """The parts (2, count) of the signed sum at the flat indices ``plan.at``,
+    from the contributing entry pairs of its products alone, in int64 below
+    the 2^53 bound and in Python ints past it: the numeric pass of a plan.
+
+    Each product read gathers its pairs' entries a + b sqrt2 of the left
+    operand and c + d sqrt2 of the right one by their flat positions and
+    forms (ac + 2bd) + (ad + bc) sqrt2 times its factor.  The plan's blocks
+    are laid end to end, the terms' pairs are taken from them in the plan's
+    order, and ``np.add.reduceat`` adds up each run of one flat index.
+    """
+    dtype = np.int64 if exact_in_float else object
+    values = {}
+    for index, left_at, right_at in zip(plan.read, plan.left, plan.right):
+        left, right, _ = products[index]
+        a, b = left.parts.reshape(2, -1).take(left_at, axis=1).astype(dtype, copy=False)
+        c, d = right.parts.reshape(2, -1).take(right_at, axis=1).astype(dtype, copy=False)
+        parts = np.stack([a * c + 2 * b * d, a * d + b * c])
+        if factors[index] != 1:
+            parts *= factors[index]
+        values[index] = parts
+    blocks = [values[index] if sign == 1 else -values[index] for sign, index in plan.blocks]
+    pairs = np.concatenate(blocks, axis=1).take(plan.gather, axis=1)
+    return np.add.reduceat(pairs, plan.starts, axis=1)
 
 
 def _signed_sum(products, terms, factors, exact_in_float: bool) -> np.ndarray:
@@ -681,30 +838,14 @@ def _signed_sum(products, terms, factors, exact_in_float: bool) -> np.ndarray:
     return total
 
 
-def _term_shape(products, terms) -> tuple[int, ...]:
-    """The shape of every term of the sum, read from its first."""
+def _term_shape(shapes, terms) -> tuple[int, ...]:
+    """The shape of every term of the sum, read from its first; ``shapes``
+    lists (left shape, right shape, axes) per product."""
     _, index, perm = terms[0]
-    left, right, axes = products[index]
-    shape = [left.shape[axis] for axis in _split(left.shape, axes[0])[1]]
-    shape += [right.shape[axis] for axis in _split(right.shape, axes[1])[1]]
+    left, right, axes = shapes[index]
+    shape = [left[axis] for axis in _split(left, axes[0])[1]]
+    shape += [right[axis] for axis in _split(right, axes[1])[1]]
     return tuple(shape if perm is None else (shape[axis] for axis in perm))
-
-
-def _sparse_masks(products, terms) -> dict | None:
-    """The nonzero masks of the operands, by identity, when no product has
-    more contributing entry pairs than one slice of the sum, at one index of
-    its last axis, has entries: the route to ``_sparse_sum``.  Else None, the
-    route to ``_signed_sum``; a sum with no axis left has no slice, and runs
-    dense."""
-    shape = _term_shape(products, terms)
-    masks = {}
-    slice_size = math.prod(shape[:-1])
-    if shape and all(
-        _pairs(_mask(left, masks), _mask(right, masks), axes) <= slice_size
-        for left, right, axes in products
-    ):
-        return masks
-    return None
 
 
 def contraction_sum(products, terms) -> ExactArray:
@@ -715,31 +856,34 @@ def contraction_sum(products, terms) -> ExactArray:
     is computed once, however many terms read it.
 
     Every term is put over one common denominator, and one bound from the
-    operands' peaks decides whether float64 is exact.  When every product
-    has at most one slice's worth of contributing entry pairs (a slice
-    being the sum at one index of its last axis), the sparse pass
-    ``_sparse_sum`` sums those pairs alone, in int64 below the bound and in
-    Python ints past it, into a zero array.  Otherwise, below the bound,
-    each distinct product in turn is one BLAS matrix product into this
-    thread's product buffer, its signed transposed views are added into the
-    workspace's total, and that total is cast once into a fresh int64
-    array; past the bound the same steps run on fresh object arrays.  The
-    result is divided by its gcd in place.
+    operands' peaks decides whether float64 is exact; both are taken from
+    the values of every call.  The route is read from the operands' nonzero
+    pattern: when every product has at most one slice's worth of
+    contributing entry pairs (a slice being the sum at one index of its
+    last axis), the sparse pass sums those pairs alone into a zero array.
+    Its symbolic phase, the plan of ``_plan`` (which pairs meet, where each
+    lands, in what order they are summed), is built once per pattern and
+    cached; its numeric phase, ``_sparse_sum``, gathers and sums the values
+    by that plan, in int64 below the bound and in Python ints past it.
+    Otherwise, below the bound, each distinct product in turn is one BLAS
+    matrix product into this thread's product buffer, its signed transposed
+    views are added into the workspace's total, and that total is cast once
+    into a fresh int64 array; past the bound the same steps run on fresh
+    object arrays.  The result is divided by its gcd in place.
     """
     den, exact_in_float, factors = _prepared(products, terms)
-    masks = _sparse_masks(products, terms)
-    if masks is None:
+    plan = _route(products, terms)
+    if plan is None:
         total = _signed_sum(products, terms, factors, exact_in_float)
         # the one cast to integers, into a fresh array that the caller owns
         parts = total.astype(np.int64) if exact_in_float else total
         return ExactArray(*_int_gcd_reduce(parts, den, out=parts))
-    at, total = _sparse_sum(products, terms, factors, exact_in_float, masks)
+    total = _sparse_sum(plan, products, factors, exact_in_float)
     # the gcd of the entries that some pair reaches is the gcd of them all
     total, den = _int_gcd_reduce(total, den, out=total)
-    shape = _term_shape(products, terms)
-    parts = np.zeros((2, math.prod(shape)), total.dtype)
-    parts[:, at] = total
-    return ExactArray(parts.reshape((2, *shape)), den)
+    parts = np.zeros((2, math.prod(plan.shape)), total.dtype)
+    parts[:, plan.at] = total
+    return ExactArray(parts.reshape((2, *plan.shape)), den)
 
 
 def contraction_vanishes(products, terms) -> bool:
@@ -748,16 +892,17 @@ def contraction_vanishes(products, terms) -> bool:
     gcd or its result array.
 
     The sum is routed first, as ``contraction_sum`` routes it, and a sum
-    that takes the sparse pass is decided by that pass alone.  Ahead of the
+    that takes the sparse pass is decided by the numeric phase of its
+    cached plan alone.  Ahead of the
     dense pass, ``_probe`` computes the sum at index 0 of its last axis;
     every entry of the probe is an entry of the sum, so one nonzero decides
     False, and a sum that does not vanish usually has one there.  Otherwise
     the dense pass runs and is tested for any nonzero entry.
     """
     _, exact_in_float, factors = _prepared(products, terms)
-    masks = _sparse_masks(products, terms)
-    if masks is not None:
-        return not _sparse_sum(products, terms, factors, exact_in_float, masks)[1].any()
+    plan = _route(products, terms)
+    if plan is not None:
+        return not _sparse_sum(plan, products, factors, exact_in_float).any()
     if _probe(products, terms, factors, exact_in_float).any():
         return False
     return not _signed_sum(products, terms, factors, exact_in_float).any()

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from conftest import as_objects, qsqrt2s
 from gaussgeom.exact import (
     HALF_SQRT2,
     ONE,
+    PLAN_CACHE_SIZE,
     SQRT2,
     ZERO,
     ExactArray,
@@ -19,7 +23,11 @@ from gaussgeom.exact import (
     WORKSPACE_CAP,
     SparseEchelon,
     _WORKSPACE,
+    _bits,
+    _fewest_pairs,
     _int_gcd_reduce,
+    _pairs,
+    _plan,
     _prepared,
     _workspace,
     contraction_sum,
@@ -789,6 +797,13 @@ class TestSparseSum:
         reference = np.tensordot(as_objects(left), as_objects(right), axes=([2], [1]))
         assert _same(result, reference)
 
+    def test_an_outer_product_meets_on_no_axis(self, full_passes):
+        # no contracted axis: every left nonzero pairs with every right one
+        result = PAIR_A.tensordot(PAIR_B, ([], []))
+        assert full_passes == {"sparse": 1, "dense": 0}
+        reference = np.tensordot(as_objects(PAIR_A), as_objects(PAIR_B), axes=0)
+        assert _same(result, reference)
+
     @pytest.mark.parametrize(("count", "route", "probed"), [(8, "sparse", 0), (9, "dense", 1)])
     def test_vanishing_test_routes_before_it_probes(
         self, count, route, probed, full_passes, probes
@@ -799,3 +814,212 @@ class TestSparseSum:
         assert contraction_vanishes(products, [(1, 0, None), (-1, 0, None)])
         assert full_passes == {"sparse": 0, "dense": 0, route: 1}
         assert probes == {"probe": probed}
+
+
+def _revalued(array: ExactArray, rng: np.random.Generator, den: int, bits: int) -> ExactArray:
+    """``array``'s nonzero pattern with new values over ``den``: each
+    nonzero entry gets a nonzero rational part and any sqrt2 part, up to
+    2^bits in magnitude (bits at most 62)."""
+    support = np.flatnonzero(array.parts.any(axis=0))
+    parts = np.zeros((2, math.prod(array.shape)), dtype=np.int64)
+    for position in support.tolist():
+        parts[0, position] = int(rng.integers(1, 2**bits)) * int(rng.choice([1, -1]))
+        parts[1, position] = int(rng.integers(-(2**bits), 2**bits))
+    return ExactArray(parts.reshape((2, *array.shape)), den)
+
+
+@st.composite
+def sparse_arrays(draw) -> ExactArray:
+    """(4, 4, 4) arrays with no nonzero entry, one or four, so that every
+    product of them takes the sparse pass, parts up to 2^10 over 1, 3 or 4."""
+    count = draw(st.sampled_from([0, 1, 4]))
+    support = draw(st.permutations(range(64)))[:count]
+    parts = np.zeros((2, 64), dtype=np.int64)
+    for position in support:
+        parts[0, position] = draw(st.integers(1, 2**10)) * draw(st.sampled_from([1, -1]))
+        parts[1, position] = draw(st.integers(-(2**10), 2**10))
+    return ExactArray(parts.reshape((2, 4, 4, 4)), draw(st.sampled_from([1, 3, 4])))
+
+
+TERM_LISTS = st.lists(
+    st.tuples(st.sampled_from([1, -1]), st.integers(0, 1), st.permutations(range(4))),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: [(sign, index, tuple(perm)) for sign, index, perm in terms])
+
+
+def _formula(a: ExactArray, b: ExactArray, c: ExactArray) -> list:
+    return [(a, b, ([2], [1])), (c, a, ([0], [2]))]
+
+
+def _full() -> ExactArray:
+    """1 at every entry of a (4, 4, 4) array."""
+    return ExactArray(np.stack([np.ones((4, 4, 4), np.int64), np.zeros((4, 4, 4), np.int64)]), 1)
+
+
+class TestPlanCache:
+    """The sparse pass's plan is built once per nonzero pattern and cached:
+    a call that finds it gives what a call with a cleared cache gives, two
+    patterns never share one, dense sums leave the cache as it was, and the
+    cache stays within its size, in one thread or several."""
+
+    @given(
+        sparse_arrays(),
+        sparse_arrays(),
+        sparse_arrays(),
+        TERM_LISTS,
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 3, 12]),
+        st.sampled_from([10, 20, 40]),
+    )
+    # denominators 3 and 4 against 12: factors other than 1 on both products
+    @example(PAIR_A, PAIR_B, PAIR_A, [(1, 0, (0, 1, 2, 3)), (-1, 1, (2, 0, 1, 3))], 0, 12, 10)
+    # 40-bit entries: the second call runs on Python ints with a plan that
+    # the first built on int64
+    @example(PAIR_A, PAIR_B, PAIR_A, [(1, 0, (0, 1, 2, 3)), (1, 1, (3, 2, 1, 0))], 1, 3, 40)
+    def test_a_plan_hit_equals_a_cold_call(self, a, b, c, terms, seed, den, bits):
+        rng = np.random.default_rng(seed)
+        first = _formula(a, b, c)
+        second = _formula(*(_revalued(x, rng, den, bits) for x in (a, b, c)))
+        contraction_sum(first, terms)
+        hits = _plan.cache_info().hits
+        warm = contraction_sum(second, terms)
+        warm_vanishes = contraction_vanishes(second, terms)
+        assert _plan.cache_info().hits == hits + 2
+        _plan.cache_clear()
+        cold = contraction_sum(second, terms)
+        assert warm == cold and warm.den == cold.den
+        assert warm.parts.dtype == cold.parts.dtype
+        assert warm_vanishes == cold.is_zero()
+
+    def test_an_int64_built_plan_serves_the_object_path(self):
+        terms = [(1, 0, None), (-1, 1, (1, 0, 3, 2))]
+        first = _formula(PAIR_A, PAIR_B, PAIR_B)
+        rng = np.random.default_rng(7)
+        second = _formula(*(_revalued(x, rng, 3, 60) for x in (PAIR_A, PAIR_B, PAIR_B)))
+        assert _prepared(first, terms)[1] and not _prepared(second, terms)[1]
+        _plan.cache_clear()
+        contraction_sum(first, terms)
+        warm = contraction_sum(second, terms)
+        assert _plan.cache_info().hits == 1
+        assert warm.parts.dtype == object
+        objects = [np.tensordot(as_objects(x), as_objects(y), axes=axes) for x, y, axes in second]
+        assert _same(warm, objects[0] - np.transpose(objects[1], (1, 0, 3, 2)))
+
+    @given(sparse_arrays(), sparse_arrays(), sparse_arrays(), sparse_arrays(), TERM_LISTS)
+    # equal shapes, other entries: a plan keyed on shapes alone would read
+    # the second call's values at the first call's positions
+    @example(
+        PAIR_A,
+        PAIR_B,
+        _unit((1, 3, 1), 2, 1) + _unit((0, 2, 3), -5, 2, 3),
+        _unit((3, 1, 2), 1, 1) + _unit((2, 0, 1), 4, -1),
+        [(1, 0, (0, 1, 2, 3)), (-1, 1, (1, 0, 2, 3))],
+    )
+    def test_patterns_never_share_a_plan(self, a, b, other_a, other_b, terms):
+        calls = [_formula(x, y, y) for x, y in ((a, b), (other_a, other_b), (a, b))]
+        cold = []
+        for products in calls:
+            _plan.cache_clear()
+            cold.append(contraction_sum(products, terms))
+        # in turn, each call after the first finding the cache filled
+        _plan.cache_clear()
+        assert [contraction_sum(products, terms) for products in calls] == cold
+
+    @given(
+        patterned_arrays(),
+        patterned_arrays(),
+        st.sampled_from([([2], [1]), ([0], [2]), ([2, 0], [1, 2]), ([], [])]),
+    )
+    # a full operand: the bound is the pair count
+    @example(_full(), PAIR_B, ([2], [1]))
+    def test_the_count_bound_never_passes_the_pairs(self, a, b, axes):
+        # the dense verdict read off nonzero counts alone must be one that
+        # the pair count gives: a lower bound, exact when an operand is full
+        masks = [np.logical_or(*x.parts, dtype=bool) for x in (a, b)]
+        bound = _fewest_pairs(a.shape, b.shape, *axes, _bits(a), _bits(b))
+        pairs = _pairs(*masks, axes)
+        assert 0 <= bound <= pairs
+        if any(mask.all() for mask in masks):
+            assert bound == pairs
+
+    def test_a_transposed_operand_reads_its_own_pattern(self):
+        # a view's pattern is packed in its own C order, as its copy's is
+        view = PAIR_A.transpose((2, 0, 1))
+        copy = ExactArray(np.ascontiguousarray(view.parts), view.den)
+        products = [(view, PAIR_B, ([2], [1]))]
+        from_view = contraction_sum(products, [(1, 0, None)])
+        hits = _plan.cache_info().hits
+        assert from_view == contraction_sum([(copy, PAIR_B, ([2], [1]))], [(1, 0, None)])
+        assert _plan.cache_info().hits == hits + 1
+        reference = np.tensordot(as_objects(view), as_objects(PAIR_B), axes=([2], [1]))
+        assert _same(from_view, reference)
+
+    def test_dense_sums_take_no_slot(self, full_passes):
+        rng = np.random.default_rng(3)
+        size = _plan.cache_info().currsize
+        for _ in range(3):
+            dense = [_revalued(_full(), rng, 1, 20) for _ in range(2)]
+            products = [(dense[0], dense[1], ([2], [1]))]
+            contraction_sum(products, [(1, 0, None)])
+            # a sum that cancels, so that the dense pass runs past its probe
+            assert contraction_vanishes(products, [(1, 0, None), (-1, 0, None)])
+        assert full_passes == {"sparse": 0, "dense": 6}
+        assert _plan.cache_info().currsize == size
+
+    def test_the_cache_stays_within_its_size(self):
+        _plan.cache_clear()
+        for position in range(PLAN_CACHE_SIZE + 8):
+            operand = _unit(np.unravel_index(position, (4, 4, 4)), 1, 1)
+            contraction_sum([(operand, PAIR_B, ([2], [1]))], [(1, 0, None)])
+        info = _plan.cache_info()
+        assert info.misses == PLAN_CACHE_SIZE + 8
+        assert info.currsize == info.maxsize == PLAN_CACHE_SIZE
+
+    def test_threads_share_the_cache_and_get_the_serial_results(self):
+        # each thread runs its own patterns, more of them in all than the
+        # cache holds, so that plans are built, found and dropped while
+        # other threads use them, and four dense sums per round in its own
+        # workspace
+        rng = np.random.default_rng(11)
+        dense = _full()
+        jobs = []
+        for thread in range(4):
+            sums = []
+            for position in range(thread, PLAN_CACHE_SIZE + 16, 4):
+                operand = _unit(np.unravel_index(position, (4, 4, 4)), position + 1, -thread)
+                products = [(operand, PAIR_B, ([2], [1])), (PAIR_A, operand, ([0], [2]))]
+                sums.append((products, [(1, 0, None), (-1, 1, (3, 1, 0, 2))]))
+            for _ in range(4):
+                scaled = _revalued(dense, rng, 1, 20)
+                sums.append(([(scaled, dense, ([2], [1]))], [(1, 0, None)]))
+            jobs.append(sums)
+        serial = [[contraction_sum(*job) for job in sums] for sums in jobs]
+        mismatches, errors = [], []
+
+        def run(sums, expected):
+            try:
+                for _ in range(20):
+                    for job, result in zip(sums, expected):
+                        if contraction_sum(*job) != result:
+                            mismatches.append(job)
+            except Exception:  # the thread's failure, asserted on below
+                errors.append(traceback.format_exc())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(sums, expected))
+                for sums, expected in zip(jobs, serial)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and mismatches == []
+        assert _plan.cache_info().currsize <= PLAN_CACHE_SIZE
+
