@@ -30,7 +30,9 @@ build or test leftovers. The output has four parts:
   ``curvature_amari``, which runs the sparse one), 100 pull-backs of one
   tangent at one fresh point (``pullback``) and one ``alpha_connection_form``
   at another, after an untimed one has built the float Levi-Civita table
-  (``alpha_form``), the recheck script's ``recheck`` of verify's
+  (``alpha_form``), one ``mc_oracle_metric_and_cubic`` at 2^18 samples at a
+  third point, run last, with the resident MB it adds (``mc``,
+  ``mc_rss_growth_mb``), the recheck script's ``recheck`` of verify's
   certificate with its stdout discarded (``recheck``, and whether it passed,
   ``recheck_passed``), the certificate's rank,
   the resident MB after ``gc.collect()`` just before ``verify`` starts and
@@ -145,6 +147,13 @@ tangents = [tangent() for _ in range(3)]
 alpha_connection_form(ManifoldPoint.standard(n), 0.5, *tangents)
 point = fresh_point()
 timed("alpha_form", lambda: alpha_connection_form(point, 0.5, *tangents))
+# one Monte-Carlo metric and cubic, last, so that its threads' arenas and
+# buffers move no earlier stage's heap; its resident growth is read around it
+from gaussgeom.manifold import mc_oracle_metric_and_cubic
+point = fresh_point()
+rss_before_mc_mb = resident_mb()
+timed("mc", lambda: mc_oracle_metric_and_cubic(point, *tangents, 1 << 18, n))
+stages["mc_rss_growth_mb"] = resident_mb() - rss_before_mc_mb
 print(json.dumps({
     "module": gaussgeom.__file__,
     **counts,

@@ -551,6 +551,13 @@ def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.
     )
 
 
+def _operands(products) -> dict[int, ExactArray]:
+    """Each distinct operand of ``products`` by its ``id``, so that one that
+    fills several slots, as Gamma fills 3 of a curvature's 4, is read once;
+    ``products`` holds them for as long as the ids are used."""
+    return {id(array): array for left, right, _ in products for array in (left, right)}
+
+
 def _prepared(products, terms) -> tuple[int, bool, list[int]]:
     """The common denominator of ``products``, whether float64 computes the
     signed sum of ``terms`` exactly, and the factor that puts each product
@@ -562,11 +569,12 @@ def _prepared(products, terms) -> tuple[int, bool, list[int]]:
     # its factor; while the terms' bounds add up to less than 2^53, float64
     # computes every product, partial sum and signed sum exactly, in whatever
     # order BLAS adds them (max(peak, 1): the factor must be exact as well)
+    peaks = {key: max(_peak(array.parts), 1) for key, array in _operands(products).items()}
     bounds = [
         3
         * math.prod(left.shape[axis] for axis in axes[0])
-        * max(_peak(left.parts), 1)
-        * max(_peak(right.parts), 1)
+        * peaks[id(left)]
+        * peaks[id(right)]
         * factor
         for (left, right, axes), factor in zip(products, factors)
     ]
@@ -699,9 +707,10 @@ def _plan_key(products, terms) -> tuple:
     product the operands' shapes, the contracted axes and both operands'
     packed nonzero masks, then the terms.  Tuples compare whole, bytes
     included, so two patterns never share a key."""
+    bits = {key: _bits(array) for key, array in _operands(products).items()}
     return (
         tuple(
-            (left.shape, right.shape, tuple(axes[0]), tuple(axes[1]), _bits(left), _bits(right))
+            (left.shape, right.shape, tuple(axes[0]), tuple(axes[1]), bits[id(left)], bits[id(right)])
             for left, right, axes in products
         ),
         tuple((sign, index, perm if perm is None else tuple(perm)) for sign, index, perm in terms),

@@ -5,7 +5,12 @@ Closed forms for the canonical metric and cubic form at an arbitrary point
 quantities from their defining expectations over the distribution itself.
 The oracle runs its shards on a thread pool of one thread per available CPU
 and draws and scores each shard in cache-sized blocks of rows; the estimate
-does not depend on the number of threads.
+does not depend on the number of threads.  The calling thread allocates
+every array a shard writes, one set per worker, before the pool starts, so
+the workers allocate nothing per block (a thread that did would keep its own
+malloc arena resident).  The pool assumes BLAS runs at one thread: with
+OpenBLAS's own threads the block products at n = 16 contend with the shards
+and the pool gains nothing.
 Floating point lives here; all exact arithmetic stays in the algebra layer.
 """
 
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import math
 import os
+import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,7 +40,10 @@ SYMMETRY_TOL = 1e-12
 SHARD_SIZE = 1 << 16
 #: values per block: a shard is drawn and scored in blocks of the largest
 #: power-of-two number of rows whose rows * n is at most this (2048 rows at
-#: n = 16), so that the temporaries stay in cache. A generator's stream does
+#: n = 16), so that a worker's block buffers stay in cache: two (rows, n)
+#: blocks of at most 256 KiB each and three vectors of rows entries; with one
+#: 512 KiB product row per tangent past the first, a worker holds 1.55 MiB for
+#: a cubic estimate at n = 16. A generator's stream does
 #: not depend on how the shard is split, and a row's score depends only on the
 #: row wherever BLAS computes a product row the same way at any row count; a
 #: BLAS that picks its kernel by matrix size can change the last bits for some
@@ -228,28 +237,65 @@ def _mc_expectations(point, tangents, samples: int, seed: int) -> list[MCEstimat
     chol_t = point.chol.T
     inv = point.sigma_inv
     consts = [-0.5 * float(np.trace(inv @ t.x)) for t in tangents]
-    block = max(1, BLOCK_VALUES >> (n - 1).bit_length())
+    counts = _shard_counts(samples)
+    rows = min(max(1, BLOCK_VALUES >> (n - 1).bit_length()), counts[0])
+    workers = min(len(counts), _available_cpus())
+    # every array a shard writes, one set per worker, allocated here so that
+    # the pool's threads allocate nothing per block: the draws, whitened in
+    # place, the scored product, the quadratic and linear terms, the running
+    # product, and the shard's product rows
+    free = queue.SimpleQueue()
+    for _ in range(workers):
+        free.put((
+            np.empty((rows, n)),
+            np.empty((rows, n)),
+            np.empty(rows),
+            np.empty(rows),
+            np.empty(rows),
+            np.empty((len(tangents) - 1, counts[0])),
+        ))
     # numpy's floating-point error handling is set per thread: the shards
     # follow the caller's
     errstate = {**np.geterr(), "call": np.geterrcall()}
 
     def shard_sums(shard: int, count: int) -> list[tuple[float, float]]:
-        rng = np.random.default_rng([seed, shard])
-        products = np.empty((len(tangents) - 1, count))
-        with np.errstate(**errstate):
-            for start in range(0, count, block):
-                stop = min(start + block, count)
-                w = (rng.standard_normal((stop - start, n)) @ chol_t) @ inv
-                product = np.ones(stop - start)
-                for k, (t, const) in enumerate(zip(tangents, consts)):
-                    quad = 0.5 * ((w @ t.x) * w).sum(1)
-                    product = product * (const + quad + w @ t.v)
-                    if k:
-                        products[k - 1, start:stop] = product
-            return [(float(p.sum()), float((p * p).sum())) for p in products]
+        buffers = free.get()
+        try:
+            draws, scored, quads, linears, running, products = buffers
+            rng = np.random.default_rng([seed, shard])
+            with np.errstate(**errstate):
+                for start in range(0, count, rows):
+                    size = min(rows, count - start)
+                    w, wx = draws[:size], scored[:size]
+                    quad, lin, product = quads[:size], linears[:size], running[:size]
+                    # w = (z @ chol_t) @ inv, then per tangent
+                    # product *= const + 0.5 * ((w @ x) * w).sum(1) + w @ v,
+                    # each operation the same as on fresh arrays, in order
+                    rng.standard_normal(out=w)
+                    np.matmul(w, chol_t, out=wx)
+                    np.matmul(wx, inv, out=w)
+                    product.fill(1.0)
+                    for k, (t, const) in enumerate(zip(tangents, consts)):
+                        np.matmul(w, t.x, out=wx)
+                        np.multiply(wx, w, out=wx)
+                        np.sum(wx, axis=1, out=quad)
+                        quad *= 0.5
+                        quad += const
+                        quad += np.matmul(w, t.v, out=lin)
+                        product *= quad
+                        if k:
+                            products[k - 1, start : start + size] = product
+                sums = []
+                for row in products[:, :count]:
+                    total = float(row.sum())
+                    # squared in place: no temporary of the row's size
+                    np.multiply(row, row, out=row)
+                    sums.append((total, float(row.sum())))
+                return sums
+        finally:
+            free.put(buffers)
 
-    counts = _shard_counts(samples)
-    with ThreadPoolExecutor(min(len(counts), _available_cpus())) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         per_shard = list(pool.map(shard_sums, range(len(counts)), counts))
     estimates = []
     for sums in zip(*per_shard):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from conftest import random_spd, random_symmetric, rel_close
 from gaussgeom.algebra import BasisIndex, lie_algebra
 from gaussgeom.group import pull_back_to_identity
 from gaussgeom.manifold import (
+    BLOCK_VALUES,
+    SHARD_SIZE,
     ManifoldPoint,
     TangentVector,
     alpha_connection_form,
@@ -289,9 +292,10 @@ class TestMonteCarloPins:
         assert (hex_pair(metric), hex_pair(cubic)) == MC_PINS[n, samples]
         assert mc_oracle_metric_and_cubic(p, s, t, w, samples, 11) == (metric, cubic)
 
-    @pytest.mark.parametrize("cpus", [1, 5])
+    @pytest.mark.parametrize("cpus", [1, 2, 5])
     def test_cpu_count_does_not_change_the_estimates(self, monkeypatch, cpus):
-        # five shards: one thread, or one thread per shard
+        # five shards: one thread, two threads whose buffers serve a full
+        # shard and then the 5-sample one, or one thread per shard
         p, s, t, w = pin_inputs(3)
         samples = (1 << 18) + 5
         default = mc_oracle_metric_and_cubic(p, s, t, w, samples, 11)
@@ -304,6 +308,44 @@ class TestMonteCarloPins:
         t = TangentVector([[0.0]], [1.0])
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             mc_oracle_metric(p, t, t, 10, seed=1)
+
+    def test_a_shard_that_raises_hands_its_buffers_back(self, monkeypatch):
+        # one worker and two shards: the second shard takes the buffers that
+        # the first held when it raised, and would wait for them forever
+        monkeypatch.setattr("gaussgeom.manifold._available_cpus", lambda: 1)
+        p = ManifoldPoint([[1e-300]], [0.0])
+        t = TangentVector([[0.0]], [1.0])
+        raised = []
+
+        def overflowing_call():
+            with np.errstate(over="raise"):
+                try:
+                    mc_oracle_metric(p, t, t, 70_000, seed=1)
+                except FloatingPointError:
+                    raised.append(True)
+
+        thread = threading.Thread(target=overflowing_call, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert raised
+        p, s, t, _ = pin_inputs(2)
+        assert hex_pair(mc_oracle_metric(p, s, t, 70_000, 11)) == MC_PINS[2, 70_000][0]
+
+    def test_shards_allocate_nothing_past_the_callers_buffers(self, monkeypatch):
+        # two workers at n = 16, each with its set: two (rows, n) blocks,
+        # three (rows,) vectors and the (2, SHARD_SIZE) product rows
+        monkeypatch.setattr("gaussgeom.manifold._available_cpus", lambda: 2)
+        p, s, t, w = pin_inputs(16)
+        rows = BLOCK_VALUES // 16
+        buffers = 2 * 8 * (2 * rows * 16 + 3 * rows + 2 * SHARD_SIZE)
+        tracemalloc.start()
+        try:
+            mc_oracle_metric_and_cubic(p, s, t, w, (1 << 18) + 5, 11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= buffers + (128 << 10)
 
     def test_no_thread_outlives_a_call(self):
         p, s, t, w = pin_inputs(2)

@@ -437,6 +437,15 @@ class TestBenchStageProbe:
         assert 0 < record["verify_rss_before_mb"] <= record["peak_rss_mb"]
         assert 0 < record["verify_rss_after_mb"] <= record["peak_rss_mb"]
 
+    def test_stage_probe_records_one_monte_carlo_round(self, bench):
+        record = bench.stages(bench.ROOT, 2)
+        assert record["mc_s"] > 0
+        assert isinstance(record["mc_minor_faults"], int)
+        assert record["mc_minor_faults"] >= 0
+        # read from /proc/self/statm around the call: pages freed by the
+        # call's own frees can leave it a little below zero
+        assert isinstance(record["mc_rss_growth_mb"], float)
+
 
 class TestBenchSummary:
     """``scripts/bench.py``'s summary of parent/change pairs, on made-up runs."""
