@@ -27,7 +27,9 @@ build or test leftovers. The output has four parts:
   ``predicates_amari``: every predicate fails, every predicate holds), one
   ``curvature`` on each of the two connections LC + K, after one untimed
   call (``curvature_random``, which runs the dense pass, and
-  ``curvature_amari``, which runs the sparse one), 100 pull-backs of one
+  ``curvature_amari``, which runs the sparse one), the comparison
+  ``curvature(g) == curvature(conjugate(g))`` on LC + K_Amari, after one
+  untimed call (``curvature_pair_amari``), 100 pull-backs of one
   tangent at one fresh point (``pullback``) and one ``alpha_connection_form``
   at another, after an untimed one has built the float Levi-Civita table
   (``alpha_form``), one ``mc_oracle_metric_and_cubic`` at 2^18 samples at a
@@ -74,7 +76,9 @@ import gc, json, os, random, resource, sys, time
 from fractions import Fraction
 import gaussgeom
 from gaussgeom.algebra import lie_algebra
-from gaussgeom.connections import amari_difference, curvature, from_difference, predicate_suite
+from gaussgeom.connections import (
+    amari_difference, conjugate, curvature, from_difference, predicate_suite,
+)
 from gaussgeom.exact import QSqrt2
 from gaussgeom.solver import assemble, solve, verify_theorem
 from gaussgeom.tensors import SymTensor3, basis_dimension, symmetric_triples
@@ -127,6 +131,12 @@ timed("predicates_amari", lambda: predicate_suite(amari_difference(n)))
 for name, gamma in (("random", from_difference(k)), ("amari", from_difference(amari_difference(n)))):
     curvature(gamma)
     timed("curvature_" + name, lambda: curvature(gamma))
+# the identity R = R* that the family op checks, on LC + K_Amari: two sparse
+# curvatures and their comparison, after one untimed call
+gamma = from_difference(amari_difference(n))
+pair = lambda: curvature(gamma) == curvature(conjugate(gamma))
+pair()
+timed("curvature_pair_amari", pair)
 # the float pointwise layer: 100 pull-backs at one fresh point, then one alpha
 # form at another, after an untimed form at the identity has built the table.
 # Imported here, not at the top: importing them before ``verify`` leaves the

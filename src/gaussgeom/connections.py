@@ -17,7 +17,10 @@ products.  The index work of a sparse sum (which pairs meet, where each
 lands) depends on the operands' nonzero pattern alone, and LC + alpha K
 has one pattern for every alpha but 0 and +-1, so ``exact`` plans it once
 per pattern and every later call along the line runs only the numeric
-phase.  ``predicate_suite`` decides the four characterizations at one K as
+phase.  A sparse sum comes back as its nonzero entries alone: a curvature
+is compared, tested for zero, transposed and listed entry by entry without
+its d^4 parts being built, so the identity R = R* on the family compares
+two lists of a few thousand entries.  ``predicate_suite`` decides the four characterizations at one K as
 four ``exact.contraction_vanishes`` tests of those formulas (R - R*,
 written in the two products of R alone, and each derivative minus its
 transpose in the first pair), with no d^4 result array;
@@ -256,7 +259,9 @@ def alpha_family_verdicts(
     if conjugate(hat) != hat:
         raise ArithmeticError("Levi-Civita table is not metric: conjugate(LC) != LC")
 
-    # each d^4 array is dropped as soon as its verdicts are read
+    # sparse-pass curvatures (the alpha family's) hold their nonzero entries
+    # alone, and these verdicts read no more; a dense one is dropped as soon
+    # as its verdicts are read
     plus = curvature(from_difference(k.scale(flat_scale)))
     minus = curvature(from_difference(k.scale(-flat_scale)))
     flat_plus, flat_minus, r1_zero = plus.is_zero(), minus.is_zero(), plus == minus

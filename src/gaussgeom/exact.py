@@ -18,16 +18,21 @@ built once per nonzero pattern of the operands and kept in a fixed-size
 cache, joins their nonzero entries on the contracted coordinates and fixes
 the order in which the pairs are summed; the numeric pass of each call
 gathers the entries by that plan and sums them, in int64 while every
-partial sum stays below 2^53 and in Python ints past it.  The alpha family
-takes it; LC + alpha K has one nonzero pattern for every alpha but 0 and
-+-1 (checked for n <= 6), so those alphas share their plans.  Otherwise
+partial sum stays below 2^53 and in Python ints past it.  Its result keeps
+those sums as they are, an ``ExactArray`` held as its nonzero entries
+alone, whose dense ``parts`` are built only when something reads them:
+a comparison, a zero test, a transpose or a walk over the nonzero entries
+never builds them.  The alpha family takes it; LC + alpha K has one nonzero
+pattern for every alpha but 0 and +-1 (checked for n <= 6), so those
+alphas share their plans.  Otherwise
 each Q(sqrt(2)) contraction is one real product on ``parts``, run in
 float64 BLAS below the same 2^53 bound, where float64 is exact, a product
 at a time over two float64 buffers that each thread reuses from call to
 call; a dense random K takes it, and leaves no plan in the cache.
 ``contraction_vanishes`` routes such a sum first: the sparse pass decides
 alone, and ahead of the dense pass the slice at index 0 of the last axis
-is tried, the dense pass running only when that slice is zero.
+is tried, in the same two buffers, the dense pass running only when that
+slice is zero.
 """
 
 from __future__ import annotations
@@ -464,11 +469,73 @@ class ExactArray:
         return (a + b * _SQRT2_FLOAT) / self.den
 
 
+class _SparseArray(ExactArray):
+    """An ``ExactArray`` held as its nonzero entries alone, as the sparse pass
+    of ``contraction_sum`` returns it: ``at``, their flat indices in C order,
+    ascending, and ``values``, their parts, of shape (2, len(at)), over
+    ``den``.  No entry is zero and no factor divides ``den`` and every value,
+    and an empty one is over 1, so two of them are equal exactly when their
+    shapes, dens, ``at`` and ``values`` are.
+
+    ``parts`` is built on its first read, by the zero-and-scatter of the
+    values, and kept, so every other method reads it as on a dense array;
+    ``is_zero``, ``nonzero_items``, ``transpose`` and ``==`` against another
+    one read the entries alone.
+    """
+
+    def __init__(self, at: np.ndarray, values: np.ndarray, den: int, shape: tuple[int, ...]):
+        for name, value in (("at", at), ("values", values), ("den", den), ("_shape", shape)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._shape
+
+    @functools.cached_property
+    def parts(self) -> np.ndarray:
+        parts = np.zeros((2, math.prod(self._shape)), self.values.dtype)
+        parts[:, self.at] = self.values
+        return parts.reshape((2, *self._shape))
+
+    def nonzero_items(self) -> list[tuple[tuple[int, ...], QSqrt2]]:
+        coords = zip(*(axis.tolist() for axis in np.unravel_index(self.at, self._shape)))
+        return [
+            (idx, QSqrt2(Fraction(a, self.den), Fraction(b, self.den)))
+            for idx, a, b in zip(coords, *self.values.tolist())
+        ]
+
+    def transpose(self, axes: tuple[int, ...]) -> ExactArray:
+        axes = [axis % len(self._shape) for axis in axes]
+        coords = np.unravel_index(self.at, self._shape)
+        shape = tuple(self._shape[axis] for axis in axes)
+        at = np.ravel_multi_index([coords[axis] for axis in axes], shape)
+        order = np.argsort(at)
+        return _SparseArray(at[order], self.values[:, order], self.den, shape)
+
+    def is_zero(self) -> bool:
+        return self.at.size == 0
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _SparseArray):
+            return super().__eq__(other)
+        return (
+            self._shape == other._shape
+            and self.den == other.den
+            and np.array_equal(self.at, other.at)
+            and np.array_equal(self.values, other.values)
+        )
+
+
 #: float64 buffers of this thread's latest contraction in float64
 _WORKSPACE = threading.local()
 #: bytes past which ``_workspace`` holds nothing: 20 MiB, enough for the
 #: two buffers of every d^4 formula up to n = 6 (d = 27, 16.2 MiB), not n = 7's
 WORKSPACE_CAP = 20 * 2**20
+
+
+def _holds(count: int, size: int) -> bool:
+    """Whether ``_workspace`` holds ``count`` buffers of ``size`` entries."""
+    return count * size * 8 <= WORKSPACE_CAP
 
 
 def _workspace(count: int, size: int) -> list[np.ndarray]:
@@ -479,13 +546,15 @@ def _workspace(count: int, size: int) -> list[np.ndarray]:
     fresh one costs more than its arithmetic: glibc hands large freed blocks
     back to the OS, so every new one page-faults all of its pages in again.
     A signed sum takes two, the product being added and the total, whatever
-    the number of products: 4.9 MiB at n = 5.  Past ``WORKSPACE_CAP`` bytes
+    the number of products: 4.9 MiB at n = 5.  ``_probe`` writes its slice
+    and its sum into the heads of the same two, ahead of the dense pass that
+    overwrites them.  Past ``WORKSPACE_CAP`` bytes
     the held buffers are dropped and fresh ones returned, so that a large n
     does not stay resident after its call: at n = 8 the two are 114 MiB, and
     faulting them in afresh costs ``verify_theorem(8)`` at most about a
     tenth of its time.
     """
-    if count * size * 8 > WORKSPACE_CAP:
+    if not _holds(count, size):
         _WORKSPACE.buffers = []
         return [np.empty(size) for _ in range(count)]
     held = getattr(_WORKSPACE, "buffers", [])
@@ -828,7 +897,7 @@ def _signed_sum(products, terms, factors, exact_in_float: bool) -> np.ndarray:
     thread's workspace, else fresh object arrays."""
     dtype = np.float64 if exact_in_float else object
     operands = [_matrices(*product, factor, dtype) for product, factor in zip(products, factors)]
-    size = math.prod(operands[0][0].shape[:-1]) * math.prod(operands[0][1].shape[1:])
+    size = 2 * math.prod(_sum_shape(products, terms))
     if exact_in_float:
         buffer, total = _workspace(2, size)
     else:
@@ -857,6 +926,11 @@ def _term_shape(shapes, terms) -> tuple[int, ...]:
     return tuple(shape if perm is None else (shape[axis] for axis in perm))
 
 
+def _sum_shape(products, terms) -> tuple[int, ...]:
+    """The shape of the signed sum of ``terms`` over ``products``."""
+    return _term_shape([(left.shape, right.shape, axes) for left, right, axes in products], terms)
+
+
 def contraction_sum(products, terms) -> ExactArray:
     """The reduced sum over ``terms`` of ``sign *
     left.tensordot(right, axes).transpose(perm)``, ``products`` listing
@@ -869,11 +943,14 @@ def contraction_sum(products, terms) -> ExactArray:
     the values of every call.  The route is read from the operands' nonzero
     pattern: when every product has at most one slice's worth of
     contributing entry pairs (a slice being the sum at one index of its
-    last axis), the sparse pass sums those pairs alone into a zero array.
+    last axis), the sparse pass sums those pairs alone.
     Its symbolic phase, the plan of ``_plan`` (which pairs meet, where each
     lands, in what order they are summed), is built once per pattern and
     cached; its numeric phase, ``_sparse_sum``, gathers and sums the values
-    by that plan, in int64 below the bound and in Python ints past it.
+    by that plan, in int64 below the bound and in Python ints past it.  The
+    sums that are nonzero, divided by their gcd, are the result as they
+    stand, a ``_SparseArray``: no zero array is made and nothing is
+    scattered until its ``parts`` are read.
     Otherwise, below the bound, each distinct product in turn is one BLAS
     matrix product into this thread's product buffer, its signed transposed
     views are added into the workspace's total, and that total is cast once
@@ -887,12 +964,13 @@ def contraction_sum(products, terms) -> ExactArray:
         # the one cast to integers, into a fresh array that the caller owns
         parts = total.astype(np.int64) if exact_in_float else total
         return ExactArray(*_int_gcd_reduce(parts, den, out=parts))
-    total = _sparse_sum(plan, products, factors, exact_in_float)
+    total, at = _sparse_sum(plan, products, factors, exact_in_float), plan.at
+    nonzero = (total != 0).any(axis=0)
+    if not nonzero.all():
+        total, at = total[:, nonzero], at[nonzero]
     # the gcd of the entries that some pair reaches is the gcd of them all
     total, den = _int_gcd_reduce(total, den, out=total)
-    parts = np.zeros((2, math.prod(plan.shape)), total.dtype)
-    parts[:, plan.at] = total
-    return ExactArray(parts.reshape((2, *plan.shape)), den)
+    return _SparseArray(at, total, den, plan.shape)
 
 
 def contraction_vanishes(products, terms) -> bool:
@@ -903,7 +981,8 @@ def contraction_vanishes(products, terms) -> bool:
     The sum is routed first, as ``contraction_sum`` routes it, and a sum
     that takes the sparse pass is decided by the numeric phase of its
     cached plan alone.  Ahead of the
-    dense pass, ``_probe`` computes the sum at index 0 of its last axis;
+    dense pass, ``_probe`` computes the sum at index 0 of its last axis,
+    in the heads of the two workspace buffers that the dense pass takes;
     every entry of the probe is an entry of the sum, so one nonzero decides
     False, and a sum that does not vanish usually has one there.  Otherwise
     the dense pass runs and is tested for any nonzero entry.
@@ -921,35 +1000,52 @@ def _probe(products, terms, factors, exact_in_float: bool) -> np.ndarray:
     """The signed sum of ``terms`` at index 0 of its last axis: each term
     reads its product at index 0 of the axis that its perm sends last, the
     product of ``_matrices`` built from the operand that holds that axis cut
-    to its index 0, into a small fresh array."""
+    to its index 0.  Each such slice in turn is written into one buffer and
+    added to the sum by its terms, in float64 into the heads of the two
+    buffers of this thread's workspace that the dense pass overwrites next
+    (when the workspace holds that pass's buffers), else into two small
+    fresh arrays."""
     dtype = np.float64 if exact_in_float else object
+    shape = _sum_shape(products, terms)
+    size, full = 2 * math.prod(shape[:-1]), 2 * math.prod(shape)
+    if exact_in_float and _holds(2, full):
+        buffer, total = (held[:size] for held in _workspace(2, full))
+    else:
+        buffer, total = (np.empty(size, dtype=dtype) for _ in range(2))
+    # the terms of each slice, by (product, axis of the product that is cut)
     slices = {}
-    probe = 0
     for sign, index, perm in terms:
         left, right, axes = products[index]
+        free = len(_split(left.shape, axes[0])[1]) + len(_split(right.shape, axes[1])[1])
+        perm = tuple(range(free)) if perm is None else perm
+        slices.setdefault((index, perm[-1]), []).append((sign, perm))
+    first = True
+    for (index, axis), mine in slices.items():
+        left, right, axes = products[index]
         left_free, right_free = _split(left.shape, axes[0])[1], _split(right.shape, axes[1])[1]
-        perm = tuple(range(len(left_free) + len(right_free))) if perm is None else perm
-        axis = perm[-1]
-        if (index, axis) not in slices:
-            # the cut operand goes first, into the matrix of 2x2 blocks, which
-            # is twice the size of the other; a right one moves its axes back
-            if axis < len(left_free):
-                left = ExactArray(left.parts.take([0], axis=left_free[axis] + 1), left.den)
-                product = _product(*_matrices(left, right, axes, factors[index], dtype))
-            else:
-                right = ExactArray(
-                    right.parts.take([0], axis=right_free[axis - len(left_free)] + 1), right.den
-                )
-                product = _product(*_matrices(right, left, axes[::-1], factors[index], dtype))
-                moved = len(right_free)
-                product = product.transpose(
-                    (0, *range(moved + 1, moved + len(left_free) + 1), *range(1, moved + 1))
-                )
-            slices[index, axis] = product
-        # the product holds index 0 alone on the axis that the perm sends last
-        view = slices[index, axis].transpose((0, *(other + 1 for other in perm)))[..., 0]
-        probe = probe + view if sign == 1 else probe - view
-    return probe
+        # the cut operand goes first, into the matrix of 2x2 blocks, which is
+        # twice the size of the other; a right one moves its axes back
+        if axis < len(left_free):
+            left = ExactArray(left.parts.take([0], axis=left_free[axis] + 1), left.den)
+            product = _product(*_matrices(left, right, axes, factors[index], dtype), out=buffer)
+        else:
+            right = ExactArray(
+                right.parts.take([0], axis=right_free[axis - len(left_free)] + 1), right.den
+            )
+            product = _product(
+                *_matrices(right, left, axes[::-1], factors[index], dtype), out=buffer
+            )
+            moved = len(right_free)
+            product = product.transpose(
+                (0, *range(moved + 1, moved + len(left_free) + 1), *range(1, moved + 1))
+            )
+        for sign, perm in mine:
+            # the product holds index 0 alone on the axis that the perm sends last
+            view = product.transpose((0, *(other + 1 for other in perm)))[..., 0]
+            total = total.reshape(view.shape)
+            {1: np.add, -1: np.subtract}[sign](0 if first else total, view, out=total)
+            first = False
+    return total
 
 
 def csr_matvec(

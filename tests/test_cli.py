@@ -179,6 +179,26 @@ class TestConnection:
         payload = json.loads(result.output)
         assert payload["zero"] is False and payload["entries"]
 
+    @pytest.mark.parametrize("alpha", ["0", "1/3", "1e30"])
+    def test_curvature_entries_never_build_the_dense_parts(self, runner, monkeypatch, alpha):
+        # the sparse pass's curvature is written from its nonzero entries,
+        # so the d^4 parts (60 MB at n = 8) are never built
+        import gaussgeom.cli as cli_module
+        from gaussgeom.connections import curvature
+
+        tables = []
+
+        def kept(gamma):
+            tables.append(curvature(gamma))
+            return tables[-1]
+
+        monkeypatch.setattr(cli_module, "curvature", kept)
+        result = invoke(runner, "connection", "--n", "3", "--alpha", alpha, "--what", "curvature")
+        payload = json.loads(result.output)
+        [table] = tables
+        assert "parts" not in vars(table)
+        assert len(payload["entries"]) == len(table.nonzero_items()) > 0
+
     def test_predicates_true_for_family(self, runner):
         result = invoke(
             runner, "connection", "--n", "2", "--alpha", "1/3", "--what", "predicates"

@@ -594,6 +594,29 @@ class TestWorkspace:
         assert predicate_suite(amari_difference(3)).all_true()
         assert exact._WORKSPACE.buffers == []
 
+    @pytest.mark.parametrize(
+        ("scale", "cap", "held"), [(1, None, True), (1, 0, False), (2**70, None, False)]
+    )
+    def test_the_probe_writes_into_the_held_buffers(self, monkeypatch, scale, cap, held):
+        # the probe's slice and sum go into the heads of the two buffers that
+        # the dense pass takes next, unless they are past the cap or the sum
+        # runs on Python ints
+        k = random_sym_tensor(random.Random(7), 3).scale(scale)
+        products, terms = connections._conjugate_gap(from_difference(k))
+        _, exact_in_float, factors = exact._prepared(products, terms)
+        if cap is not None:
+            monkeypatch.setattr(exact, "WORKSPACE_CAP", cap)
+        exact._WORKSPACE.buffers = []
+        probe = exact._probe(products, terms, factors, exact_in_float)
+        buffers = exact._WORKSPACE.buffers
+        assert probe.any()
+        assert [buffer.size for buffer in buffers] == ([2 * 9**4] * 2 if held else [])
+        assert any(np.shares_memory(probe, buffer) for buffer in buffers) == held
+        # every entry of the probe is the sum's at index 0 of its last axis
+        probe = probe.copy()
+        total = exact._signed_sum(products, terms, factors, exact_in_float)
+        assert np.array_equal(probe, total[..., 0])
+
     def test_warm_curvature_allocates_little_beyond_its_result(self):
         gamma = alpha_connection(4, Fraction(1, 3))
         result = curvature(gamma)  # warms the tables and the workspace
@@ -615,6 +638,45 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 2 * result.parts.nbytes
+
+
+def _warm_peak_mb(call) -> float:
+    """tracemalloc's peak MiB over one ``call``, after one untraced call has
+    built the tables, plans and workspace that it reuses."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """A sparse-pass result holds its nonzero entries alone, not its d^4
+    parts, and the dense probe writes into the held workspace: the peaks of
+    the alpha family's and a dense K's checks stay far below one d^4 array
+    (8.1 MiB of int64 parts at n = 6)."""
+
+    def test_a_family_curvature_at_n6(self):
+        gamma = alpha_connection(6, Fraction(3, 2))
+        assert _warm_peak_mb(lambda: curvature(gamma)) < 2
+
+    def test_the_family_curvature_identity_at_n6(self):
+        gamma = alpha_connection(6, Fraction(3, 2))
+        same = []
+
+        def identity():
+            same.append(curvature(gamma) == curvature(conjugate(gamma)))
+
+        assert _warm_peak_mb(identity) < 2
+        assert same == [True, True]
+
+    def test_a_dense_random_suite_at_n5(self):
+        k = random_sym_tensor(random.Random(5), 5)
+        verdicts = []
+        assert _warm_peak_mb(lambda: verdicts.append(predicate_suite(k).as_tuple())) < 0.9
+        assert verdicts[0] == verdicts[1] and len(set(verdicts[0])) == 1
 
 
 class TestRoute:

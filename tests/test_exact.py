@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import as_objects, qsqrt2s
+from conftest import as_objects, fractions, qsqrt2s
+from gaussgeom import connections
 from gaussgeom.exact import (
     HALF_SQRT2,
     ONE,
@@ -29,6 +31,9 @@ from gaussgeom.exact import (
     _pairs,
     _plan,
     _prepared,
+    _route,
+    _sparse_sum,
+    _SparseArray,
     _workspace,
     contraction_sum,
     contraction_vanishes,
@@ -1023,3 +1028,149 @@ class TestPlanCache:
         assert errors == [] and mismatches == []
         assert _plan.cache_info().currsize <= PLAN_CACHE_SIZE
 
+
+
+def _family_formula(n: int, alpha: Fraction, big: int, name: str):
+    """One alpha-family formula at LC + alpha * big * K_Amari: ``big`` 1 keeps
+    every value in int64, 2^70 and 2^40 + 1 take the sums past 2^53."""
+    k = connections.amari_difference(n).scale(alpha * big)
+    gamma = connections.from_difference(k)
+    if name == "curvature":
+        return connections._curvature_formula(gamma)
+    if name == "gap":
+        # R - R* over the products of R alone: zero on the whole family
+        return connections._conjugate_gap(gamma)
+    if name == "difference":
+        return connections._difference_formula(k)
+    return connections._cubic_formula(gamma, k.to_exact_array().scale(-2))
+
+
+def _scattered(products, terms) -> ExactArray:
+    """The sparse pass's sum as a dense array, by the zero-and-scatter rule:
+    the reduced sums at the plan's flat indices, zeros among them, written
+    into a zero array of their dtype."""
+    den, exact_in_float, factors = _prepared(products, terms)
+    plan = _route(products, terms)
+    total = _sparse_sum(plan, products, factors, exact_in_float)
+    total, den = _int_gcd_reduce(total, den, out=total)
+    parts = np.zeros((2, math.prod(plan.shape)), total.dtype)
+    parts[:, plan.at] = total
+    return ExactArray(parts.reshape((2, *plan.shape)), den)
+
+
+FAMILY_FORMULAS = ("curvature", "gap", "difference", "cubic")
+
+
+class TestSparseResult:
+    """A sum that takes the sparse pass comes back as its nonzero entries
+    alone; its dense ``parts`` are built on their first read, and every
+    answer it gives from its entries alone is the dense array's."""
+
+    @given(
+        st.integers(1, 5),
+        fractions(max_num=9).filter(bool),
+        st.sampled_from([1, 2**70, 2**40 + 1]),
+        st.sampled_from(FAMILY_FORMULAS),
+    )
+    @example(5, Fraction(3, 2), 1, "curvature")
+    # alpha = 1 is flat: a curvature with no nonzero entry
+    @example(5, Fraction(1), 1, "curvature")
+    @example(5, Fraction(-1, 2), 2**70, "gap")
+    @example(4, Fraction(7, 3), 2**40 + 1, "cubic")
+    @example(5, Fraction(2), 2**40 + 1, "difference")
+    @example(1, Fraction(-9, 4), 2**70, "curvature")
+    def test_matches_the_scattered_array(self, n, alpha, big, name):
+        products, terms = _family_formula(n, alpha, big, name)
+        result = contraction_sum(products, terms)
+        dense = _scattered(products, terms)
+        assert isinstance(result, _SparseArray)
+        assert result.shape == dense.shape
+        # the canonical form: ascending flat indices, no zero entry, no factor
+        # shared by den and every value, an empty sum over 1
+        assert (np.diff(result.at) > 0).all()
+        assert (result.values != 0).any(axis=0).all()
+        assert math.gcd(result.den, *result.values.ravel().tolist()) == 1
+        assert result.is_zero() == (result.at.size == 0) == dense.is_zero()
+        if result.is_zero():
+            assert result.den == 1
+        assert result.nonzero_items() == dense.nonzero_items()
+        for perm in itertools.permutations(range(4)):
+            moved = result.transpose(perm)
+            assert isinstance(moved, _SparseArray)
+            assert (np.diff(moved.at) > 0).all()
+            expected = dense.parts.transpose((0, *(axis + 1 for axis in perm)))
+            assert np.array_equal(moved.parts, expected) and moved.den == dense.den
+            assert (result == moved) == (dense == dense.transpose(perm))
+        # none of the above built the d^4 parts
+        assert "parts" not in vars(result)
+        again = contraction_sum(products, terms)
+        assert result == again and not result != again
+        assert "parts" not in vars(result)
+        assert np.array_equal(result.parts, dense.parts)
+        assert result.parts.dtype == dense.parts.dtype
+        assert result.den == dense.den
+        assert result.parts is result.parts
+
+    @given(
+        st.integers(1, 5),
+        fractions(max_num=9).filter(bool),
+        st.sampled_from([1, 2**70, 2**40 + 1]),
+        st.sampled_from(FAMILY_FORMULAS),
+    )
+    @example(5, Fraction(3, 2), 1, "curvature")
+    @example(3, Fraction(-5, 4), 2**70, "cubic")
+    @example(2, Fraction(1), 1, "gap")
+    def test_equals_dense_arrays_in_either_order(self, n, alpha, big, name):
+        products, terms = _family_formula(n, alpha, big, name)
+        dense = _scattered(products, terms)
+        for other in (dense, ExactArray(dense.parts * 3, dense.den * 3)):
+            result = contraction_sum(products, terms)
+            assert result == other and other == result
+            assert not (result != other or other != result)
+        # one entry off, at an entry of the sum or at one outside its support
+        for position in (0, -1):
+            parts = (dense.parts * 2).reshape(2, -1)
+            parts[0, position] += 1
+            other = ExactArray(parts.reshape(dense.parts.shape), dense.den * 2)
+            result = contraction_sum(products, terms)
+            assert result != other and other != result
+        # the sum at another alpha
+        other = contraction_sum(*_family_formula(n, alpha + 1, big, name))
+        assert (contraction_sum(products, terms) == other) == (dense == _scattered(
+            *_family_formula(n, alpha + 1, big, name)
+        ))
+
+    def test_a_sum_that_cancels_is_empty_over_one(self):
+        for big in (1, 2**70):
+            result = contraction_sum(*_family_formula(4, Fraction(5, 3), big, "gap"))
+            assert isinstance(result, _SparseArray)
+            assert result.is_zero() and result.den == 1 and result.at.size == 0
+            assert result.nonzero_items() == []
+            assert result == ExactArray.zeros(result.shape)
+            assert result == contraction_sum(*_family_formula(4, Fraction(-1, 3), 1, "gap"))
+            assert not result.parts.any()
+
+    def test_threads_reading_parts_get_equal_arrays(self):
+        dense = _scattered(*_family_formula(5, Fraction(3, 2), 1, "curvature"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                result = contraction_sum(*_family_formula(5, Fraction(3, 2), 1, "curvature"))
+                barrier = threading.Barrier(2)
+                read = []
+
+                def run():
+                    barrier.wait()
+                    read.append(result.parts)
+
+                threads = [threading.Thread(target=run) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(read) == 2
+                assert all(np.array_equal(parts, dense.parts) for parts in read)
+        finally:
+            sys.setswitchinterval(interval)

@@ -422,6 +422,7 @@ class TestBenchStageProbe:
             "predicates_amari",
             "curvature_random",
             "curvature_amari",
+            "curvature_pair_amari",
             "pullback",
             "alpha_form",
             "recheck",
