@@ -61,7 +61,8 @@ could not be read (bad JSON, an empty list, ``n``, a kernel label or value,
 a repeated triple, or a missing rank/kernel_dim/unknowns field).
 
 Example:
-    python3 scripts/recheck_certificate.py certificates/certificate_n3.json
+    gaussgeom verify --max-n 3 --emit-certificate certificates.json
+    python3 scripts/recheck_certificate.py certificates.json
 """
 
 from __future__ import annotations

@@ -24,15 +24,17 @@ alone, whose dense ``parts`` are built only when something reads them:
 a comparison, a zero test, a transpose or a walk over the nonzero entries
 never builds them.  The alpha family takes it; LC + alpha K has one nonzero
 pattern for every alpha but 0 and +-1 (checked for n <= 6), so those
-alphas share their plans.  Otherwise
-each Q(sqrt(2)) contraction is one real product on ``parts``, run in
-float64 BLAS below the same 2^53 bound, where float64 is exact, a product
-at a time over two float64 buffers that each thread reuses from call to
+alphas share their plans.  Otherwise the dense pass, ``_signed_sum``,
+the one loop that adds signed product views into a total, makes each
+Q(sqrt(2)) contraction one real product on ``parts``, run in float64 BLAS
+below the same 2^53 bound, where float64 is exact, a product at a time
+over the heads of two float64 buffers that each thread reuses from call to
 call; a dense random K takes it, and leaves no plan in the cache.
 ``contraction_vanishes`` routes such a sum first: the sparse pass decides
 alone, and ahead of the dense pass the slice at index 0 of the last axis
-is tried, in the same two buffers, the dense pass running only when that
-slice is zero.
+is tried, a smaller formula of operands cut to that index (``_probe``)
+that the same loop adds up in the same two buffers, the dense pass
+running only when that slice is zero.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class QSqrt2:
     @property
     def b(self) -> Fraction:
         return self._b
-
-    @classmethod
-    def sqrt2(cls) -> QSqrt2:
-        return cls(0, 1)
 
     def __repr__(self) -> str:
         return f"QSqrt2({self._a}, {self._b})"
@@ -533,35 +531,29 @@ _WORKSPACE = threading.local()
 WORKSPACE_CAP = 20 * 2**20
 
 
-def _holds(count: int, size: int) -> bool:
-    """Whether ``_workspace`` holds ``count`` buffers of ``size`` entries."""
-    return count * size * 8 <= WORKSPACE_CAP
-
-
 def _workspace(count: int, size: int) -> list[np.ndarray]:
-    """``count`` flat float64 buffers of ``size`` entries, held by this thread
-    for its later calls of the same size; a call of another size drops them.
+    """``count`` flat float64 buffers of at least ``size`` entries: the ones
+    this thread holds when they are that large, else new ones of ``size``
+    entries that it holds for its later calls.
 
     A d^4 product is written here rather than into a fresh array because a
     fresh one costs more than its arithmetic: glibc hands large freed blocks
     back to the OS, so every new one page-faults all of its pages in again.
-    A signed sum takes two, the product being added and the total, whatever
-    the number of products: 4.9 MiB at n = 5.  ``_probe`` writes its slice
-    and its sum into the heads of the same two, ahead of the dense pass that
-    overwrites them.  Past ``WORKSPACE_CAP`` bytes
-    the held buffers are dropped and fresh ones returned, so that a large n
-    does not stay resident after its call: at n = 8 the two are 114 MiB, and
-    faulting them in afresh costs ``verify_theorem(8)`` at most about a
-    tenth of its time.
+    A signed sum takes the heads of two, the product being added and the
+    total, whatever the number of products: 4.9 MiB at n = 5.  The cut
+    formula of ``_probe`` is summed the same way, so a warm probe writes
+    into the heads of the two buffers that the dense pass overwrites next.
+    Past ``WORKSPACE_CAP`` bytes the held buffers are dropped and fresh ones
+    returned, so that a large n does not stay resident after its call: at
+    n = 8 the two are 114 MiB, and faulting them in afresh costs
+    ``verify_theorem(8)`` at most about a tenth of its time.
     """
-    if not _holds(count, size):
+    if count * size * 8 > WORKSPACE_CAP:
         _WORKSPACE.buffers = []
         return [np.empty(size) for _ in range(count)]
     held = getattr(_WORKSPACE, "buffers", [])
-    if held and held[0].size != size:
-        held = []
-    held += [np.empty(size) for _ in range(count - len(held))]
-    _WORKSPACE.buffers = held
+    if len(held) < count or held[0].size < size:
+        held = _WORKSPACE.buffers = [np.empty(size) for _ in range(count)]
     return held[:count]
 
 
@@ -606,17 +598,6 @@ def _matrices(
     return (
         a.reshape((*a.shape[: len(left_free) + 1], inner)),
         b.reshape((inner, *b.shape[len(right_axes) + 1 :])),
-    )
-
-
-def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The product of ``_matrices``' a and b, of shape (2, *free shape),
-    written into the flat ``out`` when it is given."""
-    rows = math.prod(a.shape[:-1])
-    if out is not None:
-        out = out.reshape(rows, -1)
-    return np.matmul(a.reshape(rows, -1), b.reshape(len(b), -1), out=out).reshape(
-        (*a.shape[:-1], *b.shape[1:])
     )
 
 
@@ -892,22 +873,26 @@ def _sparse_sum(plan: _Plan, products, factors, exact_in_float: bool) -> np.ndar
 
 
 def _signed_sum(products, terms, factors, exact_in_float: bool) -> np.ndarray:
-    """The signed sum of ``terms``, one product at a time into one buffer,
-    each added to the total by its terms: in float64, two buffers of this
-    thread's workspace, else fresh object arrays."""
+    """The signed sum of ``terms``: each product that a term reads is one
+    matrix product of its ``_matrices`` into one buffer, whose signed
+    transposed views are added into the total; in float64, the heads of two
+    buffers of this thread's workspace, else fresh object arrays."""
     dtype = np.float64 if exact_in_float else object
-    operands = [_matrices(*product, factor, dtype) for product, factor in zip(products, factors)]
     size = 2 * math.prod(_sum_shape(products, terms))
     if exact_in_float:
-        buffer, total = _workspace(2, size)
+        buffer, total = (held[:size] for held in _workspace(2, size))
     else:
         buffer, total = (np.empty(size, dtype=object) for _ in range(2))
     first = True
-    for index, (a, b) in enumerate(operands):
+    for index, ((left, right, axes), factor) in enumerate(zip(products, factors)):
         mine = [(sign, perm) for sign, i, perm in terms if i == index]
         if not mine:
             continue
-        product = _product(a, b, out=buffer)
+        a, b = _matrices(left, right, axes, factor, dtype)
+        rows = math.prod(a.shape[:-1])
+        product = np.matmul(
+            a.reshape(rows, -1), b.reshape(len(b), -1), out=buffer.reshape(rows, -1)
+        ).reshape((*a.shape[:-1], *b.shape[1:]))
         for sign, perm in mine:
             view = product if perm is None else product.transpose((0, *(axis + 1 for axis in perm)))
             total = total.reshape(view.shape)
@@ -980,72 +965,55 @@ def contraction_vanishes(products, terms) -> bool:
 
     The sum is routed first, as ``contraction_sum`` routes it, and a sum
     that takes the sparse pass is decided by the numeric phase of its
-    cached plan alone.  Ahead of the
-    dense pass, ``_probe`` computes the sum at index 0 of its last axis,
-    in the heads of the two workspace buffers that the dense pass takes;
-    every entry of the probe is an entry of the sum, so one nonzero decides
-    False, and a sum that does not vanish usually has one there.  Otherwise
-    the dense pass runs and is tested for any nonzero entry.
+    cached plan alone.  Ahead of the dense pass, ``_signed_sum`` adds up the
+    cut formula of ``_probe``, the sum at index 0 of its last axis; every
+    entry of it is an entry of the sum, so one nonzero decides False, and a
+    sum that does not vanish usually has one there.  Otherwise the dense
+    pass runs and is tested for any nonzero entry.
     """
     _, exact_in_float, factors = _prepared(products, terms)
     plan = _route(products, terms)
     if plan is not None:
         return not _sparse_sum(plan, products, factors, exact_in_float).any()
-    if _probe(products, terms, factors, exact_in_float).any():
+    if _signed_sum(*_probe(products, terms, factors), exact_in_float).any():
         return False
     return not _signed_sum(products, terms, factors, exact_in_float).any()
 
 
-def _probe(products, terms, factors, exact_in_float: bool) -> np.ndarray:
-    """The signed sum of ``terms`` at index 0 of its last axis: each term
-    reads its product at index 0 of the axis that its perm sends last, the
-    product of ``_matrices`` built from the operand that holds that axis cut
-    to its index 0.  Each such slice in turn is written into one buffer and
-    added to the sum by its terms, in float64 into the heads of the two
-    buffers of this thread's workspace that the dense pass overwrites next
-    (when the workspace holds that pass's buffers), else into two small
-    fresh arrays."""
-    dtype = np.float64 if exact_in_float else object
-    shape = _sum_shape(products, terms)
-    size, full = 2 * math.prod(shape[:-1]), 2 * math.prod(shape)
-    if exact_in_float and _holds(2, full):
-        buffer, total = (held[:size] for held in _workspace(2, full))
-    else:
-        buffer, total = (np.empty(size, dtype=dtype) for _ in range(2))
-    # the terms of each slice, by (product, axis of the product that is cut)
-    slices = {}
+def _probe(products, terms, factors) -> tuple[list, list, list[int]]:
+    """The (products, terms, factors) of the signed sum at index 0 of its
+    last axis, the cut formula, whose sum has that axis at length 1.
+
+    Each term reads its product at index 0 of the axis that its perm sends
+    last, so one product is made per (product, cut axis): the operand that
+    holds that axis, cut to its index 0, goes first, so that ``_matrices``
+    builds the matrix of 2x2 blocks, twice the size of the other, from the
+    small one.  When the right operand is cut, the two swap, and the move
+    of its free axes ahead of the left one's is folded into the perm."""
+    cut_products, cut_terms, cut_factors, slices = [], [], [], {}
     for sign, index, perm in terms:
         left, right, axes = products[index]
-        free = len(_split(left.shape, axes[0])[1]) + len(_split(right.shape, axes[1])[1])
-        perm = tuple(range(free)) if perm is None else perm
-        slices.setdefault((index, perm[-1]), []).append((sign, perm))
-    first = True
-    for (index, axis), mine in slices.items():
-        left, right, axes = products[index]
         left_free, right_free = _split(left.shape, axes[0])[1], _split(right.shape, axes[1])[1]
-        # the cut operand goes first, into the matrix of 2x2 blocks, which is
-        # twice the size of the other; a right one moves its axes back
-        if axis < len(left_free):
-            left = ExactArray(left.parts.take([0], axis=left_free[axis] + 1), left.den)
-            product = _product(*_matrices(left, right, axes, factors[index], dtype), out=buffer)
-        else:
-            right = ExactArray(
-                right.parts.take([0], axis=right_free[axis - len(left_free)] + 1), right.den
+        perm = tuple(range(len(left_free) + len(right_free))) if perm is None else perm
+        axis = perm[-1]
+        if (index, axis) not in slices:
+            slices[index, axis] = len(cut_products)
+            if axis < len(left_free):
+                cut = ExactArray(left.parts.take([0], axis=left_free[axis] + 1), left.den)
+                cut_products.append((cut, right, axes))
+            else:
+                at = right_free[axis - len(left_free)] + 1
+                cut = ExactArray(right.parts.take([0], axis=at), right.den)
+                cut_products.append((cut, left, axes[::-1]))
+            cut_factors.append(factors[index])
+        if axis >= len(left_free):
+            # the swapped product holds the right free axes, then the left ones
+            perm = tuple(
+                other + len(right_free) if other < len(left_free) else other - len(left_free)
+                for other in perm
             )
-            product = _product(
-                *_matrices(right, left, axes[::-1], factors[index], dtype), out=buffer
-            )
-            moved = len(right_free)
-            product = product.transpose(
-                (0, *range(moved + 1, moved + len(left_free) + 1), *range(1, moved + 1))
-            )
-        for sign, perm in mine:
-            # the product holds index 0 alone on the axis that the perm sends last
-            view = product.transpose((0, *(other + 1 for other in perm)))[..., 0]
-            total = total.reshape(view.shape)
-            {1: np.add, -1: np.subtract}[sign](0 if first else total, view, out=total)
-            first = False
-    return total
+        cut_terms.append((sign, slices[index, axis], perm))
+    return cut_products, cut_terms, cut_factors
 
 
 def csr_matvec(

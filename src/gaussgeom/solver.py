@@ -83,9 +83,8 @@ class ConstraintSystem:
     only g <= d is assembled.  Each distinct constraint is one primitive
     integer row, in first-emission order: row r has sorted ``columns`` and
     ``coefficients`` (first one positive) from ``starts[r]`` to the next
-    start.  ``labels[r]`` is the first (a, b, g, d) that emitted it and
-    ``multiplicities[r]`` how many nonzero (a, b, g, d) with any order of
-    (g, d) emit it.  All arrays are int64.
+    start.  ``multiplicities[r]`` is how many nonzero (a, b, g, d) with any
+    order of (g, d) emit it.  All arrays are int64.
     """
 
     n: int
@@ -94,7 +93,6 @@ class ConstraintSystem:
     starts: np.ndarray
     columns: np.ndarray
     coefficients: np.ndarray
-    labels: np.ndarray
     multiplicities: np.ndarray
 
     @property
@@ -268,7 +266,6 @@ def assemble(n: int) -> ConstraintSystem:
         starts=np.cumsum(length[kept]) - length[kept],
         columns=column[mask],
         coefficients=value[mask],
-        labels=np.stack([part[quad[kept]] for part in (a, b, g, out)], axis=1),
         multiplicities=multiplicities,
     )
 

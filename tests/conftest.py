@@ -83,12 +83,31 @@ def _count_calls(monkeypatch, names: dict[str, str]) -> dict[str, int]:
 @pytest.fixture
 def full_passes(monkeypatch) -> dict[str, int]:
     """Calls of each full pass of ``exact.contraction_sum`` from here on:
-    "sparse" counts ``_sparse_sum``, "dense" counts ``_signed_sum``."""
-    return _count_calls(monkeypatch, {"sparse": "_sparse_sum", "dense": "_signed_sum"})
+    "sparse" counts ``_sparse_sum``, "dense" counts the ``_signed_sum`` calls
+    that do not sum the cut formula of a ``_probe``."""
+    calls = _count_calls(monkeypatch, {"sparse": "_sparse_sum"})
+    calls["dense"] = 0
+    # the product lists of every cut formula, held, so that a dense pass is
+    # told from a probe by identity
+    cuts = []
+    probe, signed_sum = exact._probe, exact._signed_sum
+
+    def probed(*args):
+        formula = probe(*args)
+        cuts.append(formula[0])
+        return formula
+
+    def summed(products, *args):
+        calls["dense"] += not any(products is cut for cut in cuts)
+        return signed_sum(products, *args)
+
+    monkeypatch.setattr(exact, "_probe", probed)
+    monkeypatch.setattr(exact, "_signed_sum", summed)
+    return calls
 
 
 @pytest.fixture
 def probes(monkeypatch) -> dict[str, int]:
-    """Calls of ``exact._probe``, the slice that ``contraction_vanishes``
-    tries ahead of the dense pass, from here on, under "probe"."""
+    """Calls of ``exact._probe``, whose cut formula ``contraction_vanishes``
+    sums ahead of the dense pass, from here on, under "probe"."""
     return _count_calls(monkeypatch, {"probe": "_probe"})

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import random_spd, random_symmetric
 from gaussgeom.algebra import lie_algebra
 from gaussgeom.cli import main
-from gaussgeom.exact import QSqrt2
+from gaussgeom.exact import SQRT2, QSqrt2
 from gaussgeom.group import pull_back_to_identity
 from gaussgeom.manifold import ManifoldPoint, TangentVector
 
@@ -136,7 +136,7 @@ class TestTensors:
             for e in payload["entries"]
             if e["x"] == "Mean(1)" and e["y"] == "Mean(1)"
         )
-        assert QSqrt2.parse(entry["components"]["Cov(1,1)"]["exact"]) == QSqrt2.sqrt2().inverse()
+        assert QSqrt2.parse(entry["components"]["Cov(1,1)"]["exact"]) == SQRT2.inverse()
 
     def test_bracket_table(self, runner):
         result = invoke(runner, "tensors", "--n", "1", "--what", "brackets")
@@ -146,7 +146,7 @@ class TestTensors:
             for e in payload["entries"]
             if e["x"] == "Mean(1)" and e["y"] == "Cov(1,1)"
         )
-        assert QSqrt2.parse(entry["components"]["Mean(1)"]["exact"]) == -QSqrt2.sqrt2().inverse()
+        assert QSqrt2.parse(entry["components"]["Mean(1)"]["exact"]) == -SQRT2.inverse()
 
     def test_metric_is_identity(self, runner):
         result = invoke(runner, "tensors", "--n", "2", "--what", "metric")

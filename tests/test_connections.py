@@ -598,24 +598,31 @@ class TestWorkspace:
         ("scale", "cap", "held"), [(1, None, True), (1, 0, False), (2**70, None, False)]
     )
     def test_the_probe_writes_into_the_held_buffers(self, monkeypatch, scale, cap, held):
-        # the probe's slice and sum go into the heads of the two buffers that
-        # the dense pass takes next, unless they are past the cap or the sum
-        # runs on Python ints
+        # once a dense pass holds its two buffers, the probe's cut formula is
+        # summed into their heads and holds no other buffer, unless they are
+        # past the cap or the sum runs on Python ints
         k = random_sym_tensor(random.Random(7), 3).scale(scale)
         products, terms = connections._conjugate_gap(from_difference(k))
         _, exact_in_float, factors = exact._prepared(products, terms)
         if cap is not None:
             monkeypatch.setattr(exact, "WORKSPACE_CAP", cap)
         exact._WORKSPACE.buffers = []
-        probe = exact._probe(products, terms, factors, exact_in_float)
-        buffers = exact._WORKSPACE.buffers
-        assert probe.any()
+        total = exact._signed_sum(products, terms, factors, exact_in_float).copy()
+        buffers = list(exact._WORKSPACE.buffers)
         assert [buffer.size for buffer in buffers] == ([2 * 9**4] * 2 if held else [])
-        assert any(np.shares_memory(probe, buffer) for buffer in buffers) == held
-        # every entry of the probe is the sum's at index 0 of its last axis
-        probe = probe.copy()
-        total = exact._signed_sum(products, terms, factors, exact_in_float)
-        assert np.array_equal(probe, total[..., 0])
+        for _ in range(2):
+            probe = exact._signed_sum(*exact._probe(products, terms, factors), exact_in_float)
+            assert len(exact._WORKSPACE.buffers) == len(buffers)
+            assert all(x is y for x, y in zip(exact._WORKSPACE.buffers, buffers))
+            assert any(np.shares_memory(probe, buffer) for buffer in buffers) == held
+            if held:
+                # the total's buffer, from its first entry on
+                assert np.shares_memory(probe, buffers[1][: probe.size])
+                assert not np.shares_memory(probe, buffers[1][probe.size :])
+            # every entry of the probe is the sum's at index 0 of its last axis
+            assert probe.any()
+            assert probe.shape == (*total.shape[:-1], 1)
+            assert np.array_equal(probe, total[..., :1])
 
     def test_warm_curvature_allocates_little_beyond_its_result(self):
         gamma = alpha_connection(4, Fraction(1, 3))

@@ -31,7 +31,9 @@ from gaussgeom.exact import (
     _pairs,
     _plan,
     _prepared,
+    _probe,
     _route,
+    _signed_sum,
     _sparse_sum,
     _SparseArray,
     _workspace,
@@ -614,6 +616,13 @@ class TestGcdReduce:
         assert reduced.is_zero()
 
 
+TERM_LISTS = st.lists(
+    st.tuples(st.sampled_from([1, -1]), st.integers(0, 1), st.permutations(range(4))),
+    min_size=1,
+    max_size=4,
+).map(lambda terms: [(sign, index, tuple(perm)) for sign, index, perm in terms])
+
+
 class TestContractionSum:
     """``contraction_sum`` against signed sums of transposed object-array
     ``np.tensordot`` products."""
@@ -649,6 +658,23 @@ class TestContractionSum:
             assert result.den == 1
         else:
             assert math.gcd(result.den, *result.parts.ravel().tolist()) == 1
+
+    @given(st.data(), st.integers(20, 26), TERM_LISTS)
+    def test_the_cut_formula_sums_index_0_of_the_last_axis(self, data, bits, terms):
+        # a perm that sends a free axis of a product's left operand last cuts
+        # that operand, one that sends a right one last cuts the right operand
+        # and swaps the two; the bits reach float64 and Python ints alike
+        a, b, c = (data.draw(bounded_arrays((3, 3, 3), bits)) for _ in range(3))
+        products = [(a, b, ([2], [1])), (c, a, ([0], [2]))]
+        den, exact_in_float, factors = _prepared(products, terms)
+        cut = _signed_sum(*_probe(products, terms, factors), exact_in_float)
+        assert cut.shape == (2, 3, 3, 3, 1)
+        objects = [
+            np.tensordot(as_objects(x), as_objects(y), axes=axes) for x, y, axes in products
+        ]
+        reference = sum(sign * np.transpose(objects[i], perm) for sign, i, perm in terms)
+        parts = cut.astype(np.int64) if exact_in_float else cut
+        assert _same(ExactArray(parts[..., 0], den), reference[..., 0])
 
     # a @ b has a zero first column: a term read as is vanishes at index 0 of
     # its last axis but not past it, one read transposed does not vanish there
@@ -844,13 +870,6 @@ def sparse_arrays(draw) -> ExactArray:
         parts[0, position] = draw(st.integers(1, 2**10)) * draw(st.sampled_from([1, -1]))
         parts[1, position] = draw(st.integers(-(2**10), 2**10))
     return ExactArray(parts.reshape((2, 4, 4, 4)), draw(st.sampled_from([1, 3, 4])))
-
-
-TERM_LISTS = st.lists(
-    st.tuples(st.sampled_from([1, -1]), st.integers(0, 1), st.permutations(range(4))),
-    min_size=1,
-    max_size=4,
-).map(lambda terms: [(sign, index, tuple(perm)) for sign, index, perm in terms])
 
 
 def _formula(a: ExactArray, b: ExactArray, c: ExactArray) -> list:

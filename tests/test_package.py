@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,3 +189,23 @@ class TestBenchmarkTracer:
         assert counters["rows"] > 0
         assert counters["eliminations"] > 0
         assert counters["max_bit_size"] > 0
+
+
+class TestReadmeEntryPoints:
+    """Every entry point that README.md names exists, so that a deleted one
+    cannot leave stale docs behind."""
+
+    README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+    def test_named_scripts_exist(self):
+        named = set(re.findall(r"scripts/[\w./-]+\.py", self.README))
+        assert named
+        assert sorted(path for path in named if not (ROOT / path).is_file()) == []
+
+    def test_named_subcommands_exist(self):
+        from gaussgeom.cli import main
+
+        # a command line, or a code span, that starts with the entry point
+        named = set(re.findall(r"(?m)(?:^|`)gaussgeom ([a-z][a-z-]*)", self.README))
+        assert named
+        assert sorted(named - set(main.commands)) == []

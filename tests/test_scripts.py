@@ -66,47 +66,55 @@ def without_row(system, r):
     )
 
 
+def verify(*args):
+    """``gaussgeom verify`` with ``args``, run in a fresh process."""
+    return run("-m", "gaussgeom.cli", "verify", *args)
+
+
 class TestRunVerification:
+    """``gaussgeom verify --emit-certificate``, the one certificate writer."""
+
     def test_writes_certificates_and_passes(self, tmp_path):
-        out = tmp_path / "certs"
-        result = run(SCRIPTS / "run_verification.py", "--max-n", "2", "--out", out)
+        path = tmp_path / "certs.json"
+        result = verify("--max-n", "2", "--emit-certificate", path)
         assert result.returncode == 0, result.stderr
         assert "n=1: PASS" in result.stdout and "n=2: PASS" in result.stdout
-        payload = json.loads((out / "certificate_n2.json").read_text())
-        assert payload["status"] == "PASS"
-        assert payload["schema_version"] == "1"
+        payloads = json.loads(path.read_text())
+        assert [payload["n"] for payload in payloads] == [1, 2]
+        assert payloads[1]["status"] == "PASS"
+        assert payloads[1]["schema_version"] == "1"
+        # one n is written as its certificate's own bytes
+        verify("--n", "2", "--emit-certificate", path)
+        assert path.read_text() == solver.verify_theorem(2).to_json() + "\n"
 
-    def test_out_is_a_file_exits_2(self, tmp_path):
-        out = tmp_path / "taken"
-        out.write_text("")
-        result = run(SCRIPTS / "run_verification.py", "--max-n", "1", "--out", out)
+    def test_certificate_path_is_a_directory_exits_2(self, tmp_path):
+        path = tmp_path / "taken"
+        path.mkdir()
+        result = verify("--max-n", "1", "--emit-certificate", path)
         assert result.returncode == 2
         assert "Traceback" not in result.stderr
-        errors = [line for line in result.stderr.splitlines() if "error:" in line]
-        assert len(errors) == 1 and str(out) in errors[0], result.stderr
+        errors = [line for line in result.stderr.splitlines() if "Error:" in line]
+        assert len(errors) == 1 and str(path) in errors[0], result.stderr
         # rejected before any verification runs
         assert result.stdout == ""
 
 
 class TestRecheckCertificate:
     def test_accepts_fresh_certificate(self, tmp_path):
-        out = tmp_path / "certs"
-        run(SCRIPTS / "run_verification.py", "--max-n", "2", "--out", out)
-        result = run(
-            SCRIPTS / "recheck_certificate.py",
-            out / "certificate_n1.json",
-            out / "certificate_n2.json",
-        )
+        # a list file of two certificates, as ``verify --max-n`` writes it,
+        # beside a file of one, as ``verify --n`` writes it
+        path = tmp_path / "certs.json"
+        verify("--max-n", "2", "--emit-certificate", path)
+        result = run(SCRIPTS / "recheck_certificate.py", path, self._certificate(tmp_path, n=2))
         assert result.returncode == 0, result.stdout + result.stderr
         assert "RECHECK: PASS" in result.stdout
+        assert result.stdout.count("rows_annihilated: PASS") == 3
         # the count is of every emitted constraint, not of distinct rows
         assert "rows_annihilated: PASS (4 rows, 0 nonzero)" in result.stdout
         assert "rows_annihilated: PASS (222 rows, 0 nonzero)" in result.stdout
 
     def test_rejects_tampered_kernel(self, tmp_path):
-        out = tmp_path / "certs"
-        run(SCRIPTS / "run_verification.py", "--max-n", "1", "--out", out)
-        path = out / "certificate_n1.json"
+        path = self._certificate(tmp_path)
         payload = json.loads(path.read_text())
         payload["kernel"]["Cov(1,1)|Cov(1,1)|Cov(1,1)"] = "3/1 + 0/1*sqrt2"
         path.write_text(json.dumps(payload))
@@ -203,9 +211,7 @@ class TestRecheckCertificate:
     def test_rejects_forged_rank_accounting(self, tmp_path, forged):
         # the n=2 system has rank 34 over 35 unknowns; rank 33 with kernel_dim
         # 2 is self-consistent, so only the recomputed rank can catch it
-        out = tmp_path / "certs"
-        run(SCRIPTS / "run_verification.py", "--max-n", "2", "--out", out)
-        path = out / "certificate_n2.json"
+        path = self._certificate(tmp_path, n=2)
         payload = json.loads(path.read_text())
         payload.update(forged)
         path.write_text(json.dumps(payload))
@@ -272,10 +278,10 @@ class TestRecheckCertificate:
         assert result.stdout.endswith("RECHECK: FAIL\n")
 
     @staticmethod
-    def _certificate(tmp_path):
-        out = tmp_path / "certs"
-        run(SCRIPTS / "run_verification.py", "--max-n", "1", "--out", out)
-        return out / "certificate_n1.json"
+    def _certificate(tmp_path, n=1):
+        path = tmp_path / f"certificate_n{n}.json"
+        verify("--n", str(n), "--emit-certificate", path)
+        return path
 
 
 class TestRecheckInProcess:
