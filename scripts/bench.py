@@ -94,7 +94,11 @@ def timed(name, fn):
     return out
 timed("lie_algebra", lambda: lie_algebra(n))
 system = timed("assemble", lambda: assemble(n))
-counts = {"unknowns": system.unknowns, "rows_distinct": len(system.starts)}
+counts = {
+    "unknowns": system.unknowns,
+    "row_count": system.row_count,
+    "rows_stored": len(system.starts),
+}
 del system  # held, it would keep the heap under it resident past verify
 timed("solve", lambda: solve(n))
 def resident_mb():

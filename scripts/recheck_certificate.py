@@ -32,8 +32,10 @@ the terms q * 2^((p + deg t - par) / 2).  The emitted constraint of a quad
 the quads (a, b, g, out) and (a, b, out, g), so it weighs 1 when g = out and
 2 otherwise; ``row_count`` is the summed weight of the quads whose two T
 rows differ.  Each row is kept as emitted: no row is divided by its gcd, and
-no two are merged.  A row's residual is the row applied to both rational
-parts of y.
+no two are merged.  ``gaussgeom.solver.assemble`` stores the same rows, and
+a test (``tests/test_package.py``) checks that its arrays equal these, array
+for array; the two are built by separate code.  A row's residual is the row
+applied to both rational parts of y.
 
 The rank.  A column that is the only nonzero entry of some row, among the
 columns not yet zeroed, is zeroed, in rounds until a round zeroes none.

@@ -13,14 +13,17 @@ sqrt2-degree (``LieAlgebra.degrees``), 1 for Cov(i,i) and 0 otherwise, and
 every Levi-Civita coefficient is sqrt2 to the parity of its three degrees
 times a rational.  In the graded unknowns y_t = K_t / sqrt2^{deg t} of the
 triples t, every constraint is therefore sqrt2^k times a rational row; the
-system keeps each distinct row once, as a primitive integer row.  The rows
-are assembled as integer numpy batches (every (a, b, g, d) term of the
-Levi-Civita derivative at once, summed per row, made primitive and
-deduplicated) and stored only as int64 CSR arrays.  ``kernel()`` is their
-one elimination: numpy rounds first peel every row with a single live entry
+system keeps that integer row as emitted, one per nonzero (a < b, g <= d),
+neither divided by its gcd nor merged with an equal row.  These are the
+rows that ``scripts/recheck_certificate.py`` rebuilds with its own code,
+array for array.  The rows are assembled as integer numpy batches (every
+(a, b, g, d) term of the Levi-Civita derivative at once, summed per row)
+and stored only as int64 CSR arrays.  ``kernel()`` is their one
+elimination: numpy rounds first peel every row with a single live entry
 off the CSR arrays (at n=4, 530 of the 560 unknowns are forced to zero),
-then one fraction-free loop eliminates the rows that remain on the live
-block of columns; the rank is the peeled count plus the block rank.
+then one fraction-free loop eliminates the distinct primitive rows that
+remain on the live block of columns; the rank is the peeled count plus the
+block rank.
 The kernel, the residual check and the pattern checks (against
 ``tensors.expected_pattern``) work on ``SymTensor3``s, 1-D ``ExactArray``s
 over the triples.  The certificate records the kernel as
@@ -32,6 +35,7 @@ the one writer and the one reader of that map.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -80,15 +84,16 @@ class ConstraintSystem:
     enter as y_t = K_t / sqrt2^{degrees[t]}.  One constraint is emitted per
     (a < b, g, d), stating that the covariant derivatives (D_a K)(b, g) and
     (D_b K)(a, g) share their e_d component; it is symmetric in (g, d), so
-    only g <= d is assembled.  Each distinct constraint is one primitive
-    integer row, in first-emission order: row r has sorted ``columns`` and
-    ``coefficients`` (first one positive) from ``starts[r]`` to the next
-    start.  ``multiplicities[r]`` is how many nonzero (a, b, g, d) with any
-    order of (g, d) emit it.  All arrays are int64.
+    only g <= d is assembled.  Each nonzero constraint is one integer row,
+    in emission order and as emitted (not divided by its gcd, and kept when
+    an earlier row equals it): row r has sorted ``columns`` and nonzero
+    ``coefficients`` from ``starts[r]`` to the next start.
+    ``multiplicities[r]`` is how many nonzero (a, b, g, d) with any order of
+    (g, d) it stands for: 1 when g = d and 2 otherwise.  All arrays are
+    int64.
     """
 
     n: int
-    unknown_triples: tuple[tuple[int, int, int], ...]
     degrees: np.ndarray
     starts: np.ndarray
     columns: np.ndarray
@@ -97,7 +102,7 @@ class ConstraintSystem:
 
     @property
     def unknowns(self) -> int:
-        return len(self.unknown_triples)
+        return len(self.degrees)
 
     @property
     def row_count(self) -> int:
@@ -122,7 +127,9 @@ class ConstraintSystem:
         stripped live part plus multiples of zeroed e_c.  So the rank is the
         peeled count plus the rank of the stripped rows on the live columns,
         renumbered 0..s-1, and every kernel vector vanishes off them.  Each
-        block kernel vector is scattered back and lifted through
+        stripped row is made primitive with a positive first entry, and
+        each distinct one is inserted once: rows equal up to scale span one
+        line.  Each block kernel vector is scattered back and lifted through
         K_t = sqrt2^{deg t} y_t.
         """
         lengths = np.diff(self.starts, append=len(self.columns))
@@ -142,8 +149,14 @@ class ConstraintSystem:
         # every live entry now shares its row with another live entry
         columns, coefficients = block[self.columns[live]].tolist(), self.coefficients[live].tolist()
         bounds = np.flatnonzero(np.diff(row_id[live], prepend=-1)).tolist() + [len(columns)]
+        distinct = set()
         for i, j in zip(bounds, bounds[1:]):
-            echelon.insert(dict(zip(columns[i:j], coefficients[i:j])))
+            values = coefficients[i:j]
+            divisor = math.gcd(*values) if values[0] > 0 else -math.gcd(*values)
+            row = tuple(zip(columns[i:j], [v // divisor for v in values]))
+            if row not in distinct:
+                distinct.add(row)
+                echelon.insert(dict(row))
 
         basis = []
         for y in echelon.kernel_basis():
@@ -154,7 +167,7 @@ class ConstraintSystem:
         return peeled + echelon.rank, basis
 
     def residuals(self, vector: ExactArray) -> ExactArray:
-        """Each distinct row applied to the graded coordinates of ``vector``.
+        """Each row applied to the graded coordinates of ``vector``.
 
         Writing K_t / sqrt2^{deg t} = u_t + v_t*sqrt2 with rational u, v,
         the residual of an integer row r is r.u + (r.v)*sqrt2, which vanishes
@@ -170,15 +183,15 @@ class ConstraintSystem:
 
 
 def assemble(n: int) -> ConstraintSystem:
-    """Emit every symmetry constraint on the covariant derivative of K as a
-    primitive integer row over the graded unknowns."""
+    """Emit every nonzero symmetry constraint on the covariant derivative of
+    K as an integer row over the graded unknowns, one per (a < b, g <= d),
+    in that order."""
     alg = lie_algebra(n)
     degree = np.array(alg.degrees, dtype=np.int64)
     d = len(degree)
-    triples = symmetric_triples(d)
-    unknowns = len(triples)
+    unknown_degree = degree[np.array(symmetric_triples(d))].sum(axis=1)
+    unknowns = len(unknown_degree)
     at = dense_positions(d)
-    unknown_degree = degree[np.array(triples)].sum(axis=1)
 
     # Levi-Civita coefficient [x, s, e] = q * sqrt2^p / den, q an integer and
     # p the parity of deg x + deg s + deg e; its nonzero entries are listed
@@ -218,7 +231,8 @@ def assemble(n: int) -> ConstraintSystem:
             columns.append(t)
             values.append(sign * lc_q[term] << shift)
 
-    # sum the terms of each (row, column), in row-major order
+    # sum the terms of each (row, column), in row-major order; a quad whose
+    # sums all vanish emits no row
     key = np.concatenate(row_ids) * unknowns + np.concatenate(columns)
     order = np.argsort(key)
     key, value = key[order], np.concatenate(values)[order]
@@ -226,47 +240,15 @@ def assemble(n: int) -> ConstraintSystem:
     key, value = key[first], np.add.reduceat(value, first)
     key, value = key[value != 0], value[value != 0]
     row, column = np.divmod(key, unknowns)
-
-    # primitive rows with a positive first coefficient
     starts = np.flatnonzero(np.diff(row, prepend=-1))
-    length = np.diff(starts, append=len(value))
-    divisor = np.gcd.reduceat(np.abs(value), starts) * np.sign(value[starts])
-    value = value // np.repeat(divisor, length)
-
-    # distinct rows in first-emission order: rows are sorted by their padded
-    # sequences of (column, coefficient) codes, with code 0 past a row's end
-    entry_row = np.repeat(np.arange(len(starts)), length)
-    low = int(value.min(initial=0))
-    padded = np.zeros((len(starts), length.max(initial=0)), dtype=np.int64)
-    padded[entry_row, np.arange(len(value)) - starts[entry_row]] = (
-        column * (int(value.max(initial=0)) - low + 1) + (value - low) + 1
-    )
-    order = np.lexsort(padded.T[::-1])
-    ordered = padded[order]
-    new_group = np.ones(len(order), dtype=bool)
-    new_group[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    group = np.empty_like(order)
-    group[order] = np.cumsum(new_group) - 1
-    # lexsort is stable, so each group's first sorted row is its first emitted
-    kept = np.sort(order[new_group])
-    distinct = np.empty_like(kept)
-    distinct[group[kept]] = np.arange(len(kept))
     quad = row[starts]
-    multiplicities = np.bincount(
-        distinct[group], weights=np.where(g[quad] == out[quad], 1, 2)
-    ).astype(np.int64)
-
-    in_kept = np.zeros(len(starts), dtype=bool)
-    in_kept[kept] = True
-    mask = in_kept[entry_row]
     return ConstraintSystem(
         n=n,
-        unknown_triples=triples,
         degrees=unknown_degree,
-        starts=np.cumsum(length[kept]) - length[kept],
-        columns=column[mask],
-        coefficients=value[mask],
-        multiplicities=multiplicities,
+        starts=starts,
+        columns=column,
+        coefficients=value,
+        multiplicities=np.where(g[quad] == out[quad], 1, 2),
     )
 
 

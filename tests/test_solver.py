@@ -49,17 +49,30 @@ CERTIFICATE_SHA256 = {
     4: "96bf80bddc3df83ff9ad67721a97e553b50e21e83a24775d35b8a4900708ccc5",
 }
 
-#: SHA-256 of ``repr((rows, multiplicities, degrees))`` of ``assemble(n)``,
-#: each read back as tuples; the system must not change.  Taken from the
-#: assembler that emitted a first label per row beside these three, where
-#: the hash of all four matched the pins of the per-quadruple Python
-#: assembler that the integer batches replaced
+#: SHA-256 of ``repr((rows, multiplicities, degrees))`` of the
+#: ``primitive_view`` of ``assemble(n)``, each read back as tuples; the
+#: system must not change.  Taken from the assembler that stored the
+#: distinct primitive rows and emitted a first label per row beside these
+#: three, where the hash of all four matched the pins of the per-quadruple
+#: Python assembler that the integer batches replaced
 SYSTEM_SHA256 = {
     1: "24a64c34200cea3682e7b5fe0552617b587cf33c0f3cd59db0a8b90a76d37b07",
     2: "e333c32501620222036668b3d39b838b5e3ca07f476b03e363ecbcf65d7a0087",
     3: "09fad6c02738719e2c7ade6e8d1768b37ff33d993c02d4b017eb1243544dd8a2",
     4: "5c7a32a46b29cea43eb90a885d34b697e023eaa1dd4e504110b2d51290bc58d7",
 }
+
+
+def primitive_view(system):
+    """The stored rows, each made primitive with a positive first entry, the
+    first of equal rows kept in its place and their multiplicities summed."""
+    kept = {}
+    for row, weight in zip(system.rows, system.multiplicities.tolist()):
+        coeffs = [c for _, c in row]
+        divisor = math.gcd(*coeffs) * (1 if coeffs[0] > 0 else -1)
+        primitive = tuple((t, c // divisor) for t, c in row)
+        kept[primitive] = kept.get(primitive, 0) + weight
+    return tuple(kept), tuple(kept.values())
 
 
 def positions(n):
@@ -95,9 +108,20 @@ class TestIntegerRows:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_rows_are_distinct_primitive_integer_rows(self, n):
+        # stored as emitted: one integer row per nonzero quad, standing for
+        # one quad when g = out and two otherwise
         system = assemble(n)
-        assert len(set(system.rows)) == len(system.rows)
         for row in system.rows:
+            cols = [t for t, _ in row]
+            assert cols == sorted(set(cols))
+            assert all(type(c) is int and c for _, c in row)
+        assert set(system.multiplicities.tolist()) <= {1, 2}
+        # up to scale, the distinct rows are primitive with coefficients at
+        # most 4 in magnitude
+        rows, multiplicities = primitive_view(system)
+        assert len(set(rows)) == len(rows)
+        assert sum(multiplicities) == system.row_count
+        for row in rows:
             cols = [t for t, _ in row]
             coeffs = [c for _, c in row]
             assert cols == sorted(set(cols))
@@ -111,7 +135,7 @@ class TestIntegerRows:
         system = assemble(n)
         assert system.degrees.tolist() == [
             sum(indices[p].j == indices[p].i for p in triple)
-            for triple in system.unknown_triples
+            for triple in symmetric_triples(basis_dimension(n))
         ]
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -124,7 +148,7 @@ class TestIntegerRows:
         d = basis_dimension(n)
         columns = [
             lc_difference_derivative(SymTensor3.from_entries(n, {t: ONE}))
-            for t in system.unknown_triples
+            for t in symmetric_triples(d)
         ]
 
         def normalized(entries):
@@ -157,13 +181,7 @@ class TestIntegerRows:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_system_pinned(self, n):
         system = assemble(n)
-        text = repr(
-            (
-                system.rows,
-                tuple(system.multiplicities.tolist()),
-                tuple(system.degrees.tolist()),
-            )
-        )
+        text = repr((*primitive_view(system), tuple(system.degrees.tolist())))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SYSTEM_SHA256[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -219,7 +237,6 @@ def csr_system(cols: int, rows: list[dict[int, int]]) -> solver.ConstraintSystem
     lengths = [len(row) for row in rows]
     return dataclasses.replace(
         assemble(1),
-        unknown_triples=((0, 0, 0),) * cols,
         degrees=np.zeros(cols, dtype=np.int64),
         starts=np.cumsum([0] + lengths, dtype=np.int64)[:-1],
         columns=np.array([c for row in rows for c in sorted(row)], dtype=np.int64),
@@ -333,6 +350,34 @@ class TestPeeledEchelon:
         assert 0 < len(inserted) <= 197
         assert all(len(row) >= 2 for row in inserted)
         assert all(0 <= c < 30 for row in inserted for c in row)
+
+    def test_live_rows_equal_up_to_scale_are_inserted_once(self, monkeypatch):
+        # column 3 is peeled; every other row's live part is a multiple of
+        # e0 + 2 e1 or of e1 - e2, at either sign, so two rows are inserted
+        system = csr_system(
+            4,
+            [
+                {0: 2, 1: 4},
+                {3: 5},
+                {0: -1, 1: -2},
+                {1: -3, 2: 3},
+                {0: 3, 1: 6, 3: 1},
+                {1: 1, 2: -1, 3: -7},
+                {1: 2, 2: -2},
+            ],
+        )
+        inserted = []
+        original = SparseEchelon.insert
+
+        def counted(self, row):
+            inserted.append(dict(row))
+            return original(self, row)
+
+        monkeypatch.setattr(SparseEchelon, "insert", counted)
+        rank, basis = system.kernel()
+        assert inserted == [{0: 1, 1: 2}, {1: 1, 2: -1}]
+        assert rank == 3 and len(basis) == 1
+        assert rank == straight_echelon(system).rank
 
 
 class TestSystem:
