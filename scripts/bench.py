@@ -29,7 +29,9 @@ build or test leftovers. The output has four parts:
   call (``curvature_random``, which runs the dense pass, and
   ``curvature_amari``, which runs the sparse one), the comparison
   ``curvature(g) == curvature(conjugate(g))`` on LC + K_Amari, after one
-  untimed call (``curvature_pair_amari``), 100 pull-backs of one
+  untimed call (``curvature_pair_amari``), verify's
+  ``alpha_family_verdicts`` on its certificate's generator, after one
+  untimed call (``family``), 100 pull-backs of one
   tangent at one fresh point (``pullback``) and one ``alpha_connection_form``
   at another, after an untimed one has built the float Levi-Civita table
   (``alpha_form``), one ``mc_oracle_metric_and_cubic`` at 2^18 samples at a
@@ -77,10 +79,13 @@ from fractions import Fraction
 import gaussgeom
 from gaussgeom.algebra import lie_algebra
 from gaussgeom.connections import (
-    amari_difference, conjugate, curvature, from_difference, predicate_suite,
+    alpha_family_verdicts, amari_difference, conjugate, curvature, from_difference,
+    predicate_suite,
 )
 from gaussgeom.exact import QSqrt2
-from gaussgeom.solver import assemble, solve, verify_theorem
+from gaussgeom.solver import (
+    AMARI_SCALE, VERIFY_ALPHAS, assemble, solve, solved_difference_tensor, verify_theorem,
+)
 from gaussgeom.tensors import SymTensor3, basis_dimension, symmetric_triples
 
 n = int(sys.argv[1])
@@ -141,6 +146,11 @@ gamma = from_difference(amari_difference(n))
 pair = lambda: curvature(gamma) == curvature(conjugate(gamma))
 pair()
 timed("curvature_pair_amari", pair)
+# verify's alpha checks on its own generator, after one untimed call
+generator = solved_difference_tensor(cert)
+family = lambda: alpha_family_verdicts(generator, VERIFY_ALPHAS, AMARI_SCALE)
+family()
+timed("family", family)
 # the float pointwise layer: 100 pull-backs at one fresh point, then one alpha
 # form at another, after an untimed form at the identity has built the table.
 # Imported here, not at the top: importing them before ``verify`` leaves the

@@ -18,14 +18,14 @@ lands) depends on the operands' nonzero pattern alone, and LC + alpha K
 has one pattern for every alpha but 0 and +-1, so ``exact`` plans it once
 per pattern and every later call along the line runs only the numeric
 phase.  A sparse sum comes back as its nonzero entries alone: a curvature
-is compared, tested for zero, transposed and listed entry by entry without
-its d^4 parts being built, so the identity R = R* on the family compares
-two lists of a few thousand entries.  ``predicate_suite`` decides the four characterizations at one K as
-four ``exact.contraction_vanishes`` tests of those formulas (R - R*,
-written in the two products of R alone, and each derivative minus its
-transpose in the first pair), with no d^4 result array;
-``alpha_family_verdicts`` decides them along a whole line LC + alpha K from
-tensors that do not depend on alpha.
+is compared, tested for zero and listed entry by entry without its d^4
+parts being built, so the identity R = R* on the family compares two lists
+of a few thousand entries.  ``predicate_suite`` decides the four
+characterizations at one K as four ``exact.contraction_vanishes`` tests of
+those formulas (R - R*, written in the two products of R alone, and each
+derivative minus its transpose in the first pair, ``_first_pair_symmetric``),
+with no d^4 result array; ``alpha_family_verdicts`` decides them along a
+whole line LC + alpha K from two curvatures and three of those tests at K.
 """
 
 from __future__ import annotations
@@ -165,12 +165,6 @@ def lc_cubic_derivative(k: SymTensor3) -> ExactArray:
     return _cubic_derivative(lie_algebra(k.n).levi_civita, k.to_exact_array().scale(-2))
 
 
-def _symmetric_in_first_pair(t: ExactArray) -> bool:
-    # the remaining slots are symmetric by construction, so symmetry in the
-    # first two indices is full total symmetry
-    return t == t.transpose((1, 0, 2, 3))
-
-
 def _first_pair_antisymmetric(formula):
     """(products, terms) of t - t.transpose((1, 0, 2, 3)), t the sum of
     ``formula``: each term, and each term negated with the first two
@@ -181,6 +175,12 @@ def _first_pair_antisymmetric(formula):
         for sign, index, perm in terms
     ]
     return products, terms + swapped
+
+
+def _first_pair_symmetric(formula) -> bool:
+    # the derivatives' other slots are symmetric by construction, so this is
+    # their total symmetry, decided as one exact vanishing test
+    return contraction_vanishes(*_first_pair_antisymmetric(formula))
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def predicate_suite(k: SymTensor3) -> PredicateSuite:
     derivatives = (_cubic_formula(gamma, cubic), _cubic_formula(hat, cubic), _difference_formula(k))
     return PredicateSuite(
         is_conjugate_symmetric(gamma),
-        *(contraction_vanishes(*_first_pair_antisymmetric(formula)) for formula in derivatives),
+        *(_first_pair_symmetric(formula) for formula in derivatives),
     )
 
 
@@ -248,10 +248,12 @@ def alpha_family_verdicts(
 
     The cubic derivative along G(s) of C(s) = -2 s K has first-pair
     antisymmetric part s A1 + s^2 A2, with A1 that part of the Levi-Civita
-    cubic derivative of K and A2 that of the derivative of -2K along K; it
+    derivative of C = -2K and A2 that of the derivative of C along K; it
     vanishes exactly when s = 0 or A1 + s A2 = 0.  Both Levi-Civita
-    derivatives are linear in s, so each is s times its value at K.  Every
-    verdict is exact at every alpha, including alpha = 0.
+    derivatives are linear in s, so each is s times its value at K.  A1 = 0,
+    A2 = 0 and the Levi-Civita difference derivative's verdict are each one
+    vanishing test at K, as in ``predicate_suite``, whose own test runs at
+    each alpha != 0 should A2 != 0.  Every verdict is exact at every alpha.
     """
     if not flat_scale:
         raise ValueError("the flat scale must be nonzero")
@@ -266,25 +268,22 @@ def alpha_family_verdicts(
     minus = curvature(from_difference(k.scale(-flat_scale)))
     flat_plus, flat_minus, r1_zero = plus.is_zero(), minus.is_zero(), plus == minus
     del plus, minus
-    lc_difference_ok = _symmetric_in_first_pair(lc_difference_derivative(k))
     dense = k.to_exact_array()
-    quadratic = _cubic_derivative(dense, dense.scale(-2))
-    if _symmetric_in_first_pair(quadratic):
-        # A2 = 0, so the verdict at every alpha != 0 is A1 = 0; this holds
-        # for every symmetric K on the orthonormal basis, but is not assumed
-        quadratic = None
-    linear = lc_cubic_derivative(k)
-    lc_cubic_ok = _symmetric_in_first_pair(linear)
+    cubic = dense.scale(-2)
+    lc_difference_ok = _first_pair_symmetric(_difference_formula(k))
+    # with A2 = 0 the verdict at every alpha != 0 is A1 = 0; A2 = 0 holds
+    # for every symmetric K on the orthonormal basis, but is not assumed
+    quadratic_zero = _first_pair_symmetric(_cubic_formula(dense, cubic))
+    lc_cubic_ok = _first_pair_symmetric(_cubic_formula(hat, cubic))
 
     suites = []
     for alpha in alphas:
         if not alpha:
             suites.append(PredicateSuite(True, True, True, True))
             continue
-        cubic_ok = (
-            lc_cubic_ok
-            if quadratic is None
-            else _symmetric_in_first_pair(linear + quadratic.scale(alpha))
-        )
+        cubic_ok = lc_cubic_ok
+        if not quadratic_zero:  # predicate_suite's own test at this alpha
+            gamma = from_difference(k.scale(alpha))
+            cubic_ok = _first_pair_symmetric(_cubic_formula(gamma, cubic.scale(alpha)))
         suites.append(PredicateSuite(r1_zero, cubic_ok, lc_cubic_ok, lc_difference_ok))
     return AlphaFamilyVerdicts(tuple(suites), flat_plus, flat_minus)

@@ -21,8 +21,8 @@ gathers the entries by that plan and sums them, in int64 while every
 partial sum stays below 2^53 and in Python ints past it.  Its result keeps
 those sums as they are, an ``ExactArray`` held as its nonzero entries
 alone, whose dense ``parts`` are built only when something reads them:
-a comparison, a zero test, a transpose or a walk over the nonzero entries
-never builds them.  The alpha family takes it; LC + alpha K has one nonzero
+a comparison, a zero test or a walk over the nonzero entries never builds
+them.  The alpha family takes it; LC + alpha K has one nonzero
 pattern for every alpha but 0 and +-1 (checked for n <= 6), so those
 alphas share their plans.  Otherwise the dense pass, ``_signed_sum``,
 the one loop that adds signed product views into a total, makes each
@@ -477,8 +477,8 @@ class _SparseArray(ExactArray):
 
     ``parts`` is built on its first read, by the zero-and-scatter of the
     values, and kept, so every other method reads it as on a dense array;
-    ``is_zero``, ``nonzero_items``, ``transpose`` and ``==`` against another
-    one read the entries alone.
+    ``is_zero``, ``nonzero_items`` and ``==`` against another one read the
+    entries alone.
     """
 
     def __init__(self, at: np.ndarray, values: np.ndarray, den: int, shape: tuple[int, ...]):
@@ -501,14 +501,6 @@ class _SparseArray(ExactArray):
             (idx, QSqrt2(Fraction(a, self.den), Fraction(b, self.den)))
             for idx, a, b in zip(coords, *self.values.tolist())
         ]
-
-    def transpose(self, axes: tuple[int, ...]) -> ExactArray:
-        axes = [axis % len(self._shape) for axis in axes]
-        coords = np.unravel_index(self.at, self._shape)
-        shape = tuple(self._shape[axis] for axis in axes)
-        at = np.ravel_multi_index([coords[axis] for axis in axes], shape)
-        order = np.argsort(at)
-        return _SparseArray(at[order], self.values[:, order], self.den, shape)
 
     def is_zero(self) -> bool:
         return self.at.size == 0

@@ -367,11 +367,13 @@ def verify_theorem(n: int) -> TheoremCertificate:
     """Solve, then confirm the kernel line carries every certified property.
 
     The alpha checks come from ``alpha_family_verdicts`` and cost two
-    curvatures for the whole family LC + alpha K: the Levi-Civita table is
-    metric and K symmetric, so the conjugate of LC + s K is LC - s K and
-    R*(s) = R(-s), while R(s) - R(-s) = 2 s R1.  Conjugate symmetry at every
-    recorded alpha != 0 is therefore R1 = 0, read off the two dually-flat
-    curvatures R(c) and R(-c) at the Amari scale c.
+    curvatures and three vanishing tests for the whole family LC + alpha K:
+    the Levi-Civita table is metric and K symmetric, so the conjugate of
+    LC + s K is LC - s K and R*(s) = R(-s), while R(s) - R(-s) = 2 s R1.
+    Conjugate symmetry at every recorded alpha != 0 is therefore R1 = 0,
+    read off the two dually-flat curvatures R(c) and R(-c) at the Amari
+    scale c; the derivative predicates are decided at K, with no d^4
+    derivative built.
     """
     cert = solve(n)
     if not cert.passed:

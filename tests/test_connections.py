@@ -260,27 +260,31 @@ class TestSharedContractions:
     def test_six_contractions_per_suite_and_eight_per_line(self, monkeypatch):
         # the suite: the two products of one curvature for R - R*, one per
         # cubic derivative, two for the difference derivative; the line: two
-        # curvatures, 2 * 2 + 1 + 1 + 2
+        # curvature sums, 2 * 2, then vanishing tests of 2 + 1 + 1
         k = random_sym_tensor(random.Random(5), 2)
         lie_algebra(2)  # the cached tables are built outside the count
         calls = []
 
-        def counting(original):
+        def counting(name, original):
             def counted(given, terms):
-                calls.append(len(given))
+                calls.append((name, len(given)))
                 return original(given, terms)
 
             return counted
 
-        # the predicates are vanishing tests, the line's verdicts sums
         for name in ("contraction_sum", "contraction_vanishes"):
-            monkeypatch.setattr(connections, name, counting(getattr(connections, name)))
+            monkeypatch.setattr(connections, name, counting(name, getattr(connections, name)))
         predicate_suite(k)
         # is_conjugate_symmetric's test first, then the derivatives' in order
-        assert calls == [2, 1, 1, 2]
+        assert calls == [("contraction_vanishes", count) for count in (2, 1, 1, 2)]
         calls.clear()
         alpha_family_verdicts(k, [0, 1, Fraction(-1, 3), SQRT2], 1)
-        assert sum(calls) == 8
+        assert sum(count for _, count in calls) == 8
+        # two curvatures, then the difference, A2 and A1 tests: no
+        # derivative is built as a sum
+        assert calls == [("contraction_sum", 2)] * 2 + [
+            ("contraction_vanishes", count) for count in (2, 1, 1)
+        ]
 
     @given(wide_sym_tensors())
     @settings(max_examples=20)
@@ -450,21 +454,37 @@ class TestContractionVanishes:
 
     @pytest.mark.parametrize("scale", [1, WIDE])
     def test_suite_matches_materialised_verdicts_on_every_single_triple(self, scale):
+        alphas = [0, 1, Fraction(-1, 3)]
         for triple in symmetric_triples(basis_dimension(2)):
             k = SymTensor3.from_entries(2, {triple: QSqrt2(scale)})
-            gamma = from_difference(k)
-            expected = (
-                curvature(gamma) == curvature(conjugate(gamma)),
-                *(
-                    connections._symmetric_in_first_pair(derivative(k))
-                    for derivative in (
-                        connections.connection_cubic_derivative,
-                        lc_cubic_derivative,
-                        lc_difference_derivative,
-                    )
-                ),
+            assert predicate_suite(k).as_tuple() == materialised_verdicts(k), triple
+            family = alpha_family_verdicts(k, alphas, 1)
+            for alpha, suite in zip(alphas, family.suites):
+                expected = materialised_verdicts(k.scale(alpha))
+                assert suite.as_tuple() == expected, (triple, alpha)
+
+
+def _symmetric_in_first_pair(t: ExactArray) -> bool:
+    # the remaining slots are symmetric by construction, so symmetry in the
+    # first two indices is full total symmetry
+    return t == t.transpose((1, 0, 2, 3))
+
+
+def materialised_verdicts(k: SymTensor3) -> tuple[bool, bool, bool, bool]:
+    """``predicate_suite(k)``'s four verdicts, in its field order, read off
+    the two curvatures and the three (d, d, d, d) derivatives themselves."""
+    gamma = from_difference(k)
+    return (
+        curvature(gamma) == curvature(conjugate(gamma)),
+        *(
+            _symmetric_in_first_pair(derivative(k))
+            for derivative in (
+                connections.connection_cubic_derivative,
+                lc_cubic_derivative,
+                lc_difference_derivative,
             )
-            assert predicate_suite(k).as_tuple() == expected, triple
+        ),
+    )
 
 
 def difference_derivative(gamma: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -778,19 +798,26 @@ class TestAlphaFamilyVerdicts:
 
     def test_quadratic_cubic_term_is_decided_exactly(self, monkeypatch):
         # For a symmetric K the quadratic term A2 vanishes; inject
-        # A2 = -A1 / root so that A1 + alpha A2 = 0 exactly at alpha = root.
+        # A2 = -A1 / root so that A1 + alpha A2 = 0 exactly at alpha = root:
+        # the A2 formula (C = -2K) gains the product (LC, C * -1/root), and
+        # the one along LC + alpha K (C = -2 alpha K) gains
+        # (LC, C * -alpha/root), that is alpha^2 times the injected A2.
         k = random_sym_tensor(random.Random(3), 2)
         hat = lie_algebra(2).levi_civita
-        original = connections._cubic_derivative
+        index, entry = k.to_exact_array().nonzero_items()[0]
+        original = connections._cubic_formula
         root = QSqrt2(1, 1)
 
         def injected(gamma, cubic):
-            result = original(gamma, cubic)
+            products, terms = original(gamma, cubic)
             if gamma is hat:
-                return result
-            return result + original(hat, cubic).scale(-root.inverse())
+                return products, terms
+            alpha = cubic.item(*index) / (entry * -2)  # 1 for the A2 formula
+            extra, extra_terms = original(hat, cubic.scale(-alpha / root))
+            shifted = [(sign, at + len(products), perm) for sign, at, perm in extra_terms]
+            return products + extra, terms + shifted
 
-        monkeypatch.setattr(connections, "_cubic_derivative", injected)
+        monkeypatch.setattr(connections, "_cubic_formula", injected)
         alphas = [0, root, -root, 1, Fraction(-1, 3)]
         family = alpha_family_verdicts(k, alphas, 1)
         assert not family.suites[1].lc_cubic_derivative_symmetric

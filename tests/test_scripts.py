@@ -429,6 +429,7 @@ class TestBenchStageProbe:
             "curvature_random",
             "curvature_amari",
             "curvature_pair_amari",
+            "family",
             "pullback",
             "alpha_form",
             "recheck",
